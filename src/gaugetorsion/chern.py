@@ -18,7 +18,9 @@ Lifts are cached per ring, filled once and never rewritten.
 
 from __future__ import annotations
 
-from typing import Mapping
+import threading
+from functools import partial
+from typing import Callable, Mapping, TypeVar
 
 from .fp import Prime, _lucas
 from .polyring import MultiPoly, UniPoly, elementary_sym, power_sum
@@ -33,6 +35,32 @@ __all__ = [
 ]
 
 Exponents = tuple[int, ...]
+T = TypeVar("T")
+
+# Guards the growth of the memo tables below; reads of entries already there
+# take no lock, as a table's lists only grow and entries are never rewritten.
+_MEMO_LOCK = threading.Lock()
+
+
+def _memo_extend(
+    table: dict[tuple[int, int], list[T]],
+    key: tuple[int, int],
+    m: int,
+    next_entry: Callable[[list[T]], T],
+) -> list[T]:
+    """Grow table[key] to at least m entries and return it.
+
+    Missing entries are built on a private copy, each from the ones before
+    it, and only then published under the lock; entries another thread
+    published meanwhile are equal and kept.
+    """
+    built = list(table.get(key, ()))
+    while len(built) < m:
+        built.append(next_entry(built))
+    with _MEMO_LOCK:
+        entries = table.setdefault(key, [])
+        entries.extend(built[len(entries) :])
+    return entries
 
 
 def _grlex_key(mono: Exponents) -> tuple[int, tuple[int, ...]]:
@@ -214,20 +242,23 @@ def lift_power_sum(m: int, n: int, p: Prime) -> ChernPoly:
     """
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
-    key = (n, p.value)
-    cache = _LIFT_CACHE.setdefault(key, [])
-    while len(cache) < m:
-        m_next = len(cache) + 1
-        acc = ChernPoly.zero(n, p)
-        top = min(m_next - 1, n)
-        for j in range(1, top + 1):
-            sign = 1 if j % 2 == 1 else -1
-            acc = acc + ChernPoly.generator(n, p, j).scale(sign) * cache[m_next - j - 1]
-        if m_next <= n:
-            sign = 1 if m_next % 2 == 1 else -1
-            acc = acc + ChernPoly.generator(n, p, m_next).scale(sign * m_next)
-        cache.append(acc)
-    return cache[m - 1]
+    entries = _LIFT_CACHE.get((n, p.value), ())
+    if len(entries) < m:
+        entries = _memo_extend(_LIFT_CACHE, (n, p.value), m, partial(_next_lift, n, p))
+    return entries[m - 1]
+
+
+def _next_lift(n: int, p: Prime, built: list[ChernPoly]) -> ChernPoly:
+    m_next = len(built) + 1
+    acc = ChernPoly.zero(n, p)
+    top = min(m_next - 1, n)
+    for j in range(1, top + 1):
+        sign = 1 if j % 2 == 1 else -1
+        acc = acc + ChernPoly.generator(n, p, j).scale(sign) * built[m_next - j - 1]
+    if m_next <= n:
+        sign = 1 if m_next % 2 == 1 else -1
+        acc = acc + ChernPoly.generator(n, p, m_next).scale(sign * m_next)
+    return acc
 
 
 _PHI_PS_CACHE: dict[tuple[int, int], list[int]] = {}
@@ -244,20 +275,23 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
     q = p.value
-    key = (n, q)
-    cache = _PHI_PS_CACHE.setdefault(key, [])
-    while len(cache) < m:
-        m_next = len(cache) + 1
-        val = 0
-        top = min(m_next - 1, n)
-        for j in range(1, top + 1):
-            sign = 1 if j % 2 == 1 else -1
-            val += sign * _lucas(n, j, q) * cache[m_next - j - 1]
-        if m_next <= n:
-            sign = 1 if m_next % 2 == 1 else -1
-            val += sign * m_next * _lucas(n, m_next, q)
-        cache.append(val % q)
-    return UniPoly(p, {m: cache[m - 1]})
+    entries = _PHI_PS_CACHE.get((n, q), ())
+    if len(entries) < m:
+        entries = _memo_extend(_PHI_PS_CACHE, (n, q), m, partial(_next_phi_coefficient, n, q))
+    return UniPoly(p, {m: entries[m - 1]})
+
+
+def _next_phi_coefficient(n: int, q: int, built: list[int]) -> int:
+    m_next = len(built) + 1
+    val = 0
+    top = min(m_next - 1, n)
+    for j in range(1, top + 1):
+        sign = 1 if j % 2 == 1 else -1
+        val += sign * _lucas(n, j, q) * built[m_next - j - 1]
+    if m_next <= n:
+        sign = 1 if m_next % 2 == 1 else -1
+        val += sign * m_next * _lucas(n, m_next, q)
+    return val % q
 
 
 def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:

@@ -1,9 +1,14 @@
 """Command-line front end: decisions, verification sweeps, matrix inspection.
 
 Exit codes: 0 success or all checks passed, 1 a verification was falsified,
-2 invalid usage. Output is deterministic for a fixed invocation, including
-the seeded random sweeps. The default output format is text; override with
---format or the GAUGETORSION_FORMAT environment variable.
+2 invalid usage or an I/O error, 3 an internal contradiction (the two
+verdict routes or the recurrence mechanization disagree). Codes 2 and 3
+come with a one-line message on stderr. Output is deterministic for a fixed
+invocation, including the seeded random sweeps. The default output format is
+text; override with --format or the GAUGETORSION_FORMAT environment variable.
+With --output, the report is written to a temporary file beside the target
+and moved into place only when the command exits 0 or 1, so a failed run
+leaves no file behind.
 """
 
 from __future__ import annotations
@@ -37,6 +42,10 @@ _FORMATS = ("text", "json", "csv")
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _one_line(exc: BaseException) -> str:
+    return " ".join(str(exc).split())
 
 
 def _resolve_format(value: str | None, allowed: tuple[str, ...]) -> str | None:
@@ -355,6 +364,22 @@ _VERIFY_DEFAULTS = {
 }
 
 
+def _run_to_file(args: argparse.Namespace) -> int:
+    """Run the command into a temporary file, moved onto --output on exit 0 or 1."""
+    target = os.path.abspath(args.output)
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x") as handle, contextlib.redirect_stdout(handle):
+            code = args.func(args)
+        if code in (0, 1):
+            os.replace(tmp, target)
+        return code
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -364,10 +389,16 @@ def main(argv: list[str] | None = None) -> int:
             args.primes = default_primes
         if args.n_max is None:
             args.n_max = default_n_max
-    if getattr(args, "output", None):
-        with open(args.output, "w") as handle, contextlib.redirect_stdout(handle):
-            return args.func(args)
-    return args.func(args)
+    try:
+        if getattr(args, "output", None):
+            return _run_to_file(args)
+        return args.func(args)
+    except MechanizationError as exc:
+        print(f"internal error: {_one_line(exc)}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

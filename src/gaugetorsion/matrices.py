@@ -22,6 +22,8 @@ derived views; construction always happens in the exact layer first.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .fp import Prime, binom_int, p_power_ceil, padic_val
@@ -139,6 +141,11 @@ class IntMatrix:
         return json.dumps([[str(x) for x in row] for row in self.rows])
 
 
+@lru_cache(maxsize=None)
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 class FpMatrix:
     """Square matrix over F_p with canonical residues."""
 
@@ -156,8 +163,17 @@ class FpMatrix:
         self.rows = tuple(tuple(int(x) % q for x in r) for r in rows)
 
     @classmethod
+    def _canonical(cls, p: Prime, rows: tuple[tuple[int, ...], ...]) -> "FpMatrix":
+        """Wrap rows that are already a square tuple of residues mod p, unchecked."""
+        m = object.__new__(cls)
+        m.n = len(rows)
+        m.p = p
+        m.rows = rows
+        return m
+
+    @classmethod
     def identity(cls, n: int, p: Prime) -> "FpMatrix":
-        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(p, _identity_rows(n))
 
     def _match(self, other: "FpMatrix") -> None:
         if not isinstance(other, FpMatrix):
@@ -166,25 +182,38 @@ class FpMatrix:
             raise ValueError("matrix shape or modulus mismatch")
 
     def __mul__(self, other: "FpMatrix") -> "FpMatrix":
+        """Product by Kronecker substitution on the rows of ``other``.
+
+        Each row of ``other`` is packed into one integer, w bits per entry
+        with w = bitlen(n (p-1)^2). Row i of the product is then the single
+        integer sum of a_ik * packed_k, whose slots each hold at most
+        n (p-1)^2 < 2^w and so never carry; each slot is read back mod p.
+        """
         self._match(other)
-        q = self.p.value
-        cols = tuple(zip(*other.rows))
-        return FpMatrix(
+        n, q = self.n, self.p.value
+        w = (n * (q - 1) ** 2).bit_length()
+        mask = (1 << w) - 1
+        shifts = range(0, n * w, w)
+        packed = [sum(x << s for x, s in zip(row, shifts)) for row in other.rows]
+        return FpMatrix._canonical(
             self.p,
-            [[sum(a * b for a, b in zip(row, col)) % q for col in cols] for row in self.rows],
+            tuple(
+                tuple([(acc >> s & mask) % q for s in shifts])
+                for acc in [sum(map(mul, row, packed)) for row in self.rows]
+            ),
         )
 
     def __pow__(self, e: int) -> "FpMatrix":
+        """Left-to-right binary powering from the top set bit of e."""
         if e < 0:
             raise ValueError("negative matrix power")
-        out = FpMatrix.identity(self.n, self.p)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
+        if e == 0:
+            return FpMatrix.identity(self.n, self.p)
+        out = self
+        for bit in bin(e)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -198,11 +227,7 @@ class FpMatrix:
         return self.rows[i - 1][j - 1]
 
     def is_identity(self) -> bool:
-        return all(
-            self.rows[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self.rows == _identity_rows(self.n)
 
     def det(self) -> int:
         """Determinant mod p by Gaussian elimination."""
@@ -295,29 +320,26 @@ def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
 def order_mod_p(m: FpMatrix, bound: int) -> int:
     """Least e >= 1 with m^e = I, searched along the p-th power tower.
 
-    Raises OrderBoundExceeded if no p-power at or below the bound reaches the
-    identity, which would mean the order is not a p-power at all.
+    m^(p^k) is the identity exactly when the order divides p^k, so the first
+    identity on the tower m, m^p, m^(p^2), ... sits at the order, and reaching
+    it proves m invertible. If the next p-power would pass the bound, ``det``
+    tells the two failures apart: ValueError for a singular matrix, otherwise
+    OrderBoundExceeded, as the order is not a p-power at or below the bound.
     """
     if bound < 1:
         raise ValueError(f"need bound >= 1, got {bound}")
-    if m.det() == 0:
-        raise ValueError("matrix is singular mod p")
     q = m.p.value
-    tower = [m]  # tower[k] = m^(p^k)
-    e = 1
-    while not tower[-1].is_identity():
+    power, e = m, 1  # power = m^e, e = p^k
+    while not power.is_identity():
         if e * q > bound:
+            if m.det() == 0:
+                raise ValueError("matrix is singular mod p")
             raise OrderBoundExceeded(
                 f"no p-power order <= {bound} for p={q}, dimension {m.n}"
             )
-        tower.append(tower[-1] ** q)
+        power = power**q
         e *= q
-    # tower[-1] is the identity at exponent e; divide out surplus factors of p.
-    k = len(tower) - 1
-    while k >= 1 and tower[k - 1].is_identity():
-        k -= 1
-        e //= q
-    return e if e >= 1 else 1
+    return e
 
 
 def order_brute(m: FpMatrix, bound: int) -> int:

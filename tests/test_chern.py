@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from gaugetorsion import (
     power_sum,
     verify_newton,
 )
+from gaugetorsion import chern
 from tests.conftest import PRIMES_235
 
 
@@ -153,6 +157,51 @@ def test_restricted_power_sum_routes_agree(p):
             fused = phi_power_sum(m, n, p)
             assert fused == phi_star(lift_power_sum(m, n, p))
             assert fused == UniPoly(p, {m: n % p.value})
+
+
+def fill_cold(monkeypatch, table, key, fill, threads):
+    """Run fill() in each of `threads` threads on a fresh table[key].
+
+    Returns the results and the filled table entry; monkeypatch restores
+    the entry other tests may have filled.
+    """
+    monkeypatch.delitem(table, key, raising=False)
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def work(i):
+        barrier.wait(timeout=60)
+        results[i] = fill()
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    return results, table[key]
+
+
+@pytest.mark.parametrize(
+    "table, fill",
+    [
+        (chern._LIFT_CACHE, lambda: lift_power_sum(14, 4, Prime(5))),
+        (chern._PHI_PS_CACHE, lambda: phi_power_sum(14, 4, Prime(5))),
+    ],
+    ids=["lift", "phi"],
+)
+def test_memo_tables_fill_safely_from_threads(monkeypatch, table, fill):
+    single, single_table = fill_cold(monkeypatch, table, (4, 5), fill, threads=1)
+    assert len(single_table) == 14
+    for _ in range(5):
+        results, threaded_table = fill_cold(monkeypatch, table, (4, 5), fill, threads=4)
+        assert results == single * 4
+        assert threaded_table == single_table
 
 
 # -- the power-sum relation --------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from gaugetorsion import cli
 from gaugetorsion.torsion import decide_p
 from gaugetorsion.fp import Prime
+from gaugetorsion.suspension import MechanizationError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -205,3 +209,65 @@ def test_flag_overrides_env_var(capsys, monkeypatch):
     code, out, _ = run(capsys, "decide", "--n", "4", "--k", "2", "--p", "2", "--format", "text")
     assert code == 0
     assert out.startswith("n=4 k=2 p=2: Torsion")
+
+
+# -- --output and exit codes -------------------------------------------------------------
+
+
+def test_output_left_absent_on_usage_error(capsys, tmp_path):
+    target = tmp_path / "f"
+    code, _, _ = run(capsys, "decide", "--n", "1", "--k", "0", "--output", str(target))
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_written_on_success(capsys, tmp_path):
+    target = tmp_path / "f"
+    code, out, _ = run(
+        capsys, "sweep", "--n-max", "8", "--format", "csv", "--output", str(target)
+    )
+    assert code == 0
+    assert out == ""
+    assert target.read_text() == (GOLDEN / "sweep_n8.csv").read_text()
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_output_kept_when_verification_fails(capsys, monkeypatch, tmp_path):
+    from gaugetorsion.polyring import MultiPoly
+
+    monkeypatch.setattr(cli, "verify_newton", lambda n, i, p: (False, MultiPoly.one(n, p)))
+    target = tmp_path / "f"
+    argv = ("verify", "newton", "--n-max", "2", "--i-max", "0", "--output", str(target))
+    code, _, _ = run(capsys, *argv)
+    assert code == 1
+    assert "FAIL" in target.read_text()
+
+
+def raising(exc):
+    def decide_global(n, k):
+        raise exc
+
+    return decide_global
+
+
+def test_internal_contradiction_exits_three(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "decide_global", raising(MechanizationError("routes\ndisagree")))
+    target = tmp_path / "f"
+    code, _, err = run(capsys, "decide", "--n", "4", "--k", "2", "--output", str(target))
+    assert code == 3
+    assert err == "internal error: routes disagree\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_io_error_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "decide_global", raising(OSError("disk full")))
+    code, _, err = run(capsys, "decide", "--n", "4", "--k", "2")
+    assert code == 2
+    assert err == "error: disk full\n"
+
+
+def test_unwritable_output_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "f"
+    code, _, err = run(capsys, "decide", "--n", "4", "--k", "2", "--output", str(target))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

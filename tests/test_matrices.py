@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -92,6 +93,57 @@ def test_determinant_edge_cases():
 # -- products, reduction, inverse ------------------------------------------------
 
 
+def triple_loop_product(a_rows, b_rows, q):
+    n = len(a_rows)
+    return tuple(
+        tuple(sum(a_rows[i][k] * b_rows[k][j] for k in range(n)) % q for j in range(n))
+        for i in range(n)
+    )
+
+
+# p = 2147483647 needs slots wider than 64 bits.
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, 2147483647])
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 130])
+def test_packed_product_matches_triple_loop(n, p):
+    rng = random.Random(n * 7919 + p)
+    prime = Prime(p)
+    a = FpMatrix(prime, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    b = FpMatrix(prime, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    assert (a * b).rows == triple_loop_product(a.rows, b.rows, p)
+    # every slot at its largest sum, n (p-1)^2
+    full = FpMatrix(prime, [[p - 1] * n for _ in range(n)])
+    assert (full * full).rows == triple_loop_product(full.rows, full.rows, p)
+
+
+def test_power_zero_and_one():
+    m = companion_matrix(5).reduce(P3)
+    assert m**0 == FpMatrix.identity(5, P3)
+    assert m**1 == m
+
+
+def repeated_product(m, e):
+    acc = m
+    for _ in range(e - 1):
+        acc = acc * m
+    return acc
+
+
+@pytest.mark.parametrize("q, products", [(2, 1), (3, 2), (5, 3)])
+def test_power_skips_identity_product(monkeypatch, q, products):
+    m = companion_matrix(6).reduce(Prime(7))
+    expected = repeated_product(m, q)
+    calls = []
+    original = FpMatrix.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(FpMatrix, "__mul__", counted)
+    assert m**q == expected
+    assert len(calls) == products
+
+
 def test_product_example():
     b, a = companion_matrix(2), pascal_matrix(2)
     assert (b * a).rows == ((2, 1), (1, 1))
@@ -173,6 +225,13 @@ def test_order_rejects_singular():
     singular = FpMatrix(P2, [[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         order_mod_p(singular, bound=4)
+
+
+def test_order_rejects_singular_past_large_bound():
+    # the tower never reaches I, so det only decides which error to raise
+    for m in (FpMatrix(P2, [[1, 1], [1, 1]]), FpMatrix(P5, [[1, 0], [0, 0]])):
+        with pytest.raises(ValueError):
+            order_mod_p(m, bound=m.p.value**40)
 
 
 def test_order_reports_non_p_power():
