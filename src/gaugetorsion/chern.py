@@ -19,7 +19,7 @@ Lifts are cached per ring, filled once and never rewritten.
 from __future__ import annotations
 
 import threading
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping, TypeVar
 
 from .fp import Prime, _lucas
@@ -281,16 +281,31 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     return UniPoly(p, {m: entries[m - 1]})
 
 
+@lru_cache(maxsize=None)
+def _newton_taps(n: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero taps (j, (-1)^(j+1) binom(n, j) mod q) of the Newton recurrence.
+
+    Ascending in j over 1 <= j <= n. By Lucas' theorem only the j whose
+    base-q digits sit below those of n survive, so when q divides n most
+    taps vanish; at n = 2^a with q = 2 there is exactly one.
+    """
+    taps = []
+    for j in range(1, n + 1):
+        c = _lucas(n, j, q)
+        if c:
+            taps.append((j, c if j % 2 == 1 else -c % q))
+    return tuple(taps)
+
+
 def _next_phi_coefficient(n: int, q: int, built: list[int]) -> int:
     m_next = len(built) + 1
     val = 0
-    top = min(m_next - 1, n)
-    for j in range(1, top + 1):
-        sign = 1 if j % 2 == 1 else -1
-        val += sign * _lucas(n, j, q) * built[m_next - j - 1]
-    if m_next <= n:
-        sign = 1 if m_next % 2 == 1 else -1
-        val += sign * m_next * _lucas(n, m_next, q)
+    for j, c in _newton_taps(n, q):
+        if j >= m_next:
+            if j == m_next:  # the trailing m*cm term below the generator count
+                val += c * m_next
+            break
+        val += c * built[m_next - j - 1]
     return val % q
 
 

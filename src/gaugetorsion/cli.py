@@ -9,6 +9,15 @@ text; override with --format or the GAUGETORSION_FORMAT environment variable.
 With --output, the report is written to a temporary file beside the target
 and moved into place only when the command exits 0 or 1, so a failed run
 leaves no file behind.
+
+Sizes are capped at N_CEILING (1024): decide --n, matrix --n, sweep --n-max
+and verify --n-max above it are usage errors, since a cold decision there
+already takes seconds. Primes given with --p or --primes must lie below
+3.317e24, where primality is decided exactly.
+
+decide --trace writes, for every prime p dividing n, the steps that resolve
+alpha_p to stderr as JSON lines, one object per step with keys p, relation,
+source and resolved_value; stdout is unchanged.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from .suspension import MechanizationError, derive_recurrence, solve_alpha_p
 from .torsion import decide_global, decide_p
 
 ENV_FORMAT = "GAUGETORSION_FORMAT"
+N_CEILING = 1024
 _FORMATS = ("text", "json", "csv")
 
 
@@ -53,6 +63,25 @@ def _resolve_format(value: str | None, allowed: tuple[str, ...]) -> str | None:
     return fmt if fmt in allowed else None
 
 
+def _check_n(flag: str, n: int) -> str | None:
+    """Usage message for an out-of-range size, or None if n is accepted."""
+    if n < 2:
+        return f"need {flag} >= 2, got {n}"
+    if n > N_CEILING:
+        return f"{flag} is capped at {N_CEILING}, got {n}"
+    return None
+
+
+def _print_trace(certificates) -> None:
+    """The alpha_p resolution steps behind each p | n certificate, as JSON lines."""
+    for cert in certificates:
+        if cert.alpha_p is None:
+            continue
+        v = cert.verdict
+        for record in solve_alpha_p(v.n, Prime(v.p), v.k).trace:
+            print(json.dumps({"p": v.p, **record.to_dict()}), file=sys.stderr)
+
+
 def _parse_primes(spec: str) -> list[Prime] | None:
     try:
         return [Prime(int(tok)) for tok in spec.split(",") if tok.strip()]
@@ -64,14 +93,17 @@ def cmd_decide(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args.format, ("text", "json"))
     if fmt is None:
         return _usage_error("decide supports --format text or json")
-    if args.n < 2:
-        return _usage_error(f"need n >= 2, got {args.n}")
+    problem = _check_n("n", args.n)
+    if problem:
+        return _usage_error(problem)
     if args.p is not None:
         try:
             prime = Prime(args.p)
-        except ValueError:
-            return _usage_error(f"p must be prime, got {args.p}")
+        except ValueError as exc:
+            return _usage_error(f"--p: {exc}")
         cert = decide_p(args.n, args.k, prime)
+        if args.trace:
+            _print_trace([cert])
         if fmt == "json":
             print(cert.to_json(indent=2))
         else:
@@ -83,6 +115,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
             )
         return 0
     result = decide_global(args.n, args.k)
+    if args.trace:
+        _print_trace(result.primes)
     if fmt == "json":
         print(result.to_json(indent=2))
     else:
@@ -215,8 +249,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args.format, ("text", "json"))
     if fmt is None:
         return _usage_error("verify supports --format text or json")
-    if args.n_max < 2:
-        return _usage_error(f"need --n-max >= 2, got {args.n_max}")
+    problem = _check_n("--n-max", args.n_max)
+    if problem:
+        return _usage_error(problem)
     primes = _parse_primes(args.primes)
     if primes is None:
         return _usage_error(f"bad prime list: {args.primes!r}")
@@ -247,8 +282,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args.format, _FORMATS)
     if fmt is None:
         return _usage_error(f"unknown format {args.format!r}")
-    if args.n_max < 2:
-        return _usage_error(f"need --n-max >= 2, got {args.n_max}")
+    problem = _check_n("--n-max", args.n_max)
+    if problem:
+        return _usage_error(problem)
     rows = []
     for n in range(2, args.n_max + 1):
         for k in range(n):
@@ -283,14 +319,15 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     fmt = _resolve_format(args.format, ("text", "json"))
     if fmt is None:
         return _usage_error("matrix supports --format text or json")
-    if args.n < 2:
-        return _usage_error(f"need n >= 2, got {args.n}")
+    problem = _check_n("n", args.n)
+    if problem:
+        return _usage_error(problem)
     prime = None
     if args.p is not None:
         try:
             prime = Prime(args.p)
-        except ValueError:
-            return _usage_error(f"p must be prime, got {args.p}")
+        except ValueError as exc:
+            return _usage_error(f"--p: {exc}")
     b = companion_matrix(args.n)
     a = pascal_matrix(args.n)
     d = jordan_transpose(args.n)
@@ -324,6 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide.add_argument("--k", type=int, required=True)
     p_decide.add_argument("--p", type=int, default=None, help="restrict to one prime")
     p_decide.add_argument("--format", choices=("text", "json"), default=None)
+    p_decide.add_argument(
+        "--trace", action="store_true", help="write the alpha_p steps to stderr as JSON lines"
+    )
     p_decide.add_argument("--output", type=str, default=None, help="write report to a file")
     p_decide.set_defaults(func=cmd_decide)
 

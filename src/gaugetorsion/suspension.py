@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .chern import ChernPoly, lift_power_sum, phi_power_sum, phi_star
-from .fp import FpScalar, Prime, _lucas, p_power_ceil
+from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_power_sum, phi_star
+from .fp import FpScalar, Prime, p_power_ceil
 from .matrices import FpMatrix
 from .polyring import UniPoly
 
@@ -378,35 +378,38 @@ def _symbolic_alphas(n: int, p: Prime) -> dict[int, LinearForm]:
 
     Runs the same Newton recurrence as ``lift_power_sum`` but directly on Dk
     images, so the cost stays polynomial in n where the explicit lift has a
-    partition-sized term count. The k slot is symbolic (index 1) so one pass
-    serves every k; ``solve_alpha_p`` substitutes at the end. Equality with
-    the definitional ``alpha_init``/``alpha_at`` route is part of the
-    property-test suite.
+    partition-sized term count. Each image is a dense row of n + 1 ints mod p
+    and the recurrence walks only the nonzero taps of ``_newton_taps``; forms
+    are built once per p-power level at the end. The k slot is symbolic
+    (index 1) so one pass serves every k; ``solve_alpha_p`` substitutes at
+    the end. Equality with the definitional ``alpha_init``/``alpha_at`` route
+    is part of the property-test suite.
     """
     q = p.value
     top = p_power_ceil(n, p)
-    k_sym = LinearForm.unknown(p, _K_SLOT)
-    # g[m] is the u^(m-1) coefficient of Dk(S_m); g[0] unused.
-    g: list[LinearForm] = [LinearForm(p)]
+    taps = _newton_taps(n, q)
+    # g[m] is the u^(m-1) coefficient of Dk(S_m) as a dense row: slot j holds
+    # the coefficient of gj, slot 1 the symbolic k, slot 0 stays 0; g[0] unused.
+    g: list[list[int]] = [[0] * (n + 1)]
     f = [0] + [phi_power_sum(m, n, p).coefficient(m) for m in range(1, top + 2)]
     for m in range(1, top + 2):
-        acc = LinearForm(p)
-        for j in range(1, min(m - 1, n) + 1):
-            sign = 1 if j % 2 == 1 else -1
-            gamma = k_sym if j == 1 else LinearForm.unknown(p, j)
-            acc = acc + gamma.scale(sign * f[m - j]) + g[m - j].scale(
-                sign * _lucas(n, j, q)
-            )
+        # Dk(cj) * phi(S_(m-j)): the known scalar f[m-j] in slot j.
+        low = min(m - 1, n)
+        row = [0] + [f[m - j] if j % 2 == 1 else -f[m - j] for j in range(1, low + 1)]
+        row += [0] * (n - low)
+        # phi(cj) * Dk(S_(m-j)): one dense pass per nonzero tap.
+        for j, c in taps:
+            if j >= m:
+                break
+            row = [a + c * b for a, b in zip(row, g[m - j])]
         if m <= n:
-            sign = 1 if m % 2 == 1 else -1
-            gamma = k_sym if m == 1 else LinearForm.unknown(p, m)
-            acc = acc + gamma.scale(sign * m)
-        g.append(acc)
+            row[m] += m if m % 2 == 1 else -m
+        g.append([a % q for a in row])
     powers: dict[int, LinearForm] = {}
     level = 0
     e = 1
     while e <= top:
-        powers[level] = g[e + 1]
+        powers[level] = LinearForm(p, 0, {j: c for j, c in enumerate(g[e + 1]) if j and c})
         level += 1
         e *= q
     return powers

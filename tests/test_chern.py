@@ -1,5 +1,6 @@
 import sys
 import threading
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -157,6 +158,17 @@ def test_restricted_power_sum_routes_agree(p):
             fused = phi_power_sum(m, n, p)
             assert fused == phi_star(lift_power_sum(m, n, p))
             assert fused == UniPoly(p, {m: n % p.value})
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_newton_taps_match_exact_binomials(q):
+    for n in range(1, 61):
+        expected = tuple(
+            (j, (-1) ** (j + 1) * comb(n, j) % q)
+            for j in range(1, n + 1)
+            if comb(n, j) % q
+        )
+        assert chern._newton_taps(n, q) == expected, n
 
 
 def fill_cold(monkeypatch, table, key, fill, threads):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,67 @@ def test_decide_rejects_composite_p(capsys):
     code, _, err = run(capsys, "decide", "--n", "4", "--k", "0", "--p", "6")
     assert code == 2
     assert "prime" in err
+
+
+def test_decide_large_prime_returns_promptly():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["decide", "--n", "4", "--k", "0", "--p", "1000000000000000003"]
+    done = subprocess.run(
+        [sys.executable, "-m", "gaugetorsion", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("n=4 k=0 p=1000000000000000003: NoTorsionCase1")
+
+
+def test_decide_rejects_prime_beyond_primality_limit(capsys):
+    code, out, err = run(capsys, "decide", "--n", "4", "--k", "0", "--p", str(2**89 - 1))
+    assert code == 2
+    assert out == ""
+    assert "3317044064679887385961981" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "--n", "{n}", "--k", "0"),
+        ("decide", "--n", "{n}", "--k", "0", "--p", "2"),
+        ("matrix", "--n", "{n}"),
+        ("sweep", "--n-max", "{n}"),
+        ("verify", "order", "--n-max", "{n}"),
+    ],
+    ids=["decide", "decide-p", "matrix", "sweep", "verify"],
+)
+def test_sizes_above_ceiling_are_usage_errors(capsys, argv):
+    too_big = str(cli.N_CEILING + 1)
+    code, out, err = run(capsys, *(a.format(n=too_big) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert str(cli.N_CEILING) in err and too_big in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--p", "3"), ("--format", "json")])
+def test_decide_trace_goes_to_stderr_only(capsys, extra):
+    argv = ("decide", "--n", "12", "--k", "6", *extra)
+    code, plain_out, plain_err = run(capsys, *argv)
+    assert code == 0 and plain_err == ""
+    code, traced_out, traced_err = run(capsys, *argv, "--trace")
+    assert code == 0
+    assert traced_out == plain_out
+    records = [json.loads(line) for line in traced_err.splitlines()]
+    primes = [3] if extra[:1] == ("--p",) else [2, 3]
+    assert sorted({r["p"] for r in records}) == primes
+    for p in primes:
+        own = [r for r in records if r["p"] == p]
+        assert own[-1]["relation"] == "alpha_p = -g2"
+        assert own[-1]["resolved_value"] == 0
+
+
+def test_decide_trace_is_empty_without_p_dividing_n(capsys):
+    code, _, err = run(capsys, "decide", "--n", "9", "--k", "1", "--p", "2", "--trace")
+    assert code == 0
+    assert err == ""
 
 
 def test_decide_rejects_csv(capsys):

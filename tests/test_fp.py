@@ -41,15 +41,36 @@ def egcd_inverse(a: int, p: int) -> int:
 # -- Prime / FpScalar --------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 9, 15, 91, -7])
+# 3215031751 and 3825123056546413051 are strong pseudoprimes to the bases
+# 2, 3, 5, 7 and to the bases 2..23 respectively.
+@pytest.mark.parametrize("bad", [0, 1, 4, 9, 15, 91, -7, 3215031751, 3825123056546413051])
 def test_prime_rejects_composites(bad):
     with pytest.raises(ValueError):
         Prime(bad)
 
 
-@pytest.mark.parametrize("good", [2, 3, 5, 7, 11, 59, 97])
+@pytest.mark.parametrize("good", [2, 3, 5, 7, 11, 59, 97, 1000000000000000003, 2**61 - 1])
 def test_prime_accepts_primes(good):
     assert int(Prime(good)) == good
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_prime_agrees_with_trial_division():
+    for n in range(10**4):
+        try:
+            Prime(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == is_prime_by_trial_division(n), n
+
+
+def test_prime_names_its_limit():
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        Prime(2**89 - 1)
 
 
 def test_scalar_arithmetic_examples():

@@ -21,7 +21,7 @@ from gaugetorsion import (
 from tests.conftest import PRIMES_235
 from tests.test_chern import st_chern
 
-P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
 
 
 def c(n, p, j):
@@ -286,10 +286,37 @@ def test_chain_agrees_with_definitional_route():
     """The cached symbolic engine must reproduce alpha_at at every p-power."""
     from gaugetorsion.suspension import _K_SLOT, _symbolic_alphas
 
-    for n, p in ((4, P2), (8, P2), (6, P3), (9, P3), (10, P5)):
+    cases = (
+        (4, P2), (8, P2), (6, P3), (9, P3), (10, P5),
+        # several nonzero Newton taps each
+        (12, P2), (12, P3), (15, P5), (14, P7), (20, P5),
+    )
+    for n, p in cases:
         powers = _symbolic_alphas(n, p)
         for k in range(n):
             for level, form in powers.items():
                 assert alpha_at(p.value**level, n, p, k) == form.substitute(
                     _K_SLOT, k % p.value
                 )
+
+
+def test_symbolic_engine_builds_no_intermediate_forms(monkeypatch):
+    """The recurrence runs on int rows; forms appear only in the result."""
+    from gaugetorsion.suspension import _symbolic_alphas
+
+    calls = {"add": 0, "scale": 0}
+    add, scale = LinearForm.__add__, LinearForm.scale
+
+    def counted_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    def counted_scale(self, c):
+        calls["scale"] += 1
+        return scale(self, c)
+
+    monkeypatch.setattr(LinearForm, "__add__", counted_add)
+    monkeypatch.setattr(LinearForm, "scale", counted_scale)
+    for n, p in ((12, P2), (12, P3), (10, P5)):
+        assert _symbolic_alphas.__wrapped__(n, p) == _symbolic_alphas(n, p)
+    assert calls == {"add": 0, "scale": 0}
