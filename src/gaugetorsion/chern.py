@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache, partial
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, TypeVar
 
 from .fp import Prime, _lucas
-from .polyring import MultiPoly, UniPoly, elementary_sym, power_sum
+from .polyring import MultiPoly, UniPoly, _ExpPoly, elementary_sym, power_sum
 
 __all__ = [
     "ChernPoly",
@@ -63,102 +63,22 @@ def _memo_extend(
     return entries
 
 
-def _grlex_key(mono: Exponents) -> tuple[int, tuple[int, ...]]:
-    return (sum((j + 1) * e for j, e in enumerate(mono)), tuple(-e for e in mono))
-
-
-class ChernPoly:
+class ChernPoly(_ExpPoly):
     """Polynomial in c1..cn over F_p, canonical sparse form, weighted grading."""
 
-    __slots__ = ("n", "p", "terms")
-
-    def __init__(self, n: int, p: Prime, terms: Mapping[Exponents, int] | None = None):
-        if n < 1:
-            raise ValueError(f"need at least one generator, got n={n}")
-        self.n = n
-        self.p = p
-        q = p.value
-        clean: dict[Exponents, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != n:
-                    raise ValueError(f"exponent vector {mono} has length {len(mono)}, expected {n}")
-                if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in {mono}")
-                c = coeff % q
-                if c:
-                    clean[tuple(mono)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, n: int, p: Prime) -> "ChernPoly":
-        return cls(n, p)
-
-    @classmethod
-    def constant(cls, n: int, p: Prime, c: int) -> "ChernPoly":
-        return cls(n, p, {(0,) * n: c})
-
-    @classmethod
-    def one(cls, n: int, p: Prime) -> "ChernPoly":
-        return cls.constant(n, p, 1)
+    __slots__ = ()
+    _LETTER = "c"
+    _WEIGHTED = True
+    __mul__ = _ExpPoly._mul
 
     @classmethod
     def generator(cls, n: int, p: Prime, j: int) -> "ChernPoly":
         """The class cj, 1-based, of weighted degree j."""
-        if not 1 <= j <= n:
-            raise ValueError(f"generator index {j} out of range 1..{n}")
-        mono = tuple(1 if m == j - 1 else 0 for m in range(n))
-        return cls(n, p, {mono: 1})
-
-    def _match(self, other: "ChernPoly") -> None:
-        if not isinstance(other, ChernPoly):
-            raise TypeError(f"expected ChernPoly, got {type(other).__name__}")
-        if self.n != other.n or self.p != other.p:
-            raise ValueError(
-                f"ring mismatch: {self.n} generators mod {self.p} vs {other.n} mod {other.p}"
-            )
-
-    def __add__(self, other: "ChernPoly") -> "ChernPoly":
-        self._match(other)
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc[mono] = acc.get(mono, 0) + c
-        return ChernPoly(self.n, self.p, acc)
-
-    def __neg__(self) -> "ChernPoly":
-        return ChernPoly(self.n, self.p, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ChernPoly") -> "ChernPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ChernPoly") -> "ChernPoly":
-        self._match(other)
-        acc: dict[Exponents, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return ChernPoly(self.n, self.p, acc)
-
-    def scale(self, c: int) -> "ChernPoly":
-        return ChernPoly(self.n, self.p, {m: k * c for m, k in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChernPoly):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls._generator(n, p, j)
 
     def weighted_degree(self) -> int:
         """Largest weighted degree among terms, -1 for zero."""
-        return max(
-            (sum((j + 1) * e for j, e in enumerate(m)) for m in self.terms),
-            default=-1,
-        )
+        return max(map(self._degree, self.terms), default=-1)
 
     def partial(self, j: int) -> "ChernPoly":
         """Formal partial derivative with respect to cj, 1-based."""
@@ -169,33 +89,9 @@ class ChernPoly:
             e = mono[j - 1]
             if e == 0:
                 continue
-            target = tuple(ek - 1 if k == j - 1 else ek for k, ek in enumerate(mono))
+            target = mono[: j - 1] + (e - 1,) + mono[j:]
             acc[target] = acc.get(target, 0) + c * e
-        return ChernPoly(self.n, self.p, acc)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0])):
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(f"c{i + 1}")
-                elif e > 1:
-                    factors.append(f"c{i + 1}^{e}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
-
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return f"ChernPoly(n={self.n}, p={self.p}, {self.render()})"
+        return self._like(acc)
 
 
 def iota_star(poly: ChernPoly) -> MultiPoly:
@@ -226,7 +122,7 @@ def phi_star(poly: ChernPoly) -> UniPoly:
                     break
         if coeff:
             acc[degree] = acc.get(degree, 0) + coeff
-    return UniPoly(poly.p, acc)
+    return UniPoly._canonical(poly.p, acc)
 
 
 _LIFT_CACHE: dict[tuple[int, int], list[ChernPoly]] = {}
@@ -278,7 +174,7 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     entries = _PHI_PS_CACHE.get((n, q), ())
     if len(entries) < m:
         entries = _memo_extend(_PHI_PS_CACHE, (n, q), m, partial(_next_phi_coefficient, n, q))
-    return UniPoly(p, {m: entries[m - 1]})
+    return UniPoly._canonical(p, {m: entries[m - 1]})
 
 
 @lru_cache(maxsize=None)

@@ -10,12 +10,18 @@ Polynomials are immutable by convention: operations always build new objects
 and no method mutates ``terms`` after construction. Term order everywhere is
 graded lexicographic (total degree first, then exponents, largest first
 within a degree), which makes text rendering and iteration deterministic.
+
+Every sparse ring of the package (this torus ring, F_p[u], the Chern ring
+and the linear forms of the suspension engine) sits on one private core,
+``_FpTable``: a map from keys to nonzero residues mod p with the shared
+additive structure, equality and an unchecked internal constructor.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Mapping
 
 from .fp import Prime
@@ -33,94 +39,148 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 
-def _grlex_key(mono: Monomial) -> tuple[int, tuple[int, ...]]:
-    return (sum(mono), tuple(-e for e in mono))
+def _unit(n: int, i: int) -> Monomial:
+    """Exponent tuple of the i-th of n generators, 1-based."""
+    return (0,) * (i - 1) + (1,) + (0,) * (n - i)
 
 
-class MultiPoly:
-    """Element of F_p[t1, ..., tn] in canonical sparse form (no zero coefficients)."""
+class _FpTable:
+    """Finitely supported map from keys to nonzero residues mod p.
 
-    __slots__ = ("n", "p", "terms")
+    The shared core of the sparse rings: ``terms`` is in canonical form
+    (every value reduced mod p, no zero values), and two tables combine only
+    when they have the same exact type and the same ``_ring()``, so distinct
+    rings never mix even though they share this code. Subclasses validate
+    outside input in their public constructors; results of ring operations
+    go through the unchecked ``_canonical``/``_like`` path instead.
+    """
+
+    __slots__ = ("p", "terms")
+
+    def __init__(self, p: Prime, terms: Mapping) -> None:
+        q = p.value
+        self.p = p
+        self.terms = {key: r for key, c in terms.items() if (r := c % q)}
+
+    @classmethod
+    def _canonical(cls, p: Prime, terms: Mapping):
+        """Element of this ring from raw integer values under valid keys, unchecked."""
+        out = object.__new__(cls)
+        _FpTable.__init__(out, p, terms)
+        return out
+
+    def _ring(self) -> tuple:
+        return (self.p,)
+
+    def _like(self, terms: Mapping):
+        """Element of self's ring from raw integer values under valid keys, unchecked."""
+        return self._canonical(*self._ring(), terms)
+
+    def _match(self, other: "_FpTable") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if self._ring() != other._ring():
+            mine, theirs = (", ".join(map(str, x._ring())) for x in (self, other))
+            raise ValueError(f"{type(self).__name__} ring mismatch: {mine} vs {theirs}")
+
+    def __add__(self, other):
+        self._match(other)
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            acc[key] = acc.get(key, 0) + c
+        return self._like(acc)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: int):
+        return self._like({key: k * c for key, k in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._ring() == other._ring() and self.terms == other.terms
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(p={self.p}, {self.render()})"
+
+
+class _ExpPoly(_FpTable):
+    """Polynomial in n generators keyed by exponent tuples.
+
+    The ring descriptor is the generator letter and whether generator j has
+    weight j or weight 1; the graded order (weighted degree first, then
+    exponents, largest first within a degree) fixes the rendering.
+    """
+
+    __slots__ = ("n",)
+    _LETTER = "t"
+    _WEIGHTED = False
 
     def __init__(self, n: int, p: Prime, terms: Mapping[Monomial, int] | None = None):
         if n < 1:
-            raise ValueError(f"need at least one variable, got n={n}")
+            raise ValueError(f"need at least one generator, got n={n}")
         self.n = n
-        self.p = p
-        q = p.value
-        clean: dict[Monomial, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != n:
-                    raise ValueError(f"monomial {mono} has length {len(mono)}, expected {n}")
-                if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in {mono}")
-                c = coeff % q
-                if c:
-                    clean[tuple(mono)] = c
-        self.terms = clean
-
-    # -- constructors ------------------------------------------------------
+        terms = terms or {}
+        for mono in terms:
+            if len(mono) != n:
+                raise ValueError(f"exponent vector {mono} has length {len(mono)}, expected {n}")
+            if any(e < 0 for e in mono):
+                raise ValueError(f"negative exponent in {mono}")
+        super().__init__(p, {tuple(mono): c for mono, c in terms.items()})
 
     @classmethod
-    def zero(cls, n: int, p: Prime) -> "MultiPoly":
+    def _canonical(cls, n: int, p: Prime, terms: Mapping[Monomial, int]):
+        out = super()._canonical(p, terms)
+        out.n = n
+        return out
+
+    def _ring(self) -> tuple:
+        return (self.n, self.p)
+
+    @classmethod
+    def zero(cls, n: int, p: Prime):
         return cls(n, p)
 
     @classmethod
-    def constant(cls, n: int, p: Prime, c: int) -> "MultiPoly":
+    def constant(cls, n: int, p: Prime, c: int):
         return cls(n, p, {(0,) * n: c})
 
     @classmethod
-    def one(cls, n: int, p: Prime) -> "MultiPoly":
+    def one(cls, n: int, p: Prime):
         return cls.constant(n, p, 1)
 
     @classmethod
-    def variable(cls, n: int, p: Prime, i: int) -> "MultiPoly":
-        """The generator t_i, 1-based."""
+    def _generator(cls, n: int, p: Prime, i: int):
         if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        mono = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, p, {mono: 1})
+            raise ValueError(f"generator index {i} out of range 1..{n}")
+        return cls(n, p, {_unit(n, i): 1})
 
-    # -- ring structure ----------------------------------------------------
-
-    def _match(self, other: "MultiPoly") -> None:
-        if not isinstance(other, MultiPoly):
-            raise TypeError(f"expected MultiPoly, got {type(other).__name__}")
-        if self.n != other.n or self.p != other.p:
-            raise ValueError(
-                f"ring mismatch: {self.n} vars mod {self.p} vs {other.n} vars mod {other.p}"
-            )
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._match(other)
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc[mono] = acc.get(mono, 0) + c
-        return MultiPoly(self.n, self.p, acc)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n, self.p, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+    def _mul(self, other):
+        # Bound as each ring's own ``__mul__``, where the benchmark's tracer wraps it.
         self._match(other)
         acc: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 acc[m] = acc.get(m, 0) + c1 * c2
-        return MultiPoly(self.n, self.p, acc)
+        return self._like(acc)
 
-    def scale(self, c: int) -> "MultiPoly":
-        return MultiPoly(self.n, self.p, {m: k * c for m, k in self.terms.items()})
-
-    def __pow__(self, e: int) -> "MultiPoly":
+    def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.one(self.n, self.p)
+        out = self.one(self.n, self.p)
         base = self
         while e:
             if e & 1:
@@ -130,37 +190,22 @@ class MultiPoly:
                 base = base * base
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.n == other.n and self.p == other.p and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        """Largest internal degree among terms, -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
+    def _degree(self, mono: Monomial) -> int:
+        return sum(j * e for j, e in enumerate(mono, 1)) if self._WEIGHTED else sum(mono)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
-
-    # -- rendering ---------------------------------------------------------
+        return sorted(
+            self.terms.items(), key=lambda kv: (self._degree(kv[0]), tuple(-e for e in kv[0]))
+        )
 
     def render(self) -> str:
         """Canonical text form, e.g. ``t1^2*t2 + t1*t2^2``."""
         if not self.terms:
             return "0"
+        x = self._LETTER
         parts = []
         for mono, c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(f"t{i + 1}")
-                elif e > 1:
-                    factors.append(f"t{i + 1}^{e}")
+            factors = [f"{x}{i}" if e == 1 else f"{x}{i}^{e}" for i, e in enumerate(mono, 1) if e]
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -169,29 +214,41 @@ class MultiPoly:
                 parts.append(f"{c}*" + "*".join(factors))
         return " + ".join(parts)
 
-    __str__ = render
-
     def __repr__(self) -> str:
-        return f"MultiPoly(n={self.n}, p={self.p}, {self.render()})"
+        return f"{type(self).__name__}(n={self.n}, p={self.p}, {self.render()})"
 
 
-class UniPoly:
+class MultiPoly(_ExpPoly):
+    """Element of F_p[t1, ..., tn] in canonical sparse form (no zero coefficients)."""
+
+    __slots__ = ()
+    __mul__ = _ExpPoly._mul
+
+    @classmethod
+    def variable(cls, n: int, p: Prime, i: int) -> "MultiPoly":
+        """The generator t_i, 1-based."""
+        return cls._generator(n, p, i)
+
+    def total_degree(self) -> int:
+        """Largest internal degree among terms, -1 for the zero polynomial."""
+        return max(map(self._degree, self.terms), default=-1)
+
+
+class UniPoly(_FpTable):
     """Element of F_p[u], sparse by exponent of u."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ()
 
     def __init__(self, p: Prime, coeffs: Mapping[int, int] | None = None):
-        self.p = p
-        q = p.value
-        clean: dict[int, int] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if e < 0:
-                    raise ValueError(f"negative exponent {e}")
-                r = c % q
-                if r:
-                    clean[e] = r
-        self.coeffs = clean
+        coeffs = coeffs or {}
+        for e in coeffs:
+            if e < 0:
+                raise ValueError(f"negative exponent {e}")
+        super().__init__(p, coeffs)
+
+    @property
+    def coeffs(self) -> dict[int, int]:
+        return self.terms
 
     @classmethod
     def zero(cls, p: Prime) -> "UniPoly":
@@ -205,66 +262,29 @@ class UniPoly:
     def monomial(cls, p: Prime, e: int, c: int = 1) -> "UniPoly":
         return cls(p, {e: c})
 
-    def _match(self, other: "UniPoly") -> None:
-        if not isinstance(other, UniPoly):
-            raise TypeError(f"expected UniPoly, got {type(other).__name__}")
-        if self.p != other.p:
-            raise ValueError(f"ring mismatch: mod {self.p} vs mod {other.p}")
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._match(other)
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc[e] = acc.get(e, 0) + c
-        return UniPoly(self.p, acc)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(self.p, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._match(other)
         acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        return UniPoly(self.p, acc)
-
-    def scale(self, c: int) -> "UniPoly":
-        return UniPoly(self.p, {e: k * c for e, k in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return self._like(acc)
 
     def coefficient(self, e: int) -> int:
-        return self.coeffs.get(e, 0)
+        return self.terms.get(e, 0)
 
     def render(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e in sorted(self.terms):
+            c = self.terms[e]
             if e == 0:
                 parts.append(str(c))
             else:
                 u = "u" if e == 1 else f"u^{e}"
                 parts.append(u if c == 1 else f"{c}*{u}")
         return " + ".join(parts)
-
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return f"UniPoly(p={self.p}, {self.render()})"
 
 
 @lru_cache(maxsize=None)
@@ -280,18 +300,14 @@ def elementary_sym(n: int, i: int, p: Prime) -> MultiPoly:
     for subset in combinations(range(n), i):
         mono = tuple(1 if j in subset else 0 for j in range(n))
         terms[mono] = 1
-    return MultiPoly(n, p, terms)
+    return MultiPoly._canonical(n, p, terms)
 
 
 def power_sum(n: int, i: int, p: Prime) -> MultiPoly:
     """t1^i + ... + tn^i for i >= 1. The index 0 case is deliberately undefined."""
     if i < 1:
         raise ValueError(f"power sums start at index 1, got {i}")
-    terms: dict[Monomial, int] = {}
-    for j in range(n):
-        mono = tuple(i if m == j else 0 for m in range(n))
-        terms[mono] = terms.get(mono, 0) + 1
-    return MultiPoly(n, p, terms)
+    return MultiPoly(n, p, {(0,) * j + (i,) + (0,) * (n - 1 - j): 1 for j in range(n)})
 
 
 def is_symmetric(f: MultiPoly) -> bool:
@@ -313,6 +329,6 @@ def diagonal_eval(f: MultiPoly) -> UniPoly:
     for mono, c in f.terms.items():
         d = sum(mono)
         acc[d] = acc.get(d, 0) + c
-    return UniPoly(f.p, acc)
+    return UniPoly._canonical(f.p, acc)
 
 

@@ -74,7 +74,7 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
                 continue
             target = tuple(e + ij * shift for e, ij in zip(mono, split))
             acc[target] = acc.get(target, 0) + coeff
-    return MultiPoly(f.n, f.p, acc)
+    return f._like(acc)
 
 
 def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
@@ -92,7 +92,7 @@ def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
                 ek - 1 + q if k == j else ek for k, ek in enumerate(mono)
             )
             acc[target] = acc.get(target, 0) + coeff
-    return MultiPoly(f.n, f.p, acc)
+    return f._like(acc)
 
 
 def milnor_q_recursive(level: int, f: MultiPoly) -> MultiPoly:

@@ -39,7 +39,7 @@ from typing import Mapping
 from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_power_sum, phi_star
 from .fp import FpScalar, Prime, p_power_ceil
 from .matrices import FpMatrix
-from .polyring import UniPoly
+from .polyring import UniPoly, _FpTable, _unit
 
 __all__ = [
     "LinearForm",
@@ -62,24 +62,28 @@ class MechanizationError(RuntimeError):
     """The symbolic derivation contradicted itself; this should never fire."""
 
 
-class LinearForm:
-    """Affine form over F_p: a constant plus a combination of unknowns g2..gn."""
+class LinearForm(_FpTable):
+    """Affine form over F_p: a constant plus a combination of unknowns g2..gn.
 
-    __slots__ = ("p", "const", "coeffs")
+    The constant is kept at index 0 of ``terms``, each unknown gj at index j.
+    """
+
+    __slots__ = ()
 
     def __init__(self, p: Prime, const: int = 0, coeffs: Mapping[int, int] | None = None):
-        q = p.value
-        self.p = p
-        self.const = const % q
-        clean: dict[int, int] = {}
-        if coeffs:
-            for j, c in coeffs.items():
-                if j < 1:
-                    raise ValueError(f"unknown index {j} out of range")
-                r = c % q
-                if r:
-                    clean[j] = r
-        self.coeffs = clean
+        coeffs = coeffs or {}
+        for j in coeffs:
+            if j < 1:
+                raise ValueError(f"unknown index {j} out of range")
+        super().__init__(p, {0: const, **coeffs})
+
+    @property
+    def const(self) -> int:
+        return self.terms.get(0, 0)
+
+    @property
+    def coeffs(self) -> dict[int, int]:
+        return {j: c for j, c in self.terms.items() if j}
 
     @classmethod
     def constant(cls, p: Prime, c: int) -> "LinearForm":
@@ -89,57 +93,26 @@ class LinearForm:
     def unknown(cls, p: Prime, j: int, coeff: int = 1) -> "LinearForm":
         return cls(p, 0, {j: coeff})
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-        acc = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            acc[j] = acc.get(j, 0) + c
-        return LinearForm(self.p, self.const + other.const, acc)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(self.p, -self.const, {j: -c for j, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
-    def scale(self, c: int) -> "LinearForm":
-        return LinearForm(self.p, self.const * c, {j: k * c for j, k in self.coeffs.items()})
-
     def substitute(self, j: int, value: int) -> "LinearForm":
         """Pin unknown j to a scalar."""
-        if j not in self.coeffs:
+        if not j or j not in self.terms:
             return self
-        rest = {i: c for i, c in self.coeffs.items() if i != j}
-        return LinearForm(self.p, self.const + self.coeffs[j] * value, rest)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self.p == other.p and self.const == other.const and self.coeffs == other.coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.coeffs
+        acc = dict(self.terms)
+        acc[0] = acc.get(0, 0) + acc.pop(j) * value
+        return self._like(acc)
 
     def is_constant(self) -> bool:
-        return not self.coeffs
+        return self.terms.keys() <= {0}
 
     def unknowns(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
+        return tuple(sorted(j for j in self.terms if j))
 
     def render(self) -> str:
-        parts: list[str] = []
-        if self.const or not self.coeffs:
-            parts.append(str(self.const))
-        for j in sorted(self.coeffs):
-            c = self.coeffs[j]
-            name = "k" if j == _K_SLOT else f"g{j}"
+        parts = [str(self.const)] if self.const or self.is_constant() else []
+        for j in self.unknowns():
+            c, name = self.terms[j], "k" if j == _K_SLOT else f"g{j}"
             parts.append(name if c == 1 else f"{c}*{name}")
         return " + ".join(parts)
-
-    __str__ = render
 
     def __repr__(self) -> str:
         return f"LinearForm({self.render()} mod {self.p})"
@@ -315,14 +288,13 @@ def _restriction_row(n: int, p: Prime) -> tuple[int, ...]:
     """First-row coefficients of the alpha recurrence, from engine output.
 
     Entry j is (-1)^(j+1) times the u^j coefficient of the restriction of cj,
-    read off phi_star rather than computed from a binomial formula here.
+    read off phi_star rather than computed from a binomial formula here. One
+    restriction of c1 + ... + cn serves every j, as cj lands in degree j alone.
     """
-    row = []
-    for j in range(1, n + 1):
-        image = phi_star(ChernPoly.generator(n, p, j))
-        sign = 1 if j % 2 == 1 else -1
-        row.append(sign * image.coefficient(j) % p.value)
-    return tuple(row)
+    image = phi_star(ChernPoly._canonical(n, p, {_unit(n, j): 1 for j in range(1, n + 1)}))
+    return tuple(
+        (1 if j % 2 == 1 else -1) * image.coefficient(j) % p.value for j in range(1, n + 1)
+    )
 
 
 def derive_recurrence(n: int, p: Prime) -> FpMatrix:
@@ -409,7 +381,8 @@ def _symbolic_alphas(n: int, p: Prime) -> dict[int, LinearForm]:
     level = 0
     e = 1
     while e <= top:
-        powers[level] = LinearForm(p, 0, {j: c for j, c in enumerate(g[e + 1]) if j and c})
+        # Slot j becomes index j of the form; slot 0, the constant, is 0.
+        powers[level] = LinearForm._canonical(p, dict(enumerate(g[e + 1])))
         level += 1
         e *= q
     return powers
@@ -437,10 +410,20 @@ def solve_alpha_p(n: int, p: Prime, k: int | FpScalar) -> AlphaSolution:
     q = p.value
     if n % q != 0:
         raise ValueError(f"alpha resolution needs p | n, got n={n}, p={p}")
+    return _resolve_alpha(n, p, k % q)
+
+
+@lru_cache(maxsize=4096)
+def _resolve_alpha(n: int, p: Prime, k_res: int) -> AlphaSolution:
+    """``solve_alpha_p`` for a checked (n, p) and k reduced mod p, memoized.
+
+    Callers with one key share one immutable result. The bound keeps a long
+    process's table small; the keys of every n <= 40 number 418.
+    """
+    q = p.value
     powers = _symbolic_alphas(n, p)
     m = max(powers)
     top_index = q**m
-    k_res = k % q
     trace: list[TraceRecord] = []
 
     top_form = powers[m]

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaugetorsion import (
+    ChernPoly,
+    LinearForm,
     MultiPoly,
     Prime,
     UniPoly,
@@ -35,8 +37,17 @@ def test_zero_coefficients_are_dropped():
 
 
 def test_wrong_monomial_length_rejected():
+    p = Prime(3)
     with pytest.raises(ValueError):
-        MultiPoly(2, Prime(3), {(1, 0, 0): 1})
+        MultiPoly(2, p, {(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        ChernPoly(2, p, {(1,): 1})
+    with pytest.raises(ValueError):
+        ChernPoly(2, p, {(1, -1): 1})
+    with pytest.raises(ValueError):
+        UniPoly(p, {-1: 1})
+    with pytest.raises(ValueError):
+        LinearForm(p, 1, {0: 1})
 
 
 def test_ring_mismatch_rejected():
@@ -46,6 +57,29 @@ def test_ring_mismatch_rejected():
         f + g
     with pytest.raises(ValueError):
         f * MultiPoly.one(3, Prime(3))
+
+
+# The unit of each ring on the shared sparse core. Their tables coincide in
+# pairs ({(0, 0): 1} and {0: 1}), so only the exact type keeps the rings apart.
+RING_UNITS = {
+    "MultiPoly": lambda p: MultiPoly.one(2, p),
+    "ChernPoly": lambda p: ChernPoly.one(2, p),
+    "UniPoly": UniPoly.one,
+    "LinearForm": lambda p: LinearForm.constant(p, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "left, right", [(a, b) for a in RING_UNITS for b in RING_UNITS if a != b]
+)
+def test_distinct_rings_never_mix(left, right):
+    p = Prime(3)
+    a, b = RING_UNITS[left](p), RING_UNITS[right](p)
+    with pytest.raises(TypeError):
+        a + b
+    with pytest.raises(TypeError):
+        a * b
+    assert a != b and not a == b
 
 
 def test_additive_examples():

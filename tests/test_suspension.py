@@ -236,6 +236,15 @@ def test_solution_never_touches_high_unknowns():
             assert sol.assigned[0][1] == (-(k % p.value)) % p.value
 
 
+@pytest.mark.parametrize("n, p, k", [(4, P2, 3), (6, P3, 2), (10, P5, 7), (12, P3, -1)])
+def test_solution_is_shared_per_residue_of_k(n, p, k):
+    from gaugetorsion.suspension import _resolve_alpha
+
+    sol = solve_alpha_p(n, p, k)
+    assert solve_alpha_p(n, p, k + p.value) is sol
+    assert sol.trace == _resolve_alpha.__wrapped__(n, p, k % p.value).trace
+
+
 def test_trace_serializes_in_order():
     sol = solve_alpha_p(4, P2, 3)
     records = [r.to_dict() for r in sol.trace]
