@@ -58,9 +58,13 @@ def _one_line(exc: BaseException) -> str:
     return " ".join(str(exc).split())
 
 
-def _resolve_format(value: str | None, allowed: tuple[str, ...]) -> str | None:
-    fmt = value or os.environ.get(ENV_FORMAT) or "text"
-    return fmt if fmt in allowed else None
+def _resolve_format(args: argparse.Namespace, allowed: tuple[str, ...]) -> str | None:
+    """The output format, or None after a usage message naming the rejected value."""
+    fmt = args.format or os.environ.get(ENV_FORMAT) or "text"
+    if fmt in allowed:
+        return fmt
+    _usage_error(f"{args.command} supports --format {', '.join(allowed)}; got {fmt!r}")
+    return None
 
 
 def _check_n(flag: str, n: int) -> str | None:
@@ -90,9 +94,9 @@ def _parse_primes(spec: str) -> list[Prime] | None:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.format, ("text", "json"))
+    fmt = _resolve_format(args, ("text", "json"))
     if fmt is None:
-        return _usage_error("decide supports --format text or json")
+        return 2
     problem = _check_n("n", args.n)
     if problem:
         return _usage_error(problem)
@@ -159,7 +163,7 @@ def _verify_milnor_cases(args) -> tuple[list[str], list[str]]:
         for n in range(2, args.n_max + 1):
             for level in range(1, args.l_max + 1):
                 if prime.value**level + 1 > args.degree_cap:
-                    continue
+                    break
                 ok, lhs, rhs = check_milnor_on_c2(n, prime, level)
                 label = f"milnor n={n} level={level} p={prime}"
                 if ok:
@@ -246,9 +250,9 @@ _VERIFY_TARGETS = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.format, ("text", "json"))
+    fmt = _resolve_format(args, ("text", "json"))
     if fmt is None:
-        return _usage_error("verify supports --format text or json")
+        return 2
     problem = _check_n("--n-max", args.n_max)
     if problem:
         return _usage_error(problem)
@@ -279,9 +283,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.format, _FORMATS)
+    fmt = _resolve_format(args, _FORMATS)
     if fmt is None:
-        return _usage_error(f"unknown format {args.format!r}")
+        return 2
     problem = _check_n("--n-max", args.n_max)
     if problem:
         return _usage_error(problem)
@@ -316,9 +320,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.format, ("text", "json"))
+    fmt = _resolve_format(args, ("text", "json"))
     if fmt is None:
-        return _usage_error("matrix supports --format text or json")
+        return 2
     problem = _check_n("n", args.n)
     if problem:
         return _usage_error(problem)

@@ -118,78 +118,54 @@ class LinearForm(_FpTable):
         return f"LinearForm({self.render()} mod {self.p})"
 
 
-class GradedForm:
-    """Finitely supported map from u-exponents to nonzero linear forms."""
+class GradedForm(_FpTable):
+    """Finitely supported map from u-exponents to nonzero linear forms.
 
-    __slots__ = ("p", "forms")
+    One core table keyed by (u-exponent, form index): index 0 holds a layer's
+    constant and index j its coefficient of gj, as in ``LinearForm``.
+    """
+
+    __slots__ = ()
 
     def __init__(self, p: Prime, forms: Mapping[int, LinearForm] | None = None):
-        self.p = p
-        clean: dict[int, LinearForm] = {}
-        if forms:
-            for e, f in forms.items():
-                if e < 0:
-                    raise ValueError(f"negative u-exponent {e}")
-                if not f.is_zero():
-                    clean[e] = f
-        self.forms = clean
+        like = LinearForm(p)
+        terms: dict[tuple[int, int], int] = {}
+        for e, f in (forms or {}).items():
+            if e < 0:
+                raise ValueError(f"negative u-exponent {e}")
+            like._match(f)
+            terms.update({(e, j): c for j, c in f.terms.items()})
+        super().__init__(p, terms)
 
     @classmethod
     def zero(cls, p: Prime) -> "GradedForm":
         return cls(p)
 
-    def __add__(self, other: "GradedForm") -> "GradedForm":
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-        acc = dict(self.forms)
-        for e, f in other.forms.items():
-            acc[e] = acc[e] + f if e in acc else f
-        return GradedForm(self.p, acc)
-
-    def __neg__(self) -> "GradedForm":
-        return GradedForm(self.p, {e: -f for e, f in self.forms.items()})
-
-    def __sub__(self, other: "GradedForm") -> "GradedForm":
-        return self + (-other)
+    @property
+    def forms(self) -> dict[int, LinearForm]:
+        layers: dict[int, dict[int, int]] = {}
+        for (e, j), c in sorted(self.terms.items()):
+            layers.setdefault(e, {})[j] = c
+        return {e: LinearForm._canonical(self.p, t) for e, t in layers.items()}
 
     def mul_uni(self, u: UniPoly) -> "GradedForm":
         """Multiply by a known element of F_p[u]."""
-        if self.p != u.p:
-            raise ValueError("modulus mismatch")
-        acc: dict[int, LinearForm] = {}
-        for e1, f in self.forms.items():
-            for e2, c in u.coeffs.items():
-                e = e1 + e2
-                piece = f.scale(c)
-                acc[e] = acc[e] + piece if e in acc else piece
-        return GradedForm(self.p, acc)
-
-    def scale(self, c: int) -> "GradedForm":
-        return GradedForm(self.p, {e: f.scale(c) for e, f in self.forms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedForm):
-            return NotImplemented
-        return self.p == other.p and self.forms == other.forms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def is_zero(self) -> bool:
-        return not self.forms
+        UniPoly(self.p)._match(u)
+        acc: dict[tuple[int, int], int] = {}
+        for (e1, j), c1 in self.terms.items():
+            for e2, c2 in u.terms.items():
+                acc[e1 + e2, j] = acc.get((e1 + e2, j), 0) + c1 * c2
+        return self._like(acc)
 
     def at(self, e: int) -> LinearForm:
-        return self.forms.get(e, LinearForm(self.p))
+        return LinearForm._canonical(self.p, {j: c for (d, j), c in self.terms.items() if d == e})
 
     def render(self) -> str:
-        if not self.forms:
-            return "0"
         parts = []
-        for e in sorted(self.forms):
+        for e, f in self.forms.items():
             u = "1" if e == 0 else ("u" if e == 1 else f"u^{e}")
-            parts.append(f"({self.forms[e].render()})*{u}")
-        return " + ".join(parts)
-
-    __str__ = render
+            parts.append(f"({f.render()})*{u}")
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"GradedForm({self.render()})"
@@ -244,22 +220,15 @@ def apply_suspension(poly: ChernPoly, k: int | FpScalar) -> GradedForm:
     Expands by the Leibniz rule through formal partials:
     Dk(P) = sum_j phi(dP/dcj) * gj * u^(j-1), with g1 = k known.
     """
-    p = poly.p
     k = int(k)
-    out: dict[int, LinearForm] = {}
+    out: dict[tuple[int, int], int] = {}
     for j in range(1, poly.n + 1):
-        passive = phi_star(poly.partial(j))
-        if passive.is_zero():
-            continue
-        if j == 1:
-            gamma = LinearForm.constant(p, k)
-        else:
-            gamma = LinearForm.unknown(p, j)
-        for e, c in passive.coeffs.items():
-            target = e + j - 1
-            piece = gamma.scale(c)
-            out[target] = out[target] + piece if target in out else piece
-    return GradedForm(p, out)
+        # Dk(c1) = k lands in the constant slot 0, Dk(cj) = gj in slot j.
+        slot, weight = (0, k) if j == 1 else (j, 1)
+        for e, c in phi_star(poly.partial(j)).coeffs.items():
+            key = (e + j - 1, slot)
+            out[key] = out.get(key, 0) + c * weight
+    return GradedForm._canonical(poly.p, out)
 
 
 def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
@@ -273,7 +242,7 @@ def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
         raise ValueError(f"need n >= 2, got {n}")
     k = int(k)
     forms: list[LinearForm] = []
-    for i in range(n):
+    for i in reversed(range(n)):  # top-down, so the lift table fills in one pass
         graded = apply_suspension(lift_power_sum(i + 1, n, p), k)
         for e in graded.forms:
             if e != i:
@@ -281,7 +250,7 @@ def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
                     f"suspension of power sum {i + 1} leaked into degree {e}"
                 )
         forms.append(graded.at(i))
-    return AlphaVector(tuple(reversed(forms)))
+    return AlphaVector(tuple(forms))
 
 
 def _restriction_row(n: int, p: Prime) -> tuple[int, ...]:
@@ -310,6 +279,7 @@ def derive_recurrence(n: int, p: Prime) -> FpMatrix:
         raise ValueError(f"need n >= 2, got {n}")
     if n % p.value != 0:
         raise ValueError(f"recurrence needs p | n, got n={n}, p={p}")
+    phi_power_sum(n + 1, n, p)  # fills the memo table in one pass
     for m in range(1, n + 2):
         if not phi_power_sum(m, n, p).is_zero():
             raise MechanizationError(
@@ -363,6 +333,7 @@ def _symbolic_alphas(n: int, p: Prime) -> dict[int, LinearForm]:
     # g[m] is the u^(m-1) coefficient of Dk(S_m) as a dense row: slot j holds
     # the coefficient of gj, slot 1 the symbolic k, slot 0 stays 0; g[0] unused.
     g: list[list[int]] = [[0] * (n + 1)]
+    phi_power_sum(top + 1, n, p)  # fills the memo table in one pass
     f = [0] + [phi_power_sum(m, n, p).coefficient(m) for m in range(1, top + 2)]
     for m in range(1, top + 2):
         # Dk(cj) * phi(S_(m-j)): the known scalar f[m-j] in slot j.

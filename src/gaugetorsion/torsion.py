@@ -119,9 +119,13 @@ class GlobalResult:
 
 
 @lru_cache(maxsize=None)
-def _divisible_case_data(n: int, p: Prime) -> tuple[bool, int]:
-    """k-independent matrix facts for the p | n branch, one pass per ring."""
+def _ring_data(n: int, p: Prime) -> tuple[int, bool | None, int | None]:
+    """k-independent facts of one ring, one pass each: phi_c1, and for p | n
+    the recurrence check and the matrix order."""
     q = p.value
+    phi_c1 = phi_star(ChernPoly.generator(n, p, 1)).coefficient(1)
+    if n % q != 0:
+        return phi_c1, None, None
     reduced_companion = companion_matrix(n).reduce(p)
     recurrence_check = derive_recurrence(n, p) == reduced_companion
     if not recurrence_check:
@@ -133,7 +137,7 @@ def _divisible_case_data(n: int, p: Prime) -> tuple[bool, int]:
         raise MechanizationError(
             f"matrix order {matrix_order} is not a p-power at n={n}, p={p}"
         )
-    return recurrence_check, matrix_order
+    return phi_c1, recurrence_check, matrix_order
 
 
 def decide_p(n: int, k: int, p: Prime) -> Certificate:
@@ -142,14 +146,8 @@ def decide_p(n: int, k: int, p: Prime) -> Certificate:
         raise ValueError(f"need n >= 2, got {n}")
     k = k % n
     q = p.value
-    phi_c1 = phi_star(ChernPoly.generator(n, p, 1)).coefficient(1)
-
-    alpha_p: int | None = None
-    matrix_order: int | None = None
-    recurrence_check: bool | None = None
-    if n % q == 0:
-        recurrence_check, matrix_order = _divisible_case_data(n, p)
-        alpha_p = solve_alpha_p(n, p, k).value.residue
+    phi_c1, recurrence_check, matrix_order = _ring_data(n, p)
+    alpha_p = solve_alpha_p(n, p, k).value.residue if n % q == 0 else None
 
     table_torsion = n % q == 0 and k % q == 0
     mech_torsion = phi_c1 == 0 and alpha_p == 0

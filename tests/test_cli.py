@@ -64,6 +64,19 @@ def test_decide_large_prime_returns_promptly():
     assert done.stdout.startswith("n=4 k=0 p=1000000000000000003: NoTorsionCase1")
 
 
+@pytest.mark.parametrize("l_max", ["4", "100000", "1000000000"])
+def test_milnor_levels_stop_at_degree_cap(l_max):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["verify", "milnor", "--n-max", "2", "--l-max", l_max, "--samples", "0"]
+    done = subprocess.run(
+        [sys.executable, "-m", "gaugetorsion", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0
+    assert done.stdout == "milnor: 8/8 cases passed\n"
+
+
 def test_decide_rejects_prime_beyond_primality_limit(capsys):
     code, out, err = run(capsys, "decide", "--n", "4", "--k", "0", "--p", str(2**89 - 1))
     assert code == 2
@@ -273,6 +286,25 @@ def test_flag_overrides_env_var(capsys, monkeypatch):
     code, out, _ = run(capsys, "decide", "--n", "4", "--k", "2", "--p", "2", "--format", "text")
     assert code == 0
     assert out.startswith("n=4 k=2 p=2: Torsion")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--n-max", "3"),
+        ("decide", "--n", "4", "--k", "2"),
+        ("verify", "order", "--n-max", "3"),
+        ("matrix", "--n", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_env_format_is_named(capsys, monkeypatch, argv):
+    monkeypatch.setenv(cli.ENV_FORMAT, "xml")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]} supports --format" in err
+    assert "'xml'" in err and "None" not in err
 
 
 # -- --output and exit codes -------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gaugetorsion import (
     ChernPoly,
+    GradedForm,
     LinearForm,
     MultiPoly,
     Prime,
@@ -66,6 +67,7 @@ RING_UNITS = {
     "ChernPoly": lambda p: ChernPoly.one(2, p),
     "UniPoly": UniPoly.one,
     "LinearForm": lambda p: LinearForm.constant(p, 1),
+    "GradedForm": lambda p: GradedForm(p, {0: LinearForm.constant(p, 1)}),
 }
 
 

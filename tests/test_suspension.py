@@ -9,6 +9,7 @@ from gaugetorsion import (
     GradedForm,
     LinearForm,
     Prime,
+    UniPoly,
     alpha_at,
     alpha_init,
     apply_suspension,
@@ -53,6 +54,29 @@ def test_graded_form_prunes_zero_layers():
     g = GradedForm(P3, {0: LinearForm(P3, 0), 2: LinearForm(P3, 1)})
     assert list(g.forms) == [2]
     assert g.at(0).is_zero()
+
+
+def test_graded_form_renders_layers_in_order():
+    g = GradedForm(P3, {0: LinearForm.constant(P3, 1), 2: LinearForm(P3, 2, {2: 1, 5: 2})})
+    assert str(g) == "(1)*1 + (2 + g2 + 2*g5)*u^2"
+    assert repr(g) == "GradedForm((1)*1 + (2 + g2 + 2*g5)*u^2)"
+    assert str(GradedForm.zero(P3)) == "0"
+    assert g.forms == {0: LinearForm.constant(P3, 1), 2: LinearForm(P3, 2, {2: 1, 5: 2})}
+    assert g.at(2) == LinearForm(P3, 2, {2: 1, 5: 2})
+
+
+def test_graded_form_rejects_foreign_input():
+    g = GradedForm(P3, {0: LinearForm.constant(P3, 1)})
+    with pytest.raises(TypeError):
+        g.mul_uni(LinearForm.unknown(P3, 2))
+    with pytest.raises(ValueError):
+        g.mul_uni(UniPoly.one(P5))
+    with pytest.raises(ValueError):
+        GradedForm(P3, {0: LinearForm(P5, 4)})
+    with pytest.raises(TypeError):
+        GradedForm(P3, {0: 1})
+    with pytest.raises(ValueError):
+        GradedForm(P3, {-1: LinearForm.constant(P3, 1)})
 
 
 # -- the derivation --------------------------------------------------------------
@@ -329,3 +353,29 @@ def test_symbolic_engine_builds_no_intermediate_forms(monkeypatch):
     for n, p in ((12, P2), (12, P3), (10, P5)):
         assert _symbolic_alphas.__wrapped__(n, p) == _symbolic_alphas(n, p)
     assert calls == {"add": 0, "scale": 0}
+
+
+def test_memo_tables_fill_in_one_pass(monkeypatch):
+    """Each caller asks for its largest index first, so a cold key grows in
+    one step per caller rather than one step per index."""
+    from gaugetorsion import chern
+    from gaugetorsion.suspension import _symbolic_alphas
+
+    calls = []
+    extend = chern._memo_extend
+
+    def counted(table, key, m, next_entry):
+        calls.append((table is chern._LIFT_CACHE, key))
+        return extend(table, key, m, next_entry)
+
+    monkeypatch.setattr(chern, "_memo_extend", counted)
+    for n, p in ((12, P2), (48, P3), (100, P5)):
+        monkeypatch.delitem(chern._PHI_PS_CACHE, (n, p.value), raising=False)
+        calls.clear()
+        derive_recurrence(n, p)
+        _symbolic_alphas.__wrapped__(n, p)
+        assert len(calls) <= 2, (n, p.value, len(calls))
+    monkeypatch.delitem(chern._LIFT_CACHE, (6, 3), raising=False)
+    calls.clear()
+    alpha_init(6, P3, 1)
+    assert calls == [(True, (6, 3))]

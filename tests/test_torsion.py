@@ -136,3 +136,18 @@ def test_route_disagreement_raises(monkeypatch):
     monkeypatch.setattr(torsion_mod, "solve_alpha_p", corrupted)
     with pytest.raises(MechanizationError):
         torsion_mod.decide_p(4, 2, P2)
+
+
+def test_phi_c1_is_computed_once_per_ring(monkeypatch):
+    """phi_c1 is a fact of the ring: warm decisions run no restriction."""
+    import gaugetorsion.torsion as torsion_mod
+
+    rings = ((6, P3), (7, P2), (10, P5))
+    first = {(n, p): decide_p(n, 1, p).phi_c1 for n, p in rings}
+    calls = []
+    phi_star = torsion_mod.phi_star
+    monkeypatch.setattr(torsion_mod, "phi_star", lambda poly: calls.append(poly) or phi_star(poly))
+    for n, p in rings:
+        for k in range(n):
+            assert decide_p(n, k, p).phi_c1 == first[n, p]
+    assert calls == []
