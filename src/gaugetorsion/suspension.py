@@ -17,10 +17,10 @@ The alpha sequence is defined by alpha_i u^i = Dk(S_(i+1)) with S_m the
 lifted power sum. Applying Dk to the power-sum relation of ``verify_newton``
 and using that every restricted power sum vanishes when p divides n yields a
 linear recurrence on the alpha forms; ``derive_recurrence`` extracts its
-matrix from engine output and the decision layer cross-checks it against the
-companion matrix. Because that matrix has p-power order, the alpha window
-returns to its start after p_power_ceil(n, p) steps, which pins alpha at
-every p-power index and lets ``solve_alpha_p`` close the chain
+matrix from engine output, and the decision layer cross-checks its first row
+against the companion matrix's. Because that matrix has p-power order, the
+alpha window returns to its start after p_power_ceil(n, p) steps, which pins
+alpha at every p-power index and lets ``solve_alpha_p`` close the chain
 
     -g2 = alpha_p = alpha_(p^m) = alpha_0 = k.
 
@@ -266,14 +266,16 @@ def _restriction_row(n: int, p: Prime) -> tuple[int, ...]:
     )
 
 
-def derive_recurrence(n: int, p: Prime) -> FpMatrix:
-    """Extract the alpha recurrence matrix; requires p dividing n.
+def _derived_row(n: int, p: Prime) -> tuple[int, ...]:
+    """First row of the alpha recurrence, after checking the step of the
+    derivation that yields it; requires p dividing n.
 
     Applying Dk to the power-sum relation splits into two families of terms.
     The family Dk(cj) * phi(power sum) dies because every restricted power
     sum vanishes mod p when p divides n, which is checked here on a full
     window rather than assumed. The surviving family phi(cj) * Dk(power sum)
-    contributes the first row; the remaining rows just shift the window.
+    contributes the first row; the remaining rows of the recurrence matrix
+    just shift the window.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -285,8 +287,17 @@ def derive_recurrence(n: int, p: Prime) -> FpMatrix:
             raise MechanizationError(
                 f"restricted power sum {m} did not vanish for n={n}, p={p}"
             )
+    return _restriction_row(n, p)
+
+
+def derive_recurrence(n: int, p: Prime) -> FpMatrix:
+    """Extract the alpha recurrence matrix; requires p dividing n.
+
+    The first row is ``_derived_row``'s; the rows below it shift the window
+    by one step.
+    """
     rows = [[0] * n for _ in range(n)]
-    rows[0] = list(_restriction_row(n, p))
+    rows[0] = list(_derived_row(n, p))
     for i in range(1, n):
         rows[i][i - 1] = 1
     return FpMatrix(p, rows)
@@ -301,7 +312,7 @@ def alpha_at(i: int, n: int, p: Prime, k: int | FpScalar) -> LinearForm:
     init = alpha_init(n, p, k)
     if i < n:
         return init.alpha(i)
-    row = derive_recurrence(n, p).rows[0]
+    row = _derived_row(n, p)
     window = [init.alpha(m) for m in range(n)]  # ascending; advances one step per loop
     for _ in range(i - n + 1):
         nxt = LinearForm(p)

@@ -25,9 +25,9 @@ from functools import lru_cache
 from math import gcd
 
 from .chern import ChernPoly, phi_star
-from .fp import Prime, p_power_ceil, padic_val
-from .matrices import companion_matrix, order_mod_p
-from .suspension import MechanizationError, derive_recurrence, solve_alpha_p
+from .fp import Prime, binom_int, p_power_ceil, padic_val
+from .matrices import _companion_order
+from .suspension import MechanizationError, _derived_row, solve_alpha_p
 
 __all__ = [
     "TorsionKind",
@@ -126,13 +126,17 @@ def _ring_data(n: int, p: Prime) -> tuple[int, bool | None, int | None]:
     phi_c1 = phi_star(ChernPoly.generator(n, p, 1)).coefficient(1)
     if n % q != 0:
         return phi_c1, None, None
-    reduced_companion = companion_matrix(n).reduce(p)
-    recurrence_check = derive_recurrence(n, p) == reduced_companion
+    # The rows below the first are shifts in both matrices, so the first
+    # rows decide the comparison; the companion's comes from exact binomials.
+    row = _derived_row(n, p)
+    recurrence_check = row == tuple(
+        (-1) ** (j + 1) * binom_int(n, j) % q for j in range(1, n + 1)
+    )
     if not recurrence_check:
         raise MechanizationError(
             f"derived recurrence disagrees with the companion matrix at n={n}, p={p}"
         )
-    matrix_order = order_mod_p(reduced_companion, bound=p_power_ceil(n, p) * q)
+    matrix_order = _companion_order(row, p, bound=p_power_ceil(n, p) * q)
     if q ** padic_val(matrix_order, p) != matrix_order:
         raise MechanizationError(
             f"matrix order {matrix_order} is not a p-power at n={n}, p={p}"

@@ -151,3 +151,40 @@ def test_phi_c1_is_computed_once_per_ring(monkeypatch):
         for k in range(n):
             assert decide_p(n, k, p).phi_c1 == first[n, p]
     assert calls == []
+
+
+@pytest.mark.parametrize("n, p", [(12, P2), (27, P3), (25, P5)])
+def test_cold_ring_data_builds_no_matrices(monkeypatch, n, p):
+    """The order and the recurrence check run on first rows, not matrices."""
+    import gaugetorsion.torsion as torsion_mod
+    from gaugetorsion.matrices import FpMatrix, IntMatrix
+
+    products = []
+    monkeypatch.setattr(FpMatrix, "__mul__", lambda a, b: products.append(1))
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the decision path built a matrix")
+
+    monkeypatch.setattr(IntMatrix, "__init__", no_matrix)
+    monkeypatch.setattr(FpMatrix, "__init__", no_matrix)
+    monkeypatch.setattr(FpMatrix, "_canonical", no_matrix)
+    assert torsion_mod._ring_data.__wrapped__(n, p) == (0, True, p_power_ceil(n, p))
+    assert products == []
+
+
+def test_perturbed_recurrence_row_raises(monkeypatch):
+    """The first-row recurrence check must have teeth."""
+    import gaugetorsion.suspension as suspension_mod
+    import gaugetorsion.torsion as torsion_mod
+    from gaugetorsion.suspension import MechanizationError
+
+    restriction_row = suspension_mod._restriction_row
+
+    def perturbed(n, p):
+        row = list(restriction_row(n, p))
+        row[n // 2] = (row[n // 2] + 1) % p.value
+        return tuple(row)
+
+    monkeypatch.setattr(suspension_mod, "_restriction_row", perturbed)
+    with pytest.raises(MechanizationError):
+        torsion_mod._ring_data.__wrapped__(12, P3)
