@@ -6,9 +6,11 @@ verdict routes or the recurrence mechanization disagree). Codes 2 and 3
 come with a one-line message on stderr. Output is deterministic for a fixed
 invocation, including the seeded random sweeps. The default output format is
 text; override with --format or the GAUGETORSION_FORMAT environment variable.
-With --output, the report is written to a temporary file beside the target
-and moved into place only when the command exits 0 or 1, so a failed run
-leaves no file behind.
+Every argument is checked before --output is opened, so a bad one is named
+whatever the output directory; the cmd_* functions take the arguments as
+main has checked and resolved them. With --output, the report is written to a
+temporary file beside the target and moved into place only when the command
+exits 0 or 1, so a failed run leaves no file behind.
 
 Sizes are capped at N_CEILING (1024): decide --n, matrix --n, sweep --n-max
 and verify --n-max above it are usage errors, since a cold decision there
@@ -46,7 +48,14 @@ from .torsion import decide_global, decide_p
 
 ENV_FORMAT = "GAUGETORSION_FORMAT"
 N_CEILING = 1024
-_FORMATS = ("text", "json", "csv")
+
+# Subcommand -> (the formats it accepts, the size flag capped at N_CEILING).
+_COMMANDS = {
+    "decide": (("text", "json"), "n"),
+    "verify": (("text", "json"), "--n-max"),
+    "sweep": (("text", "json", "csv"), "--n-max"),
+    "matrix": (("text", "json"), "n"),
+}
 
 
 def _usage_error(message: str) -> int:
@@ -56,24 +65,6 @@ def _usage_error(message: str) -> int:
 
 def _one_line(exc: BaseException) -> str:
     return " ".join(str(exc).split())
-
-
-def _resolve_format(args: argparse.Namespace, allowed: tuple[str, ...]) -> str | None:
-    """The output format, or None after a usage message naming the rejected value."""
-    fmt = args.format or os.environ.get(ENV_FORMAT) or "text"
-    if fmt in allowed:
-        return fmt
-    _usage_error(f"{args.command} supports --format {', '.join(allowed)}; got {fmt!r}")
-    return None
-
-
-def _check_n(flag: str, n: int) -> str | None:
-    """Usage message for an out-of-range size, or None if n is accepted."""
-    if n < 2:
-        return f"need {flag} >= 2, got {n}"
-    if n > N_CEILING:
-        return f"{flag} is capped at {N_CEILING}, got {n}"
-    return None
 
 
 def _print_trace(certificates) -> None:
@@ -86,29 +77,12 @@ def _print_trace(certificates) -> None:
             print(json.dumps({"p": v.p, **record.to_dict()}), file=sys.stderr)
 
 
-def _parse_primes(spec: str) -> list[Prime] | None:
-    try:
-        return [Prime(int(tok)) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
-        return None
-
-
 def cmd_decide(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args, ("text", "json"))
-    if fmt is None:
-        return 2
-    problem = _check_n("n", args.n)
-    if problem:
-        return _usage_error(problem)
     if args.p is not None:
-        try:
-            prime = Prime(args.p)
-        except ValueError as exc:
-            return _usage_error(f"--p: {exc}")
-        cert = decide_p(args.n, args.k, prime)
+        cert = decide_p(args.n, args.k, args.p)
         if args.trace:
             _print_trace([cert])
-        if fmt == "json":
+        if args.format == "json":
             print(cert.to_json(indent=2))
         else:
             d = cert.to_dict()
@@ -121,7 +95,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     result = decide_global(args.n, args.k)
     if args.trace:
         _print_trace(result.primes)
-    if fmt == "json":
+    if args.format == "json":
         print(result.to_json(indent=2))
     else:
         print(f"n={result.n} k={result.k}")
@@ -135,139 +109,118 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _random_poly(rng: random.Random, n: int, p: Prime, max_deg: int, max_terms: int) -> MultiPoly:
+def _random_poly(
+    rng: random.Random, n: int, p: Prime, max_exp: int, max_terms: int, min_terms: int = 0
+) -> MultiPoly:
+    """Seeded random sparse polynomial: min_terms..max_terms draws of a monomial
+    with exponents in 0..max_exp and a nonzero coefficient, later draws winning."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        mono = tuple(rng.randint(0, max_deg // n + 1) for _ in range(n))
+    for _ in range(rng.randint(min_terms, max_terms)):
+        mono = tuple(rng.randint(0, max_exp) for _ in range(n))
         terms[mono] = rng.randint(1, p.value - 1) if p.value > 2 else 1
     return MultiPoly(n, p, terms)
 
 
-def _verify_newton_cases(args) -> tuple[list[str], list[str]]:
-    passes, failures = [], []
-    for prime in args.prime_list:
+# Each _verify_*_cases yields (label, None) for a pass and (label, detail) for
+# a failure, reported as "label: detail".
+
+
+def _verify_newton_cases(args):
+    for prime in args.primes:
         for n in range(2, args.n_max + 1):
             for i in range(args.i_max + 1):
                 ok, residual = verify_newton(n, i, prime)
-                label = f"newton n={n} i={i} p={prime}"
-                if ok:
-                    passes.append(label)
-                else:
-                    failures.append(f"{label}: residual {residual.render()}")
-    return passes, failures
+                yield (
+                    f"newton n={n} i={i} p={prime}",
+                    None if ok else f"residual {residual.render()}",
+                )
 
 
-def _verify_milnor_cases(args) -> tuple[list[str], list[str]]:
-    passes, failures = [], []
-    for prime in args.prime_list:
+def _verify_milnor_cases(args):
+    for prime in args.primes:
         for n in range(2, args.n_max + 1):
             for level in range(1, args.l_max + 1):
                 if prime.value**level + 1 > args.degree_cap:
                     break
                 ok, lhs, rhs = check_milnor_on_c2(n, prime, level)
-                label = f"milnor n={n} level={level} p={prime}"
-                if ok:
-                    passes.append(label)
-                else:
-                    failures.append(
-                        f"{label}: lhs {lhs.render()} vs rhs {rhs.render()}"
-                    )
+                yield (
+                    f"milnor n={n} level={level} p={prime}",
+                    None if ok else f"lhs {lhs.render()} vs rhs {rhs.render()}",
+                )
         rng = random.Random(args.seed)
         for case in range(args.samples):
-            f = _random_poly(rng, rng.randint(1, 3), prime, 6, 4)
+            n_vars = rng.randint(1, 3)
+            f = _random_poly(rng, n_vars, prime, 6 // n_vars + 1, 4, min_terms=1)
             level = rng.randint(1, 2)
-            label = f"milnor-equivalence p={prime} case={case}"
-            if milnor_q_closed(level, f) == milnor_q_recursive(level, f):
-                passes.append(label)
-            else:
-                failures.append(f"{label}: split on {f.render()} at level {level}")
-    return passes, failures
+            same = milnor_q_closed(level, f) == milnor_q_recursive(level, f)
+            yield (
+                f"milnor-equivalence p={prime} case={case}",
+                None if same else f"split on {f.render()} at level {level}",
+            )
 
 
-def _verify_conjugation_cases(args) -> tuple[list[str], list[str]]:
-    passes, failures = [], []
+def _verify_conjugation_cases(args):
     for n in range(2, args.n_max + 1):
         ok, witness = verify_conjugation(n)
-        if ok:
-            passes.append(f"conjugation n={n}")
-        else:
-            failures.append(
-                f"conjugation n={n}: BA={witness['BA'].to_json()} AD={witness['AD'].to_json()}"
-            )
-    return passes, failures
+        yield (
+            f"conjugation n={n}",
+            None if ok else f"BA={witness['BA'].to_json()} AD={witness['AD'].to_json()}",
+        )
 
 
-def _verify_order_cases(args) -> tuple[list[str], list[str]]:
-    passes, failures = [], []
-    for prime in args.prime_list:
+def _verify_order_cases(args):
+    for prime in args.primes:
         for n in range(2, args.n_max + 1):
+            label = f"order n={n} p={prime}"
             try:
                 ok, order = verify_p_power_order(n, prime)
             except OrderBoundExceeded as exc:
-                failures.append(f"order n={n} p={prime}: {exc}")
+                yield label, str(exc)
                 continue
-            label = f"order n={n} p={prime}: {order}"
-            (passes if ok else failures).append(label)
-    return passes, failures
+            yield label, None if ok else str(order)
 
 
-def _verify_recurrence_cases(args) -> tuple[list[str], list[str]]:
-    passes, failures = [], []
-    for prime in args.prime_list:
+def _verify_recurrence_cases(args):
+    for prime in args.primes:
         q = prime.value
-        for n in range(2, args.n_max + 1):
-            if n % q != 0:
-                continue
+        for n in range(q, args.n_max + 1, q):
+            label = f"recurrence n={n} p={prime}"
             try:
                 derived = derive_recurrence(n, prime)
             except MechanizationError as exc:
-                failures.append(f"recurrence n={n} p={prime}: {exc}")
+                yield label, str(exc)
                 continue
             expected = companion_matrix(n).reduce(prime)
             if derived != expected:
-                failures.append(
-                    f"recurrence n={n} p={prime}: derived {derived.to_json()} "
-                    f"vs companion {expected.to_json()}"
-                )
+                yield label, f"derived {derived.to_json()} vs companion {expected.to_json()}"
                 continue
             bad_k = [
                 k for k in range(n) if solve_alpha_p(n, prime, k).value.residue != k % q
             ]
-            if bad_k:
-                failures.append(f"recurrence n={n} p={prime}: alpha_p wrong for k in {bad_k}")
-            else:
-                passes.append(f"recurrence n={n} p={prime}")
-    return passes, failures
+            yield label, f"alpha_p wrong for k in {bad_k}" if bad_k else None
 
 
+# verify target -> (its cases, default --primes, default --n-max).
 _VERIFY_TARGETS = {
-    "newton": _verify_newton_cases,
-    "milnor": _verify_milnor_cases,
-    "conjugation": _verify_conjugation_cases,
-    "order": _verify_order_cases,
-    "recurrence": _verify_recurrence_cases,
+    "newton": (_verify_newton_cases, "2,3,5", 6),
+    "milnor": (_verify_milnor_cases, "2,3,5", 5),
+    "conjugation": (_verify_conjugation_cases, "2,3,5", 40),
+    "order": (_verify_order_cases, "2,3,5,7,11", 50),
+    "recurrence": (_verify_recurrence_cases, "2,3,5", 20),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args, ("text", "json"))
-    if fmt is None:
-        return 2
-    problem = _check_n("--n-max", args.n_max)
-    if problem:
-        return _usage_error(problem)
-    primes = _parse_primes(args.primes)
-    if primes is None:
-        return _usage_error(f"bad prime list: {args.primes!r}")
-    args.prime_list = primes
-    passes, failures = _VERIFY_TARGETS[args.target](args)
-    if fmt == "json":
+    cases = list(_VERIFY_TARGETS[args.target][0](args))
+    failures = [f"{label}: {detail}" for label, detail in cases if detail is not None]
+    passed = len(cases) - len(failures)
+    if args.format == "json":
         print(
             json.dumps(
                 {
                     "target": args.target,
-                    "cases": len(passes) + len(failures),
-                    "passed": len(passes),
+                    "cases": len(cases),
+                    "passed": passed,
                     "failures": failures,
                 },
                 indent=2,
@@ -276,19 +229,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         for line in failures:
             print(f"FAIL {line}")
-        print(
-            f"{args.target}: {len(passes)}/{len(passes) + len(failures)} cases passed"
-        )
+        print(f"{args.target}: {passed}/{len(cases)} cases passed")
     return 1 if failures else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args, _FORMATS)
-    if fmt is None:
-        return 2
-    problem = _check_n("--n-max", args.n_max)
-    if problem:
-        return _usage_error(problem)
     rows = []
     for n in range(2, args.n_max + 1):
         for k in range(n):
@@ -298,11 +243,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 None,
             )
             rows.append((n, k, result.torsion_free, witness))
-    if fmt == "csv":
+    if args.format == "csv":
         print("n,k,torsion_free,witness_prime")
         for n, k, free, witness in rows:
             print(f"{n},{k},{str(free).lower()},{'' if witness is None else witness}")
-    elif fmt == "json":
+    elif args.format == "json":
         print(
             json.dumps(
                 [
@@ -320,31 +265,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args, ("text", "json"))
-    if fmt is None:
-        return 2
-    problem = _check_n("n", args.n)
-    if problem:
-        return _usage_error(problem)
-    prime = None
-    if args.p is not None:
-        try:
-            prime = Prime(args.p)
-        except ValueError as exc:
-            return _usage_error(f"--p: {exc}")
     b = companion_matrix(args.n)
     a = pascal_matrix(args.n)
     d = jordan_transpose(args.n)
     blocks = {"B": b, "A": a, "D": d, "BA": b * a, "AD": a * d}
-    if prime is not None:
-        blocks = {name: m.reduce(prime) for name, m in blocks.items()}
-    if fmt == "json":
-        payload: dict = {"n": args.n, "p": None if prime is None else prime.value}
+    if args.p is not None:
+        blocks = {name: m.reduce(args.p) for name, m in blocks.items()}
+    if args.format == "json":
+        payload: dict = {"n": args.n, "p": None if args.p is None else args.p.value}
         for name, m in blocks.items():
             payload[name] = json.loads(m.to_json())
         print(json.dumps(payload, indent=2))
     else:
-        suffix = "" if prime is None else f" mod {prime}"
+        suffix = "" if args.p is None else f" mod {args.p}"
         for name, m in blocks.items():
             print(f"{name}{suffix}:")
             print(m.render())
@@ -364,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide.add_argument("--n", type=int, required=True)
     p_decide.add_argument("--k", type=int, required=True)
     p_decide.add_argument("--p", type=int, default=None, help="restrict to one prime")
-    p_decide.add_argument("--format", choices=("text", "json"), default=None)
+    p_decide.add_argument("--format", choices=_COMMANDS["decide"][0], default=None)
     p_decide.add_argument(
         "--trace", action="store_true", help="write the alpha_p steps to stderr as JSON lines"
     )
@@ -380,32 +313,53 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--primes", type=str, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--format", choices=("text", "json"), default=None)
+    p_verify.add_argument("--format", choices=_COMMANDS["verify"][0], default=None)
     p_verify.add_argument("--output", type=str, default=None, help="write report to a file")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="full (n, k) torsion table")
     p_sweep.add_argument("--n-max", type=int, required=True)
-    p_sweep.add_argument("--format", choices=_FORMATS, default=None)
+    p_sweep.add_argument("--format", choices=_COMMANDS["sweep"][0], default=None)
     p_sweep.add_argument("--output", type=str, default=None, help="write report to a file")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_matrix = sub.add_parser("matrix", help="print the recurrence matrices")
     p_matrix.add_argument("--n", type=int, required=True)
     p_matrix.add_argument("--p", type=int, default=None)
-    p_matrix.add_argument("--format", choices=("text", "json"), default=None)
+    p_matrix.add_argument("--format", choices=_COMMANDS["matrix"][0], default=None)
     p_matrix.add_argument("--output", type=str, default=None, help="write report to a file")
     p_matrix.set_defaults(func=cmd_matrix)
     return parser
 
 
-_VERIFY_DEFAULTS = {
-    "newton": ("2,3,5", 6),
-    "milnor": ("2,3,5", 5),
-    "conjugation": ("2,3,5", 40),
-    "order": ("2,3,5,7,11", 50),
-    "recurrence": ("2,3,5", 20),
-}
+def _check_args(args: argparse.Namespace) -> str | None:
+    """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
+    the size, then --p or --primes. Returns the usage message for the first
+    bad argument, or None."""
+    formats, size_flag = _COMMANDS[args.command]
+    args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
+    if args.format not in formats:
+        return f"{args.command} supports --format {', '.join(formats)}; got {args.format!r}"
+    if args.command == "verify":
+        _, primes, n_max = _VERIFY_TARGETS[args.target]
+        args.primes = primes if args.primes is None else args.primes
+        args.n_max = n_max if args.n_max is None else args.n_max
+    size = getattr(args, size_flag.lstrip("-").replace("-", "_"))  # argparse's dest
+    if size < 2:
+        return f"need {size_flag} >= 2, got {size}"
+    if size > N_CEILING:
+        return f"{size_flag} is capped at {N_CEILING}, got {size}"
+    if getattr(args, "p", None) is not None:
+        try:
+            args.p = Prime(args.p)
+        except ValueError as exc:
+            return f"--p: {exc}"
+    if args.command == "verify":
+        try:
+            args.primes = [Prime(int(tok)) for tok in args.primes.split(",") if tok.strip()]
+        except ValueError:
+            return f"bad prime list: {args.primes!r}"
+    return None
 
 
 def _run_to_file(args: argparse.Namespace) -> int:
@@ -425,16 +379,12 @@ def _run_to_file(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        default_primes, default_n_max = _VERIFY_DEFAULTS[args.target]
-        if args.primes is None:
-            args.primes = default_primes
-        if args.n_max is None:
-            args.n_max = default_n_max
+    args = build_parser().parse_args(argv)
+    problem = _check_args(args)
+    if problem:
+        return _usage_error(problem)
     try:
-        if getattr(args, "output", None):
+        if args.output:
             return _run_to_file(args)
         return args.func(args)
     except MechanizationError as exc:

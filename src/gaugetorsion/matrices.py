@@ -50,6 +50,12 @@ class OrderBoundExceeded(RuntimeError):
     """No p-power at or below the bound gave the identity."""
 
 
+def _render(m: "IntMatrix | FpMatrix") -> str:
+    """Aligned text rows; the render of both matrix classes."""
+    width = max(len(str(x)) for row in m.rows for x in row)
+    return "\n".join("[" + " ".join(str(x).rjust(width) for x in row) + "]" for row in m.rows)
+
+
 class IntMatrix:
     """Square matrix with unbounded integer entries, immutable by convention."""
 
@@ -127,14 +133,7 @@ class IntMatrix:
             for j in range(i, self.n)
         )
 
-    def render(self) -> str:
-        """Aligned text rows."""
-        width = max(len(str(x)) for row in self.rows for x in row)
-        return "\n".join(
-            "[" + " ".join(str(x).rjust(width) for x in row) + "]" for row in self.rows
-        )
-
-    __str__ = render
+    render = __str__ = _render
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]})"
@@ -253,13 +252,7 @@ class FpMatrix:
                     m[i] = [(a - factor * b) % q for a, b in zip(m[i], m[k])]
         return det % q
 
-    def render(self) -> str:
-        width = max(len(str(x)) for row in self.rows for x in row)
-        return "\n".join(
-            "[" + " ".join(str(x).rjust(width) for x in row) + "]" for row in self.rows
-        )
-
-    __str__ = render
+    render = __str__ = _render
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {[list(r) for r in self.rows]})"

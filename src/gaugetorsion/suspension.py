@@ -303,25 +303,30 @@ def derive_recurrence(n: int, p: Prime) -> FpMatrix:
     return FpMatrix(p, rows)
 
 
+def _alpha_walk(n: int, p: Prime, k: int | FpScalar, stop: int) -> list[LinearForm]:
+    """[alpha_0, ..., alpha_stop] by the definitional route: one ``alpha_init``
+    window, then the derived recurrence row past n (read only if stop >= n)."""
+    init = alpha_init(n, p, k)
+    alphas = [init.alpha(m) for m in range(min(n, stop + 1))]
+    if stop >= n:
+        row = _derived_row(n, p)
+        for i in range(n, stop + 1):
+            nxt = LinearForm(p)
+            for j in range(1, n + 1):
+                c = row[j - 1]
+                if c:
+                    nxt = nxt + alphas[i - j].scale(c)
+            alphas.append(nxt)
+    return alphas
+
+
 def alpha_at(i: int, n: int, p: Prime, k: int | FpScalar) -> LinearForm:
     """alpha_i as a linear form; the window below n, the recurrence above it."""
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
     if n % p.value != 0:
         raise ValueError(f"alpha recurrence needs p | n, got n={n}, p={p}")
-    init = alpha_init(n, p, k)
-    if i < n:
-        return init.alpha(i)
-    row = _derived_row(n, p)
-    window = [init.alpha(m) for m in range(n)]  # ascending; advances one step per loop
-    for _ in range(i - n + 1):
-        nxt = LinearForm(p)
-        for j in range(1, n + 1):
-            c = row[j - 1]
-            if c:
-                nxt = nxt + window[n - j].scale(c)
-        window = window[1:] + [nxt]
-    return window[-1]
+    return _alpha_walk(n, p, k, i)[i]
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import random
 from hypothesis import HealthCheck, settings
 
 from gaugetorsion import MultiPoly, Prime
+from gaugetorsion.cli import _random_poly
 
 settings.register_profile(
     "suite",
@@ -24,8 +25,4 @@ def random_multipoly(
     max_terms: int = 4,
 ) -> MultiPoly:
     """Seeded random sparse polynomial, for deterministic bulk sweeps."""
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        mono = tuple(rng.randint(0, max_exp) for _ in range(n))
-        terms[mono] = rng.randint(1, p.value - 1) if p.value > 2 else 1
-    return MultiPoly(n, p, terms)
+    return _random_poly(rng, n, p, max_exp, max_terms)

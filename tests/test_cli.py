@@ -367,3 +367,47 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "decide", "--n", "4", "--k", "2", "--output", str(target))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- arguments are checked before --output is opened -------------------------------------
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        (None, ("decide", "--n", "1", "--k", "0"), "error: need n >= 2, got 1\n"),
+        (None, ("matrix", "--n", "3", "--p", "4"), "error: --p: not a prime: 4\n"),
+        (None, ("verify", "order", "--primes", "2,x"), "error: bad prime list: '2,x'\n"),
+        (
+            "xml",
+            ("sweep", "--n-max", "3"),
+            "error: sweep supports --format text, json, csv; got 'xml'\n",
+        ),
+    ],
+    ids=["n", "p", "primes", "env-format"],
+)
+def test_usage_errors_open_no_output(capsys, monkeypatch, tmp_path, env, argv, message):
+    def refuse(args):
+        raise AssertionError("--output opened before the arguments were checked")
+
+    monkeypatch.setattr(cli, "_run_to_file", refuse)
+    if env is not None:
+        monkeypatch.setenv(cli.ENV_FORMAT, env)
+    code, out, err = run(capsys, *argv, "--output", str(tmp_path / "f"))
+    assert (code, out, err) == (2, "", message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_argument_beats_unusable_output_dir(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "decide", "--n", "1", "--k", "0", "--output", str(target))
+    assert (code, out, err) == (2, "", "error: need n >= 2, got 1\n")
+
+
+def test_format_is_checked_before_size_and_size_before_prime(capsys, monkeypatch):
+    too_big = str(cli.N_CEILING + 1)
+    code, _, err = run(capsys, "decide", "--n", too_big, "--k", "0", "--p", "6")
+    assert (code, err) == (2, f"error: n is capped at {cli.N_CEILING}, got {too_big}\n")
+    monkeypatch.setenv(cli.ENV_FORMAT, "xml")
+    code, _, err = run(capsys, "decide", "--n", too_big, "--k", "0")
+    assert (code, err) == (2, "error: decide supports --format text, json; got 'xml'\n")

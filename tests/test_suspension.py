@@ -292,6 +292,8 @@ def test_alpha_p_is_k_in_every_model():
     """
     from itertools import product as iproduct
 
+    from gaugetorsion.suspension import _alpha_walk
+
     for n, p in ((2, P2), (4, P2), (6, P2), (3, P3), (6, P3), (9, P3)):
         q = p.value
         levels = []
@@ -300,7 +302,8 @@ def test_alpha_p_is_k_in_every_model():
             levels.append(e)
             e *= q
         for k in range(min(n, 3)):
-            forms = {e: alpha_at(e, n, p, k) for e in levels}
+            walk = _alpha_walk(n, p, k, levels[-1])
+            forms = {e: walk[e] for e in levels}
 
             def evaluate(form, env):
                 total = form.const + sum(c * env[j] for j, c in form.coeffs.items())
@@ -316,8 +319,9 @@ def test_alpha_p_is_k_in_every_model():
 
 
 def test_chain_agrees_with_definitional_route():
-    """The cached symbolic engine must reproduce alpha_at at every p-power."""
-    from gaugetorsion.suspension import _K_SLOT, _symbolic_alphas
+    """The cached symbolic engine must reproduce the definitional route, one
+    ``_alpha_walk`` per (n, p, k) as ``alpha_at`` takes it, at every p-power."""
+    from gaugetorsion.suspension import _K_SLOT, _alpha_walk, _symbolic_alphas
 
     cases = (
         (4, P2), (8, P2), (6, P3), (9, P3), (10, P5),
@@ -327,10 +331,9 @@ def test_chain_agrees_with_definitional_route():
     for n, p in cases:
         powers = _symbolic_alphas(n, p)
         for k in range(n):
+            walk = _alpha_walk(n, p, k, p_power_ceil(n, p))
             for level, form in powers.items():
-                assert alpha_at(p.value**level, n, p, k) == form.substitute(
-                    _K_SLOT, k % p.value
-                )
+                assert walk[p.value**level] == form.substitute(_K_SLOT, k % p.value)
 
 
 def test_symbolic_engine_builds_no_intermediate_forms(monkeypatch):
