@@ -5,122 +5,27 @@ polynomial rings (``polyring``), reduced powers and Milnor primitives
 (``steenrod``), the characteristic-class ring with its restriction maps
 (``chern``), the symbolic suspension engine (``suspension``), exact matrix
 algebra (``matrices``), and the certified decision layer (``torsion``).
+Each layer lists its public names in its own ``__all__``; the package
+re-exports them all, in that order.
 """
 
-from .chern import (
-    ChernPoly,
-    iota_star,
-    lift_power_sum,
-    phi_power_sum,
-    phi_star,
-    verify_newton,
-)
-from .fp import FpScalar, Prime, binom_int, binom_mod, fp_inv, p_power_ceil, padic_val
-from .matrices import (
-    FpMatrix,
-    IntMatrix,
-    OrderBoundExceeded,
-    companion_matrix,
-    jordan_transpose,
-    order_brute,
-    order_mod_p,
-    pascal_matrix,
-    unitriangular_inverse,
-    verify_conjugation,
-    verify_p_power_order,
-)
-from .polyring import (
-    Monomial,
-    MultiPoly,
-    UniPoly,
-    diagonal_eval,
-    elementary_sym,
-    is_symmetric,
-    power_sum,
-)
-from .steenrod import (
-    check_milnor_on_c2,
-    milnor_q_closed,
-    milnor_q_recursive,
-    reduced_power,
-)
-from .suspension import (
-    AlphaSolution,
-    AlphaVector,
-    GradedForm,
-    LinearForm,
-    MechanizationError,
-    TraceRecord,
-    alpha_at,
-    alpha_init,
-    apply_suspension,
-    derive_recurrence,
-    solve_alpha_p,
-)
-from .torsion import (
-    ANNOTATIONS,
-    Certificate,
-    GlobalResult,
-    TorsionKind,
-    Verdict,
-    decide_global,
-    decide_p,
-)
+from . import chern, fp, matrices, polyring, steenrod, suspension, torsion
+from .chern import *
+from .fp import *
+from .matrices import *
+from .polyring import *
+from .steenrod import *
+from .suspension import *
+from .torsion import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Prime",
-    "FpScalar",
-    "fp_inv",
-    "binom_int",
-    "binom_mod",
-    "padic_val",
-    "p_power_ceil",
-    "Monomial",
-    "MultiPoly",
-    "UniPoly",
-    "elementary_sym",
-    "power_sum",
-    "is_symmetric",
-    "diagonal_eval",
-    "reduced_power",
-    "milnor_q_closed",
-    "milnor_q_recursive",
-    "check_milnor_on_c2",
-    "ChernPoly",
-    "iota_star",
-    "phi_star",
-    "lift_power_sum",
-    "phi_power_sum",
-    "verify_newton",
-    "LinearForm",
-    "GradedForm",
-    "AlphaVector",
-    "TraceRecord",
-    "AlphaSolution",
-    "MechanizationError",
-    "apply_suspension",
-    "alpha_init",
-    "derive_recurrence",
-    "alpha_at",
-    "solve_alpha_p",
-    "IntMatrix",
-    "FpMatrix",
-    "OrderBoundExceeded",
-    "companion_matrix",
-    "pascal_matrix",
-    "jordan_transpose",
-    "unitriangular_inverse",
-    "order_mod_p",
-    "order_brute",
-    "verify_conjugation",
-    "verify_p_power_order",
-    "TorsionKind",
-    "Verdict",
-    "Certificate",
-    "GlobalResult",
-    "ANNOTATIONS",
-    "decide_p",
-    "decide_global",
+    *fp.__all__,
+    *polyring.__all__,
+    *steenrod.__all__,
+    *chern.__all__,
+    *suspension.__all__,
+    *matrices.__all__,
+    *torsion.__all__,
 ]

@@ -261,13 +261,16 @@ class FpMatrix:
         return json.dumps([[x for x in row] for row in self.rows])
 
 
+def _companion_row(n: int) -> tuple[int, ...]:
+    """Exact first row of ``companion_matrix(n)``: (-1)^(j+1) binom(n, j)."""
+    return tuple((-1) ** (j + 1) * binom_int(n, j) for j in range(1, n + 1))
+
+
 def companion_matrix(n: int) -> IntMatrix:
     """Companion matrix of (x - 1)^n: binomial first row, subdiagonal ones."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rows = [[0] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        rows[0][j - 1] = (-1) ** (j + 1) * binom_int(n, j)
+    rows = [list(_companion_row(n))] + [[0] * n for _ in range(n - 1)]
     for i in range(2, n + 1):
         rows[i - 1][i - 2] = 1
     return IntMatrix(rows)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .fp import Prime, _lucas
-from .polyring import Monomial, MultiPoly, power_sum
+from .polyring import Monomial, MultiPoly, elementary_sym, power_sum
 
 __all__ = [
     "reduced_power",
@@ -44,10 +44,6 @@ def _bounded_compositions(total: int, bounds: Monomial) -> Iterator[tuple[int, .
         for i in range(top + 1):
             yield from rec(pos + 1, remaining - i, prefix + (i,))
 
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
     yield from rec(0, total, ())
 
 
@@ -118,8 +114,6 @@ def check_milnor_on_c2(
         raise ValueError(f"need n >= 2, got {n}")
     if level < 1:
         raise ValueError(f"need level >= 1, got {level}")
-    from .polyring import elementary_sym
-
     e2 = elementary_sym(n, 2, p)
     q = p.value**level
     rhs = power_sum(n, 1, p) * power_sum(n, q, p) - power_sum(n, q + 1, p)

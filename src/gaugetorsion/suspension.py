@@ -16,11 +16,13 @@ values; the invariants in the test suite fail if a result accidentally does.
 The alpha sequence is defined by alpha_i u^i = Dk(S_(i+1)) with S_m the
 lifted power sum. Applying Dk to the power-sum relation of ``verify_newton``
 and using that every restricted power sum vanishes when p divides n yields a
-linear recurrence on the alpha forms; ``derive_recurrence`` extracts its
-matrix from engine output, and the decision layer cross-checks its first row
-against the companion matrix's. Because that matrix has p-power order, the
-alpha window returns to its start after p_power_ceil(n, p) steps, which pins
-alpha at every p-power index and lets ``solve_alpha_p`` close the chain
+linear recurrence on the alpha forms. Its first row is the mod-p Newton taps
+of ``chern._newton_taps``, the very taps the engine runs, read only after the
+vanishing is checked; ``derive_recurrence`` builds the matrix from it, and
+the decision layer cross-checks it against the exact first row of the
+companion matrix. Because that matrix has p-power order, the alpha window
+returns to its start after p_power_ceil(n, p) steps, which pins alpha at
+every p-power index and lets ``solve_alpha_p`` close the chain
 
     -g2 = alpha_p = alpha_(p^m) = alpha_0 = k.
 
@@ -39,7 +41,7 @@ from typing import Mapping
 from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_power_sum, phi_star
 from .fp import FpScalar, Prime, p_power_ceil
 from .matrices import FpMatrix
-from .polyring import UniPoly, _FpTable, _unit
+from .polyring import UniPoly, _FpTable
 
 __all__ = [
     "LinearForm",
@@ -253,19 +255,6 @@ def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
     return AlphaVector(tuple(forms))
 
 
-def _restriction_row(n: int, p: Prime) -> tuple[int, ...]:
-    """First-row coefficients of the alpha recurrence, from engine output.
-
-    Entry j is (-1)^(j+1) times the u^j coefficient of the restriction of cj,
-    read off phi_star rather than computed from a binomial formula here. One
-    restriction of c1 + ... + cn serves every j, as cj lands in degree j alone.
-    """
-    image = phi_star(ChernPoly._canonical(n, p, {_unit(n, j): 1 for j in range(1, n + 1)}))
-    return tuple(
-        (1 if j % 2 == 1 else -1) * image.coefficient(j) % p.value for j in range(1, n + 1)
-    )
-
-
 def _derived_row(n: int, p: Prime) -> tuple[int, ...]:
     """First row of the alpha recurrence, after checking the step of the
     derivation that yields it; requires p dividing n.
@@ -274,8 +263,10 @@ def _derived_row(n: int, p: Prime) -> tuple[int, ...]:
     The family Dk(cj) * phi(power sum) dies because every restricted power
     sum vanishes mod p when p divides n, which is checked here on a full
     window rather than assumed. The surviving family phi(cj) * Dk(power sum)
-    contributes the first row; the remaining rows of the recurrence matrix
-    just shift the window.
+    contributes the first row: entry j is (-1)^(j+1) times the restriction
+    coefficient of cj, which is the Newton tap ``_symbolic_alphas`` runs, so
+    the row is those taps laid out densely. The remaining rows of the
+    recurrence matrix just shift the window.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -287,7 +278,10 @@ def _derived_row(n: int, p: Prime) -> tuple[int, ...]:
             raise MechanizationError(
                 f"restricted power sum {m} did not vanish for n={n}, p={p}"
             )
-    return _restriction_row(n, p)
+    row = [0] * n
+    for j, c in _newton_taps(n, p.value):
+        row[j - 1] = c
+    return tuple(row)
 
 
 def derive_recurrence(n: int, p: Prime) -> FpMatrix:
@@ -413,26 +407,20 @@ def _resolve_alpha(n: int, p: Prime, k_res: int) -> AlphaSolution:
     top_index = q**m
     trace: list[TraceRecord] = []
 
-    top_form = powers[m]
-    if top_form != LinearForm.unknown(p, _K_SLOT):
-        pinned = top_form.substitute(_K_SLOT, k_res)
-        if not pinned.is_constant():
-            raise MechanizationError(
-                f"alpha at index {top_index} retains unknowns {pinned.unknowns()}"
-            )
-        top_value = pinned.const
-    else:
-        top_value = k_res
+    if powers[m] != LinearForm.unknown(p, _K_SLOT):
+        raise MechanizationError(
+            f"alpha at index {top_index} is {powers[m].render()}, not the bare symbol k"
+        )
     trace.append(
         TraceRecord(
             relation=f"alpha_{top_index} = alpha_0",
             source="the recurrence matrix has p-power order, so the alpha window "
             f"returns to its start after {top_index} steps",
-            resolved_value=top_value,
+            resolved_value=k_res,
         )
     )
 
-    g2_value = (-top_value) % q
+    g2_value = (-k_res) % q
     trace.append(
         TraceRecord(
             relation=f"g2 = -alpha_{top_index}",

@@ -25,8 +25,8 @@ from functools import lru_cache
 from math import gcd
 
 from .chern import ChernPoly, phi_star
-from .fp import Prime, binom_int, p_power_ceil, padic_val
-from .matrices import _companion_order
+from .fp import Prime, p_power_ceil, padic_val
+from .matrices import _companion_order, _companion_row
 from .suspension import MechanizationError, _derived_row, solve_alpha_p
 
 __all__ = [
@@ -127,11 +127,10 @@ def _ring_data(n: int, p: Prime) -> tuple[int, bool | None, int | None]:
     if n % q != 0:
         return phi_c1, None, None
     # The rows below the first are shifts in both matrices, so the first
-    # rows decide the comparison; the companion's comes from exact binomials.
+    # rows decide the comparison: the derived one is the alpha engine's mod-p
+    # Newton taps, the companion's comes from exact binomials.
     row = _derived_row(n, p)
-    recurrence_check = row == tuple(
-        (-1) ** (j + 1) * binom_int(n, j) % q for j in range(1, n + 1)
-    )
+    recurrence_check = row == tuple(c % q for c in _companion_row(n))
     if not recurrence_check:
         raise MechanizationError(
             f"derived recurrence disagrees with the companion matrix at n={n}, p={p}"

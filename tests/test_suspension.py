@@ -269,6 +269,23 @@ def test_solution_is_shared_per_residue_of_k(n, p, k):
     assert sol.trace == _resolve_alpha.__wrapped__(n, p, k % p.value).trace
 
 
+def test_top_form_other_than_k_raises(monkeypatch):
+    """Step 1 of the chain is a check: a top alpha form that is not the bare
+    symbol k is a contradiction, not a value to substitute into."""
+    import gaugetorsion.suspension as suspension_mod
+    from gaugetorsion.suspension import MechanizationError
+
+    symbolic_alphas = suspension_mod._symbolic_alphas
+
+    def corrupted(n, p):
+        powers = symbolic_alphas(n, p)
+        return {**powers, max(powers): LinearForm.constant(p, 1)}
+
+    monkeypatch.setattr(suspension_mod, "_symbolic_alphas", corrupted)
+    with pytest.raises(MechanizationError, match="not the bare symbol k"):
+        suspension_mod._resolve_alpha.__wrapped__(2, P2, 0)
+
+
 def test_trace_serializes_in_order():
     sol = solve_alpha_p(4, P2, 3)
     records = [r.to_dict() for r in sol.trace]

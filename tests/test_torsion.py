@@ -173,18 +173,19 @@ def test_cold_ring_data_builds_no_matrices(monkeypatch, n, p):
 
 
 def test_perturbed_recurrence_row_raises(monkeypatch):
-    """The first-row recurrence check must have teeth."""
+    """The first-row recurrence check must guard the taps the engine runs."""
     import gaugetorsion.suspension as suspension_mod
     import gaugetorsion.torsion as torsion_mod
     from gaugetorsion.suspension import MechanizationError
 
-    restriction_row = suspension_mod._restriction_row
+    newton_taps = suspension_mod._newton_taps
 
-    def perturbed(n, p):
-        row = list(restriction_row(n, p))
-        row[n // 2] = (row[n // 2] + 1) % p.value
-        return tuple(row)
+    def perturbed(n, q):
+        taps = list(newton_taps(n, q))
+        j, c = taps[len(taps) // 2]
+        taps[len(taps) // 2] = (j, (c + 1) % q)
+        return tuple(taps)
 
-    monkeypatch.setattr(suspension_mod, "_restriction_row", perturbed)
+    monkeypatch.setattr(suspension_mod, "_newton_taps", perturbed)
     with pytest.raises(MechanizationError):
         torsion_mod._ring_data.__wrapped__(12, P3)
