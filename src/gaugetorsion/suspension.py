@@ -17,19 +17,14 @@ The alpha sequence is defined by alpha_i u^i = Dk(S_(i+1)) with S_m the
 lifted power sum. Applying Dk to the power-sum relation of ``verify_newton``
 and using that every restricted power sum vanishes when p divides n yields a
 linear recurrence on the alpha forms. Its first row is the mod-p Newton taps
-of ``chern._newton_taps``, the very taps the engine runs, read only after the
-vanishing is checked; ``derive_recurrence`` builds the matrix from it, and
-the decision layer cross-checks it against the exact first row of the
-companion matrix. Because that matrix has p-power order, the alpha window
-returns to its start after p_power_ceil(n, p) steps, which pins alpha at
-every p-power index and lets ``solve_alpha_p`` close the chain
+of ``chern._newton_taps``, read only after the vanishing is checked. The
+engine's one cached pass per (n, p) checks that row against the exact first
+row of the companion matrix before running it, so every caller runs checked
+taps. Because that matrix has p-power order, the alpha window returns to its
+start after p_power_ceil(n, p) steps, which pins alpha at every p-power index
+and lets ``solve_alpha_p`` close the chain, read off the pass's dense rows,
 
     -g2 = alpha_p = alpha_(p^m) = alpha_0 = k.
-
-Internal representation note: linear forms carry unknown indices j >= 2; the
-index 1 slot is reserved for a symbolic copy of k inside the cached engine
-(`_symbolic_alphas`), and is always substituted away before a form is
-returned to callers.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from typing import Mapping
 
 from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_power_sum, phi_star
 from .fp import FpScalar, Prime, p_power_ceil
-from .matrices import FpMatrix
+from .matrices import FpMatrix, _companion_row
 from .polyring import UniPoly, _FpTable
 
 __all__ = [
@@ -57,9 +52,6 @@ __all__ = [
     "solve_alpha_p",
 ]
 
-_K_SLOT = 1  # internal index for the symbolic copy of k; never exposed
-
-
 class MechanizationError(RuntimeError):
     """The symbolic derivation contradicted itself; this should never fire."""
 
@@ -75,7 +67,7 @@ class LinearForm(_FpTable):
     def __init__(self, p: Prime, const: int = 0, coeffs: Mapping[int, int] | None = None):
         coeffs = coeffs or {}
         for j in coeffs:
-            if j < 1:
+            if j < 2:
                 raise ValueError(f"unknown index {j} out of range")
         super().__init__(p, {0: const, **coeffs})
 
@@ -112,8 +104,8 @@ class LinearForm(_FpTable):
     def render(self) -> str:
         parts = [str(self.const)] if self.const or self.is_constant() else []
         for j in self.unknowns():
-            c, name = self.terms[j], "k" if j == _K_SLOT else f"g{j}"
-            parts.append(name if c == 1 else f"{c}*{name}")
+            c = self.terms[j]
+            parts.append(f"g{j}" if c == 1 else f"{c}*g{j}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -264,7 +256,7 @@ def _derived_row(n: int, p: Prime) -> tuple[int, ...]:
     sum vanishes mod p when p divides n, which is checked here on a full
     window rather than assumed. The surviving family phi(cj) * Dk(power sum)
     contributes the first row: entry j is (-1)^(j+1) times the restriction
-    coefficient of cj, which is the Newton tap ``_symbolic_alphas`` runs, so
+    coefficient of cj, which is the mod-p Newton tap of ``_newton_taps``, so
     the row is those taps laid out densely. The remaining rows of the
     recurrence matrix just shift the window.
     """
@@ -324,49 +316,46 @@ def alpha_at(i: int, n: int, p: Prime, k: int | FpScalar) -> LinearForm:
 
 
 @lru_cache(maxsize=None)
-def _symbolic_alphas(n: int, p: Prime) -> dict[int, LinearForm]:
-    """Cached k-symbolic alpha forms at every p-power index up to
-    p_power_ceil(n, p), keyed by level (index p^level).
+def _symbolic_alphas(n: int, p: Prime) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The checked first row of the alpha recurrence, and the alpha rows at
+    the p-power indices up to p_power_ceil(n, p), the one at p^level in place
+    ``level``; requires p dividing n.
 
-    Runs the same Newton recurrence as ``lift_power_sum`` but directly on Dk
-    images, so the cost stays polynomial in n where the explicit lift has a
-    partition-sized term count. Each image is a dense row of n + 1 ints mod p
-    and the recurrence walks only the nonzero taps of ``_newton_taps``; forms
-    are built once per p-power level at the end. The k slot is symbolic
-    (index 1) so one pass serves every k; ``solve_alpha_p`` substitutes at
-    the end. Equality with the definitional ``alpha_init``/``alpha_at`` route
-    is part of the property-test suite.
+    ``_derived_row`` is compared with the companion matrix's exact first row
+    mod p before any tap runs. The Newton recurrence then runs on Dk images
+    over the row's nonzero entries, each image a dense row of n + 1 ints
+    mod p: slot j the coefficient of gj, slot 1 a symbolic k serving every
+    k, slot 0 always 0. Only the Leibniz family phi(cj) * Dk(S_(m-j)) is
+    run: the other, Dk(cj) * phi(S_(m-j)), carries restricted power sums
+    s_m, which ``_derived_row`` checked to vanish for m <= n + 1 and whose
+    scalar recurrence is homogeneous past n, so every later s_m is 0 too.
+    The definitional ``alpha_init``/``alpha_at`` route is its test oracle.
     """
     q = p.value
+    row = _derived_row(n, p)
+    if row != tuple(c % q for c in _companion_row(n)):
+        raise MechanizationError(
+            f"derived recurrence disagrees with the companion matrix at n={n}, p={p}"
+        )
+    taps = [(j, c) for j, c in enumerate(row, 1) if c]
     top = p_power_ceil(n, p)
-    taps = _newton_taps(n, q)
-    # g[m] is the u^(m-1) coefficient of Dk(S_m) as a dense row: slot j holds
-    # the coefficient of gj, slot 1 the symbolic k, slot 0 stays 0; g[0] unused.
+    # g[m] is the u^(m-1) coefficient of Dk(S_m); g[0] is unused.
     g: list[list[int]] = [[0] * (n + 1)]
-    phi_power_sum(top + 1, n, p)  # fills the memo table in one pass
-    f = [0] + [phi_power_sum(m, n, p).coefficient(m) for m in range(1, top + 2)]
     for m in range(1, top + 2):
-        # Dk(cj) * phi(S_(m-j)): the known scalar f[m-j] in slot j.
-        low = min(m - 1, n)
-        row = [0] + [f[m - j] if j % 2 == 1 else -f[m - j] for j in range(1, low + 1)]
-        row += [0] * (n - low)
-        # phi(cj) * Dk(S_(m-j)): one dense pass per nonzero tap.
-        for j, c in taps:
+        acc = [0] * (n + 1)
+        for j, c in taps:  # one dense pass per nonzero tap
             if j >= m:
                 break
-            row = [a + c * b for a, b in zip(row, g[m - j])]
+            acc = [a + c * b for a, b in zip(acc, g[m - j])]
         if m <= n:
-            row[m] += m if m % 2 == 1 else -m
-        g.append([a % q for a in row])
-    powers: dict[int, LinearForm] = {}
-    level = 0
+            acc[m] += m if m % 2 == 1 else -m
+        g.append([a % q for a in acc])
+    alphas = []
     e = 1
     while e <= top:
-        # Slot j becomes index j of the form; slot 0, the constant, is 0.
-        powers[level] = LinearForm._canonical(p, dict(enumerate(g[e + 1])))
-        level += 1
+        alphas.append(tuple(g[e + 1]))
         e *= q
-    return powers
+    return row, tuple(alphas)
 
 
 def solve_alpha_p(n: int, p: Prime, k: int | FpScalar) -> AlphaSolution:
@@ -402,14 +391,15 @@ def _resolve_alpha(n: int, p: Prime, k_res: int) -> AlphaSolution:
     process's table small; the keys of every n <= 40 number 418.
     """
     q = p.value
-    powers = _symbolic_alphas(n, p)
-    m = max(powers)
+    alphas = _symbolic_alphas(n, p)[1]
+    m = len(alphas) - 1
     top_index = q**m
     trace: list[TraceRecord] = []
 
-    if powers[m] != LinearForm.unknown(p, _K_SLOT):
+    if alphas[m] != (0, 1) + (0,) * (n - 1):
         raise MechanizationError(
-            f"alpha at index {top_index} is {powers[m].render()}, not the bare symbol k"
+            f"alpha at index {top_index} has row {list(alphas[m])} "
+            "(slot 1 k, slot j gj), not the bare symbol k"
         )
     trace.append(
         TraceRecord(
@@ -431,14 +421,14 @@ def _resolve_alpha(n: int, p: Prime, k_res: int) -> AlphaSolution:
     )
 
     for level in range(1, m + 1):
-        form = powers[level].substitute(_K_SLOT, k_res)
-        residual = form + LinearForm.constant(p, g2_value)
-        if residual.is_constant() and residual.const != 0:
+        row = alphas[level]
+        residual = (row[1] * k_res + g2_value) % q
+        free = [j for j in range(2, n + 1) if row[j]]
+        if not free and residual:
             raise MechanizationError(
                 f"relation g2 = -alpha_{q**level} is inconsistent: "
-                f"residual {residual.const} mod {q}"
+                f"residual {residual} mod {q}"
             )
-        free = residual.unknowns()
         trace.append(
             TraceRecord(
                 relation=f"g2 + alpha_{q**level} = 0",

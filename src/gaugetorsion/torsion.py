@@ -11,6 +11,9 @@ call: the divisibility table, and the cohomological chain through the
 restriction of c1 and the resolved alpha_p. A disagreement raises rather
 than returning a wrong certificate.
 
+The recurrence check belongs to the alpha engine's cached pass per ring in
+``suspension``; the matrix order is taken from the row that pass checked.
+
 The certificate annotations record, in plain language, the homotopy-theoretic
 equivalences that justify reading the algebra as a torsion statement. They
 are not checkable by this library and are carried as context only.
@@ -26,8 +29,8 @@ from math import gcd
 
 from .chern import ChernPoly, phi_star
 from .fp import Prime, p_power_ceil, padic_val
-from .matrices import _companion_order, _companion_row
-from .suspension import MechanizationError, _derived_row, solve_alpha_p
+from .matrices import _companion_order
+from .suspension import MechanizationError, _symbolic_alphas, solve_alpha_p
 
 __all__ = [
     "TorsionKind",
@@ -121,26 +124,19 @@ class GlobalResult:
 @lru_cache(maxsize=None)
 def _ring_data(n: int, p: Prime) -> tuple[int, bool | None, int | None]:
     """k-independent facts of one ring, one pass each: phi_c1, and for p | n
-    the recurrence check and the matrix order."""
+    the recurrence check (the engine's pass raises unless it holds) and the
+    matrix order of the checked row."""
     q = p.value
     phi_c1 = phi_star(ChernPoly.generator(n, p, 1)).coefficient(1)
     if n % q != 0:
         return phi_c1, None, None
-    # The rows below the first are shifts in both matrices, so the first
-    # rows decide the comparison: the derived one is the alpha engine's mod-p
-    # Newton taps, the companion's comes from exact binomials.
-    row = _derived_row(n, p)
-    recurrence_check = row == tuple(c % q for c in _companion_row(n))
-    if not recurrence_check:
-        raise MechanizationError(
-            f"derived recurrence disagrees with the companion matrix at n={n}, p={p}"
-        )
+    row = _symbolic_alphas(n, p)[0]
     matrix_order = _companion_order(row, p, bound=p_power_ceil(n, p) * q)
     if q ** padic_val(matrix_order, p) != matrix_order:
         raise MechanizationError(
             f"matrix order {matrix_order} is not a p-power at n={n}, p={p}"
         )
-    return phi_c1, recurrence_check, matrix_order
+    return phi_c1, True, matrix_order
 
 
 def decide_p(n: int, k: int, p: Prime) -> Certificate:

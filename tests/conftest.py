@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 from gaugetorsion import MultiPoly, Prime
@@ -26,3 +27,23 @@ def random_multipoly(
 ) -> MultiPoly:
     """Seeded random sparse polynomial, for deterministic bulk sweeps."""
     return _random_poly(rng, n, p, max_exp, max_terms)
+
+
+@pytest.fixture
+def perturbed_taps(monkeypatch):
+    """The alpha engine runs uncached, with its middle Newton tap off by one."""
+    import gaugetorsion.suspension as suspension_mod
+    import gaugetorsion.torsion as torsion_mod
+
+    newton_taps = suspension_mod._newton_taps
+
+    def perturbed(n, q):
+        taps = list(newton_taps(n, q))
+        j, c = taps[len(taps) // 2]
+        taps[len(taps) // 2] = (j, (c + 1) % q)
+        return tuple(taps)
+
+    monkeypatch.setattr(suspension_mod, "_newton_taps", perturbed)
+    uncached = suspension_mod._symbolic_alphas.__wrapped__
+    for module in (suspension_mod, torsion_mod):
+        monkeypatch.setattr(module, "_symbolic_alphas", uncached)

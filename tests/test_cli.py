@@ -84,23 +84,35 @@ def test_decide_rejects_prime_beyond_primality_limit(capsys):
     assert "3317044064679887385961981" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("decide", "--n", "{n}", "--k", "0"),
-        ("decide", "--n", "{n}", "--k", "0", "--p", "2"),
-        ("matrix", "--n", "{n}"),
-        ("sweep", "--n-max", "{n}"),
-        ("verify", "order", "--n-max", "{n}"),
-    ],
-    ids=["decide", "decide-p", "matrix", "sweep", "verify"],
-)
+_SIZED = {
+    "decide": ("decide", "--n", "{n}", "--k", "0"),
+    "decide-p": ("decide", "--n", "{n}", "--k", "0", "--p", "2"),
+    "matrix": ("matrix", "--n", "{n}"),
+    "sweep": ("sweep", "--n-max", "{n}"),
+    "verify": ("verify", "order", "--n-max", "{n}"),
+    **{
+        f"verify-{target}": ("verify", target, "--n-max", "{n}")
+        for target in cli._VERIFY_TARGETS
+        if target != "order"
+    },
+}
+
+
+def _cap(argv):
+    """The size cap that applies to an invocation."""
+    if argv[0] == "verify":
+        return cli._VERIFY_TARGETS[argv[1]][3]
+    return cli._COMMANDS[argv[0]][2]
+
+
+@pytest.mark.parametrize("argv", list(_SIZED.values()), ids=list(_SIZED))
 def test_sizes_above_ceiling_are_usage_errors(capsys, argv):
-    too_big = str(cli.N_CEILING + 1)
-    code, out, err = run(capsys, *(a.format(n=too_big) for a in argv))
-    assert code == 2
-    assert out == ""
-    assert str(cli.N_CEILING) in err and too_big in err
+    cap = _cap(argv)
+    flag = cli._COMMANDS[argv[0]][1]
+    code, out, err = run(capsys, *(a.format(n=cap + 1) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {flag} is capped at {cap}, got {cap + 1}\n")
+    args = cli.build_parser().parse_args([a.format(n=cap) for a in argv])
+    assert cli._check_args(args) is None
 
 
 @pytest.mark.parametrize("extra", [(), ("--p", "3"), ("--format", "json")])
@@ -405,9 +417,10 @@ def test_bad_argument_beats_unusable_output_dir(capsys, tmp_path):
 
 
 def test_format_is_checked_before_size_and_size_before_prime(capsys, monkeypatch):
-    too_big = str(cli.N_CEILING + 1)
+    cap = _cap(("decide",))
+    too_big = str(cap + 1)
     code, _, err = run(capsys, "decide", "--n", too_big, "--k", "0", "--p", "6")
-    assert (code, err) == (2, f"error: n is capped at {cli.N_CEILING}, got {too_big}\n")
+    assert (code, err) == (2, f"error: n is capped at {cap}, got {too_big}\n")
     monkeypatch.setenv(cli.ENV_FORMAT, "xml")
     code, _, err = run(capsys, "decide", "--n", too_big, "--k", "0")
     assert (code, err) == (2, "error: decide supports --format text, json; got 'xml'\n")

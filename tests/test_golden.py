@@ -46,6 +46,24 @@ def test_matrix_json_golden():
     assert render("matrix", "--n", "4", "--format", "json") == expected
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("trace_n12_k6.jsonl", ["--n", "12", "--k", "6"]),
+        ("trace_n12_k5.jsonl", ["--n", "12", "--k", "5"]),
+        ("trace_n20_k5_p5.jsonl", ["--n", "20", "--k", "5", "--p", "5"]),
+    ],
+)
+def test_decide_trace_golden(name, argv):
+    import io
+    from contextlib import redirect_stderr
+
+    buffer = io.StringIO()
+    with redirect_stderr(buffer):
+        render("decide", *argv, "--trace")
+    assert buffer.getvalue() == (GOLDEN / name).read_text()
+
+
 def test_output_flag_matches_stdout(tmp_path):
     target = tmp_path / "report.csv"
     code = cli.main(["sweep", "--n-max", "5", "--format", "csv", "--output", str(target)])

@@ -49,6 +49,8 @@ def test_wrong_monomial_length_rejected():
         UniPoly(p, {-1: 1})
     with pytest.raises(ValueError):
         LinearForm(p, 1, {0: 1})
+    with pytest.raises(ValueError):
+        LinearForm(p, 1, {1: 1})  # the unknowns are g2..gn
 
 
 def test_ring_mismatch_rejected():

@@ -278,12 +278,21 @@ def test_top_form_other_than_k_raises(monkeypatch):
     symbolic_alphas = suspension_mod._symbolic_alphas
 
     def corrupted(n, p):
-        powers = symbolic_alphas(n, p)
-        return {**powers, max(powers): LinearForm.constant(p, 1)}
+        row, alphas = symbolic_alphas(n, p)
+        return row, alphas[:-1] + ((1,) + (0,) * n,)  # the constant 1
 
     monkeypatch.setattr(suspension_mod, "_symbolic_alphas", corrupted)
     with pytest.raises(MechanizationError, match="not the bare symbol k"):
         suspension_mod._resolve_alpha.__wrapped__(2, P2, 0)
+
+
+def test_recurrence_check_guards_a_standalone_solve(perturbed_taps):
+    """With one Newton tap perturbed, a solve that no decision precedes still
+    meets the companion-row check before the engine runs a tap."""
+    from gaugetorsion.suspension import MechanizationError, _resolve_alpha
+
+    with pytest.raises(MechanizationError, match="companion matrix"):
+        _resolve_alpha.__wrapped__(12, P3, 0)
 
 
 def test_trace_serializes_in_order():
@@ -337,8 +346,9 @@ def test_alpha_p_is_k_in_every_model():
 
 def test_chain_agrees_with_definitional_route():
     """The cached symbolic engine must reproduce the definitional route, one
-    ``_alpha_walk`` per (n, p, k) as ``alpha_at`` takes it, at every p-power."""
-    from gaugetorsion.suspension import _K_SLOT, _alpha_walk, _symbolic_alphas
+    ``_alpha_walk`` per (n, p, k) as ``alpha_at`` takes it, at every p-power.
+    An engine row holds the constant in slot 0, k in slot 1 and gj in slot j."""
+    from gaugetorsion.suspension import _alpha_walk, _symbolic_alphas
 
     cases = (
         (4, P2), (8, P2), (6, P3), (9, P3), (10, P5),
@@ -346,15 +356,16 @@ def test_chain_agrees_with_definitional_route():
         (12, P2), (12, P3), (15, P5), (14, P7), (20, P5),
     )
     for n, p in cases:
-        powers = _symbolic_alphas(n, p)
+        alphas = _symbolic_alphas(n, p)[1]
         for k in range(n):
             walk = _alpha_walk(n, p, k, p_power_ceil(n, p))
-            for level, form in powers.items():
-                assert walk[p.value**level] == form.substitute(_K_SLOT, k % p.value)
+            for level, row in enumerate(alphas):
+                form = LinearForm(p, row[0] + row[1] * k, dict(enumerate(row[2:], 2)))
+                assert walk[p.value**level] == form
 
 
 def test_symbolic_engine_builds_no_intermediate_forms(monkeypatch):
-    """The recurrence runs on int rows; forms appear only in the result."""
+    """The recurrence runs on int rows and returns them; it builds no form."""
     from gaugetorsion.suspension import _symbolic_alphas
 
     calls = {"add": 0, "scale": 0}

@@ -172,20 +172,11 @@ def test_cold_ring_data_builds_no_matrices(monkeypatch, n, p):
     assert products == []
 
 
-def test_perturbed_recurrence_row_raises(monkeypatch):
-    """The first-row recurrence check must guard the taps the engine runs."""
-    import gaugetorsion.suspension as suspension_mod
+def test_perturbed_recurrence_row_raises(perturbed_taps):
+    """The first-row recurrence check must guard the taps the engine runs,
+    also when the decision layer is the first to ask for the ring."""
     import gaugetorsion.torsion as torsion_mod
     from gaugetorsion.suspension import MechanizationError
 
-    newton_taps = suspension_mod._newton_taps
-
-    def perturbed(n, q):
-        taps = list(newton_taps(n, q))
-        j, c = taps[len(taps) // 2]
-        taps[len(taps) // 2] = (j, (c + 1) % q)
-        return tuple(taps)
-
-    monkeypatch.setattr(suspension_mod, "_newton_taps", perturbed)
     with pytest.raises(MechanizationError):
         torsion_mod._ring_data.__wrapped__(12, P3)
