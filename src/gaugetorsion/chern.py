@@ -13,14 +13,12 @@ independent oracle in the tests.
 
 Power sums are lifted to this ring through the classical Newton identities
 below the variable count and through the companion recurrence above it.
-Lifts are cached per ring, filled once and never rewritten.
+Lifts are memoized per ring in a ``functools.lru_cache``.
 """
 
 from __future__ import annotations
 
-import threading
-from functools import lru_cache, partial
-from typing import Callable, TypeVar
+from functools import lru_cache
 
 from .fp import Prime, _lucas
 from .polyring import MultiPoly, UniPoly, _ExpPoly, elementary_sym, power_sum
@@ -35,32 +33,6 @@ __all__ = [
 ]
 
 Exponents = tuple[int, ...]
-T = TypeVar("T")
-
-# Guards the growth of the memo tables below; reads of entries already there
-# take no lock, as a table's lists only grow and entries are never rewritten.
-_MEMO_LOCK = threading.Lock()
-
-
-def _memo_extend(
-    table: dict[tuple[int, int], list[T]],
-    key: tuple[int, int],
-    m: int,
-    next_entry: Callable[[list[T]], T],
-) -> list[T]:
-    """Grow table[key] to at least m entries and return it.
-
-    Missing entries are built on a private copy, each from the ones before
-    it, and only then published under the lock; entries another thread
-    published meanwhile are equal and kept.
-    """
-    built = list(table.get(key, ()))
-    while len(built) < m:
-        built.append(next_entry(built))
-    with _MEMO_LOCK:
-        entries = table.setdefault(key, [])
-        entries.extend(built[len(entries) :])
-    return entries
 
 
 class ChernPoly(_ExpPoly):
@@ -125,9 +97,6 @@ def phi_star(poly: ChernPoly) -> UniPoly:
     return UniPoly._canonical(poly.p, acc)
 
 
-_LIFT_CACHE: dict[tuple[int, int], list[ChernPoly]] = {}
-
-
 def lift_power_sum(m: int, n: int, p: Prime) -> ChernPoly:
     """The class S_m with iota_star(S_m) equal to the m-th power sum.
 
@@ -138,26 +107,22 @@ def lift_power_sum(m: int, n: int, p: Prime) -> ChernPoly:
     """
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
-    entries = _LIFT_CACHE.get((n, p.value), ())
-    if len(entries) < m:
-        entries = _memo_extend(_LIFT_CACHE, (n, p.value), m, partial(_next_lift, n, p))
-    return entries[m - 1]
+    for below in range(1, m):  # bottom-up, so no build recurses into a cold lift
+        _lift(below, n, p)
+    return _lift(m, n, p)
 
 
-def _next_lift(n: int, p: Prime, built: list[ChernPoly]) -> ChernPoly:
-    m_next = len(built) + 1
+@lru_cache(maxsize=None)
+def _lift(m: int, n: int, p: Prime) -> ChernPoly:
+    """S_m, built from S_(m-1), ..., S_(m-n) read from this same cache."""
     acc = ChernPoly.zero(n, p)
-    top = min(m_next - 1, n)
-    for j in range(1, top + 1):
+    for j in range(1, min(m - 1, n) + 1):
         sign = 1 if j % 2 == 1 else -1
-        acc = acc + ChernPoly.generator(n, p, j).scale(sign) * built[m_next - j - 1]
-    if m_next <= n:
-        sign = 1 if m_next % 2 == 1 else -1
-        acc = acc + ChernPoly.generator(n, p, m_next).scale(sign * m_next)
+        acc = acc + ChernPoly.generator(n, p, j).scale(sign) * _lift(m - j, n, p)
+    if m <= n:
+        sign = 1 if m % 2 == 1 else -1
+        acc = acc + ChernPoly.generator(n, p, m).scale(sign * m)
     return acc
-
-
-_PHI_PS_CACHE: dict[tuple[int, int], list[int]] = {}
 
 
 def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
@@ -170,11 +135,7 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     """
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
-    q = p.value
-    entries = _PHI_PS_CACHE.get((n, q), ())
-    if len(entries) < m:
-        entries = _memo_extend(_PHI_PS_CACHE, (n, q), m, partial(_next_phi_coefficient, n, q))
-    return UniPoly._canonical(p, {m: entries[m - 1]})
+    return UniPoly._canonical(p, {m: _phi_power_sums(m, n, p.value)[-1]})
 
 
 @lru_cache(maxsize=None)
@@ -193,16 +154,21 @@ def _newton_taps(n: int, q: int) -> tuple[tuple[int, int], ...]:
     return tuple(taps)
 
 
-def _next_phi_coefficient(n: int, q: int, built: list[int]) -> int:
-    m_next = len(built) + 1
-    val = 0
-    for j, c in _newton_taps(n, q):
-        if j >= m_next:
-            if j == m_next:  # the trailing m*cm term below the generator count
-                val += c * m_next
-            break
-        val += c * built[m_next - j - 1]
-    return val % q
+def _phi_power_sums(m: int, n: int, q: int) -> list[int]:
+    """[s_1, ..., s_m], the u^i coefficients of the restricted power sums mod q,
+    in one pass of the Newton recurrence over ``_newton_taps``."""
+    taps = _newton_taps(n, q)
+    sums: list[int] = []
+    for i in range(1, m + 1):
+        val = 0
+        for j, c in taps:
+            if j >= i:
+                if j == i:  # the trailing i*ci term below the generator count
+                    val += c * i
+                break
+            val += c * sums[i - j - 1]
+        sums.append(val % q)
+    return sums
 
 
 def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:

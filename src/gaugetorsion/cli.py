@@ -12,12 +12,10 @@ main has checked and resolved them. With --output, the report is written to a
 temporary file beside the target and moved into place only when the command
 exits 0 or 1, so a failed run leaves no file behind.
 
-Each size flag has its own cap, the largest round size whose default run
-took about 10 s (fresh process, 2-vCPU Xeon VM, Python 3.11): decide --n
-1024 (0.3 s cold), matrix --n 350 (8.3 s), sweep --n-max 200 (11.7 s), and
-verify --n-max newton 12 (6.1 s), milnor 35 (10.2 s), conjugation 100
-(10.4 s), order 120 (10.7 s), recurrence 250 (8.7 s). Primes given with --p
-or --primes must lie below 3.317e24, where primality is decided exactly.
+Each size flag, and each count flag a verify target reads (--i-max,
+--degree-cap, --samples), has a floor and a cap; README.md tables the caps
+and the runs they bound. Primes given with --p or --primes must lie below
+3.317e24, where primality is decided exactly.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
 alpha_p to stderr as JSON lines, one object per step with keys p, relation,
@@ -202,13 +200,14 @@ def _verify_recurrence_cases(args):
             yield label, f"alpha_p wrong for k in {bad_k}" if bad_k else None
 
 
-# verify target -> (its cases, default --primes, default --n-max, --n-max cap).
+# verify target -> (its cases, default --primes, default --n-max, --n-max cap,
+# the cap on each count flag it reads; counts start at 0).
 _VERIFY_TARGETS = {
-    "newton": (_verify_newton_cases, "2,3,5", 6, 12),
-    "milnor": (_verify_milnor_cases, "2,3,5", 5, 35),
-    "conjugation": (_verify_conjugation_cases, "2,3,5", 40, 100),
-    "order": (_verify_order_cases, "2,3,5,7,11", 50, 120),
-    "recurrence": (_verify_recurrence_cases, "2,3,5", 20, 250),
+    "newton": (_verify_newton_cases, "2,3,5", 6, 12, {"--i-max": 20}),
+    "milnor": (_verify_milnor_cases, "2,3,5", 5, 35, {"--degree-cap": 26, "--samples": 20000}),
+    "conjugation": (_verify_conjugation_cases, "2,3,5", 40, 100, {}),
+    "order": (_verify_order_cases, "2,3,5,7,11", 50, 120, {}),
+    "recurrence": (_verify_recurrence_cases, "2,3,5", 20, 250, {}),
 }
 
 
@@ -336,21 +335,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> str | None:
     """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
-    the size, then --p or --primes. Returns the usage message for the first
-    bad argument, or None."""
+    the size, the counts, then --p or --primes. Returns the usage message for
+    the first bad argument, or None."""
     formats, size_flag, cap = _COMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
     if args.format not in formats:
         return f"{args.command} supports --format {', '.join(formats)}; got {args.format!r}"
+    counts = {}
     if args.command == "verify":
-        _, primes, n_max, cap = _VERIFY_TARGETS[args.target]
+        _, primes, n_max, cap, counts = _VERIFY_TARGETS[args.target]
         args.primes = primes if args.primes is None else args.primes
         args.n_max = n_max if args.n_max is None else args.n_max
-    size = getattr(args, size_flag.lstrip("-").replace("-", "_"))  # argparse's dest
-    if size < 2:
-        return f"need {size_flag} >= 2, got {size}"
-    if size > cap:
-        return f"{size_flag} is capped at {cap}, got {size}"
+    for flag, floor, ceiling in ((size_flag, 2, cap), *((f, 0, c) for f, c in counts.items())):
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest
+        if value < floor:
+            return f"need {flag} >= {floor}, got {value}"
+        if value > ceiling:
+            return f"{flag} is capped at {ceiling}, got {value}"
     if getattr(args, "p", None) is not None:
         try:
             args.p = Prime(args.p)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_power_sum, phi_star
+from .chern import ChernPoly, _newton_taps, _phi_power_sums, lift_power_sum, phi_star
 from .fp import FpScalar, Prime, p_power_ceil
 from .matrices import FpMatrix, _companion_row
 from .polyring import UniPoly, _FpTable
@@ -236,7 +236,7 @@ def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
         raise ValueError(f"need n >= 2, got {n}")
     k = int(k)
     forms: list[LinearForm] = []
-    for i in reversed(range(n)):  # top-down, so the lift table fills in one pass
+    for i in reversed(range(n)):
         graded = apply_suspension(lift_power_sum(i + 1, n, p), k)
         for e in graded.forms:
             if e != i:
@@ -264,9 +264,8 @@ def _derived_row(n: int, p: Prime) -> tuple[int, ...]:
         raise ValueError(f"need n >= 2, got {n}")
     if n % p.value != 0:
         raise ValueError(f"recurrence needs p | n, got n={n}, p={p}")
-    phi_power_sum(n + 1, n, p)  # fills the memo table in one pass
-    for m in range(1, n + 2):
-        if not phi_power_sum(m, n, p).is_zero():
+    for m, s in enumerate(_phi_power_sums(n + 1, n, p.value), start=1):
+        if s:
             raise MechanizationError(
                 f"restricted power sum {m} did not vanish for n={n}, p={p}"
             )

@@ -171,13 +171,10 @@ def test_newton_taps_match_exact_binomials(q):
         assert chern._newton_taps(n, q) == expected, n
 
 
-def fill_cold(monkeypatch, table, key, fill, threads):
-    """Run fill() in each of `threads` threads on a fresh table[key].
-
-    Returns the results and the filled table entry; monkeypatch restores
-    the entry other tests may have filled.
-    """
-    monkeypatch.delitem(table, key, raising=False)
+def fill_cold(fill, threads):
+    """Run fill() in each of `threads` threads on a cleared lift cache and
+    return the results."""
+    chern._lift.cache_clear()
     barrier = threading.Barrier(threads)
     results = [None] * threads
 
@@ -196,24 +193,24 @@ def fill_cold(monkeypatch, table, key, fill, threads):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
-    return results, table[key]
+    return results
 
 
-@pytest.mark.parametrize(
-    "table, fill",
-    [
-        (chern._LIFT_CACHE, lambda: lift_power_sum(14, 4, Prime(5))),
-        (chern._PHI_PS_CACHE, lambda: phi_power_sum(14, 4, Prime(5))),
-    ],
-    ids=["lift", "phi"],
-)
-def test_memo_tables_fill_safely_from_threads(monkeypatch, table, fill):
-    single, single_table = fill_cold(monkeypatch, table, (4, 5), fill, threads=1)
-    assert len(single_table) == 14
+def test_lift_cache_fills_safely_from_threads():
+    def fill():
+        return lift_power_sum(14, 4, Prime(5))
+
+    single = fill_cold(fill, threads=1)
     for _ in range(5):
-        results, threaded_table = fill_cold(monkeypatch, table, (4, 5), fill, threads=4)
-        assert results == single * 4
-        assert threaded_table == single_table
+        assert fill_cold(fill, threads=4) == single * 4
+
+
+def test_cold_lift_past_the_recursion_limit():
+    m, p = 3 * sys.getrecursionlimit(), Prime(3)
+    chern._lift.cache_clear()
+    lift = lift_power_sum(m, 2, p)
+    assert chern._lift.cache_info().misses == m
+    assert phi_star(lift) == phi_power_sum(m, 2, p)
 
 
 # -- the power-sum relation --------------------------------------------------------

@@ -95,20 +95,26 @@ _SIZED = {
         for target in cli._VERIFY_TARGETS
         if target != "order"
     },
+    **{
+        f"verify-{target}{flag}": ("verify", target, flag, "{n}")
+        for target, (*_, counts) in cli._VERIFY_TARGETS.items()
+        for flag in counts
+    },
 }
 
 
 def _cap(argv):
-    """The size cap that applies to an invocation."""
-    if argv[0] == "verify":
-        return cli._VERIFY_TARGETS[argv[1]][3]
-    return cli._COMMANDS[argv[0]][2]
+    """The flag an invocation sizes, and the cap on it."""
+    if argv[0] != "verify":
+        return cli._COMMANDS[argv[0]][1:]
+    *_, n_max_cap, counts = cli._VERIFY_TARGETS[argv[1]]
+    flag = argv[argv.index("{n}") - 1]
+    return flag, counts.get(flag, n_max_cap)
 
 
 @pytest.mark.parametrize("argv", list(_SIZED.values()), ids=list(_SIZED))
 def test_sizes_above_ceiling_are_usage_errors(capsys, argv):
-    cap = _cap(argv)
-    flag = cli._COMMANDS[argv[0]][1]
+    flag, cap = _cap(argv)
     code, out, err = run(capsys, *(a.format(n=cap + 1) for a in argv))
     assert (code, out, err) == (2, "", f"error: {flag} is capped at {cap}, got {cap + 1}\n")
     args = cli.build_parser().parse_args([a.format(n=cap) for a in argv])
@@ -395,8 +401,37 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
             ("sweep", "--n-max", "3"),
             "error: sweep supports --format text, json, csv; got 'xml'\n",
         ),
+        (None, ("verify", "newton", "--i-max", "21"), "error: --i-max is capped at 20, got 21\n"),
+        (None, ("verify", "newton", "--i-max", "-1"), "error: need --i-max >= 0, got -1\n"),
+        (
+            None,
+            ("verify", "milnor", "--degree-cap", "27"),
+            "error: --degree-cap is capped at 26, got 27\n",
+        ),
+        (
+            None,
+            ("verify", "milnor", "--degree-cap", "-1"),
+            "error: need --degree-cap >= 0, got -1\n",
+        ),
+        (
+            None,
+            ("verify", "milnor", "--samples", "20001"),
+            "error: --samples is capped at 20000, got 20001\n",
+        ),
+        (None, ("verify", "milnor", "--samples", "-1"), "error: need --samples >= 0, got -1\n"),
     ],
-    ids=["n", "p", "primes", "env-format"],
+    ids=[
+        "n",
+        "p",
+        "primes",
+        "env-format",
+        "i-max-above-cap",
+        "i-max-below-floor",
+        "degree-cap-above-cap",
+        "degree-cap-below-floor",
+        "samples-above-cap",
+        "samples-below-floor",
+    ],
 )
 def test_usage_errors_open_no_output(capsys, monkeypatch, tmp_path, env, argv, message):
     def refuse(args):
@@ -417,7 +452,7 @@ def test_bad_argument_beats_unusable_output_dir(capsys, tmp_path):
 
 
 def test_format_is_checked_before_size_and_size_before_prime(capsys, monkeypatch):
-    cap = _cap(("decide",))
+    _, cap = _cap(("decide",))
     too_big = str(cap + 1)
     code, _, err = run(capsys, "decide", "--n", too_big, "--k", "0", "--p", "6")
     assert (code, err) == (2, f"error: n is capped at {cap}, got {too_big}\n")

@@ -387,26 +387,22 @@ def test_symbolic_engine_builds_no_intermediate_forms(monkeypatch):
 
 
 def test_memo_tables_fill_in_one_pass(monkeypatch):
-    """Each caller asks for its largest index first, so a cold key grows in
-    one step per caller rather than one step per index."""
-    from gaugetorsion import chern
-    from gaugetorsion.suspension import _symbolic_alphas
+    """A cold alpha_init builds each lift once, and _derived_row reads its
+    whole vanishing window from one restricted-power-sum pass."""
+    from gaugetorsion import chern, suspension
 
-    calls = []
-    extend = chern._memo_extend
-
-    def counted(table, key, m, next_entry):
-        calls.append((table is chern._LIFT_CACHE, key))
-        return extend(table, key, m, next_entry)
-
-    monkeypatch.setattr(chern, "_memo_extend", counted)
-    for n, p in ((12, P2), (48, P3), (100, P5)):
-        monkeypatch.delitem(chern._PHI_PS_CACHE, (n, p.value), raising=False)
-        calls.clear()
-        derive_recurrence(n, p)
-        _symbolic_alphas.__wrapped__(n, p)
-        assert len(calls) <= 2, (n, p.value, len(calls))
-    monkeypatch.delitem(chern._LIFT_CACHE, (6, 3), raising=False)
-    calls.clear()
+    chern._lift.cache_clear()
     alpha_init(6, P3, 1)
-    assert calls == [(True, (6, 3))]
+    assert chern._lift.cache_info().misses == 6
+    passes = []
+    power_sums = suspension._phi_power_sums
+
+    def counted(m, n, q):
+        passes.append((m, n, q))
+        return power_sums(m, n, q)
+
+    monkeypatch.setattr(suspension, "_phi_power_sums", counted)
+    for n, p in ((12, P2), (48, P3), (100, P5)):
+        passes.clear()
+        suspension._derived_row(n, p)
+        assert passes == [(n + 1, n, p.value)]
