@@ -13,7 +13,8 @@ independent oracle in the tests.
 
 Power sums are lifted to this ring through the classical Newton identities
 below the variable count and through the companion recurrence above it.
-Lifts are memoized per ring in a ``functools.lru_cache``.
+Lifts are memoized per ring in a ``functools.lru_cache``; ``phi_power_sum``
+runs their restrictions as one scalar pass over the mod-p Newton taps.
 """
 
 from __future__ import annotations
@@ -135,7 +136,19 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     """
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
-    return UniPoly._canonical(p, {m: _phi_power_sums(m, n, p.value)[-1]})
+    q = p.value
+    taps = _newton_taps(n, q)
+    sums: list[int] = []
+    for i in range(1, m + 1):
+        val = 0
+        for j, c in taps:
+            if j >= i:
+                if j == i:  # the trailing i*ci term below the generator count
+                    val += c * i
+                break
+            val += c * sums[i - j - 1]
+        sums.append(val % q)
+    return UniPoly._canonical(p, {m: sums[-1]})
 
 
 @lru_cache(maxsize=None)
@@ -152,23 +165,6 @@ def _newton_taps(n: int, q: int) -> tuple[tuple[int, int], ...]:
         if c:
             taps.append((j, c if j % 2 == 1 else -c % q))
     return tuple(taps)
-
-
-def _phi_power_sums(m: int, n: int, q: int) -> list[int]:
-    """[s_1, ..., s_m], the u^i coefficients of the restricted power sums mod q,
-    in one pass of the Newton recurrence over ``_newton_taps``."""
-    taps = _newton_taps(n, q)
-    sums: list[int] = []
-    for i in range(1, m + 1):
-        val = 0
-        for j, c in taps:
-            if j >= i:
-                if j == i:  # the trailing i*ci term below the generator count
-                    val += c * i
-                break
-            val += c * sums[i - j - 1]
-        sums.append(val % q)
-    return sums
 
 
 def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:

@@ -14,7 +14,8 @@ exits 0 or 1, so a failed run leaves no file behind.
 
 Each size flag, and each count flag a verify target reads (--i-max,
 --degree-cap, --samples), has a floor and a cap; README.md tables the caps
-and the runs they bound. Primes given with --p or --primes must lie below
+and the runs they bound; --primes takes at most as many primes as the
+target's default list. Primes given with --p or --primes must lie below
 3.317e24, where primality is decided exactly.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
@@ -335,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> str | None:
     """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
-    the size, the counts, then --p or --primes. Returns the usage message for
-    the first bad argument, or None."""
+    the size, the counts (the length of --primes one), then --p or --primes.
+    Returns the usage message for the first bad argument, or None."""
     formats, size_flag, cap = _COMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
     if args.format not in formats:
@@ -346,8 +347,11 @@ def _check_args(args: argparse.Namespace) -> str | None:
         _, primes, n_max, cap, counts = _VERIFY_TARGETS[args.target]
         args.primes = primes if args.primes is None else args.primes
         args.n_max = n_max if args.n_max is None else args.n_max
+        counts = {**counts, "--primes": len(primes.split(","))}  # the default list's length
     for flag, floor, ceiling in ((size_flag, 2, cap), *((f, 0, c) for f, c in counts.items())):
         value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest
+        if flag == "--primes":
+            value = sum(1 for tok in value.split(",") if tok.strip())
         if value < floor:
             return f"need {flag} >= {floor}, got {value}"
         if value > ceiling:

@@ -32,19 +32,23 @@ __all__ = [
 
 
 def _bounded_compositions(total: int, bounds: Monomial) -> Iterator[tuple[int, ...]]:
-    """All tuples (i1..in) with sum total and 0 <= ij <= bounds[j]."""
+    """All tuples (i1..in) with sum total and 0 <= ij <= bounds[j]; a slot
+    starts at what the later slots, of capacity rest, cannot hold, so no
+    prefix is walked that cannot complete (bounds near a large p)."""
     n = len(bounds)
 
-    def rec(pos: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def rec(
+        pos: int, remaining: int, rest: int, prefix: tuple[int, ...]
+    ) -> Iterator[tuple[int, ...]]:
         if pos == n - 1:
             if remaining <= bounds[pos]:
                 yield prefix + (remaining,)
             return
-        top = min(remaining, bounds[pos])
-        for i in range(top + 1):
-            yield from rec(pos + 1, remaining - i, prefix + (i,))
+        later = rest - bounds[pos + 1]
+        for i in range(max(0, remaining - rest), min(remaining, bounds[pos]) + 1):
+            yield from rec(pos + 1, remaining - i, later, prefix + (i,))
 
-    yield from rec(0, total, ())
+    yield from rec(0, total, sum(bounds) - bounds[0], ())
 
 
 def reduced_power(i: int, f: MultiPoly) -> MultiPoly:

@@ -17,12 +17,12 @@ The alpha sequence is defined by alpha_i u^i = Dk(S_(i+1)) with S_m the
 lifted power sum. Applying Dk to the power-sum relation of ``verify_newton``
 and using that every restricted power sum vanishes when p divides n yields a
 linear recurrence on the alpha forms. Its first row is the mod-p Newton taps
-of ``chern._newton_taps``, read only after the vanishing is checked. The
-engine's one cached pass per (n, p) checks that row against the exact first
-row of the companion matrix before running it, so every caller runs checked
-taps. Because that matrix has p-power order, the alpha window returns to its
-start after p_power_ceil(n, p) steps, which pins alpha at every p-power index
-and lets ``solve_alpha_p`` close the chain, read off the pass's dense rows,
+of ``chern._newton_taps``, read only after their forcing terms are checked.
+The engine's one cached pass per (n, p) checks that row against the exact
+first row of the companion matrix, then runs it once as a scalar impulse
+response. Because that matrix has p-power order, the alpha window returns to
+its start after p_power_ceil(n, p) steps, which pins alpha at every p-power
+index and lets ``solve_alpha_p`` close the chain, read off the pass's rows,
 
     -g2 = alpha_p = alpha_(p^m) = alpha_0 = k.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .chern import ChernPoly, _newton_taps, _phi_power_sums, lift_power_sum, phi_star
+from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_star
 from .fp import FpScalar, Prime, p_power_ceil
 from .matrices import FpMatrix, _companion_row
 from .polyring import UniPoly, _FpTable
@@ -253,24 +253,23 @@ def _derived_row(n: int, p: Prime) -> tuple[int, ...]:
 
     Applying Dk to the power-sum relation splits into two families of terms.
     The family Dk(cj) * phi(power sum) dies because every restricted power
-    sum vanishes mod p when p divides n, which is checked here on a full
-    window rather than assumed. The surviving family phi(cj) * Dk(power sum)
-    contributes the first row: entry j is (-1)^(j+1) times the restriction
-    coefficient of cj, which is the mod-p Newton tap of ``_newton_taps``, so
-    the row is those taps laid out densely. The remaining rows of the
-    recurrence matrix just shift the window.
+    sum vanishes mod p when p divides n. That is checked, not assumed: the
+    sums obey s_i = sum_(j<i) c_j s_(i-j) + i c_i, triangular with a unit
+    diagonal, so they all vanish exactly when every forcing term j c_j does.
+    The surviving family phi(cj) * Dk(power sum) contributes the first row:
+    the mod-p Newton taps c_j of ``_newton_taps``, laid out densely. The
+    remaining rows of the recurrence matrix just shift the window.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n % p.value != 0:
         raise ValueError(f"recurrence needs p | n, got n={n}, p={p}")
-    for m, s in enumerate(_phi_power_sums(n + 1, n, p.value), start=1):
-        if s:
-            raise MechanizationError(
-                f"restricted power sum {m} did not vanish for n={n}, p={p}"
-            )
     row = [0] * n
     for j, c in _newton_taps(n, p.value):
+        if j * c % p.value:
+            raise MechanizationError(
+                f"restricted power sum {j} did not vanish for n={n}, p={p}"
+            )
         row[j - 1] = c
     return tuple(row)
 
@@ -321,14 +320,14 @@ def _symbolic_alphas(n: int, p: Prime) -> tuple[tuple[int, ...], tuple[tuple[int
     ``level``; requires p dividing n.
 
     ``_derived_row`` is compared with the companion matrix's exact first row
-    mod p before any tap runs. The Newton recurrence then runs on Dk images
-    over the row's nonzero entries, each image a dense row of n + 1 ints
-    mod p: slot j the coefficient of gj, slot 1 a symbolic k serving every
-    k, slot 0 always 0. Only the Leibniz family phi(cj) * Dk(S_(m-j)) is
-    run: the other, Dk(cj) * phi(S_(m-j)), carries restricted power sums
-    s_m, which ``_derived_row`` checked to vanish for m <= n + 1 and whose
-    scalar recurrence is homogeneous past n, so every later s_m is 0 too.
-    The definitional ``alpha_init``/``alpha_at`` route is its test oracle.
+    mod p before any tap runs. Only the Leibniz family phi(cj) * Dk(S_(m-j))
+    is run, the other carrying the restricted power sums checked to vanish.
+    That recurrence is linear and time-invariant, and slot s of a row (slot j
+    the coefficient of gj, slot 1 a symbolic k, slot 0 always 0) is driven
+    by one impulse, (-1)^(s+1) s at step s. So one scalar pass runs the
+    impulse response h of the taps, and slot s of alpha_e is
+    (-1)^(s+1) s h[e + 1 - s]. The definitional ``alpha_init``/``alpha_at``
+    route is its test oracle.
     """
     q = p.value
     row = _derived_row(n, p)
@@ -338,21 +337,16 @@ def _symbolic_alphas(n: int, p: Prime) -> tuple[tuple[int, ...], tuple[tuple[int
         )
     taps = [(j, c) for j, c in enumerate(row, 1) if c]
     top = p_power_ceil(n, p)
-    # g[m] is the u^(m-1) coefficient of Dk(S_m); g[0] is unused.
-    g: list[list[int]] = [[0] * (n + 1)]
-    for m in range(1, top + 2):
-        acc = [0] * (n + 1)
-        for j, c in taps:  # one dense pass per nonzero tap
-            if j >= m:
-                break
-            acc = [a + c * b for a, b in zip(acc, g[m - j])]
-        if m <= n:
-            acc[m] += m if m % 2 == 1 else -m
-        g.append([a % q for a in acc])
+    h = [0] * (n - 1) + [1]  # h[n - 1 + t] is the response at step t, 0 before step 0
+    for _ in range(top):
+        acc = 0
+        for j, c in taps:
+            acc += c * h[-j]
+        h.append(acc % q)
     alphas = []
     e = 1
     while e <= top:
-        alphas.append(tuple(g[e + 1]))
+        alphas.append((0, *((s if s % 2 else -s) * h[n + e - s] % q for s in range(1, n + 1))))
         e *= q
     return row, tuple(alphas)
 

@@ -52,29 +52,32 @@ def test_decide_rejects_composite_p(capsys):
     assert "prime" in err
 
 
-def test_decide_large_prime_returns_promptly():
+def run_within_10s(*argv):
+    """The CLI in a fresh process, killed (TimeoutExpired) after 10 s."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["decide", "--n", "4", "--k", "0", "--p", "1000000000000000003"]
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "gaugetorsion", *argv],
         env=env, capture_output=True, text=True, timeout=10,
     )
+
+
+def test_decide_large_prime_returns_promptly():
+    done = run_within_10s("decide", "--n", "4", "--k", "0", "--p", "1000000000000000003")
     assert done.returncode == 0
     assert done.stdout.startswith("n=4 k=0 p=1000000000000000003: NoTorsionCase1")
 
 
 @pytest.mark.parametrize("l_max", ["4", "100000", "1000000000"])
 def test_milnor_levels_stop_at_degree_cap(l_max):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    argv = ["verify", "milnor", "--n-max", "2", "--l-max", l_max, "--samples", "0"]
-    done = subprocess.run(
-        [sys.executable, "-m", "gaugetorsion", *argv],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    done = run_within_10s("verify", "milnor", "--n-max", "2", "--l-max", l_max, "--samples", "0")
     assert done.returncode == 0
     assert done.stdout == "milnor: 8/8 cases passed\n"
+
+
+def test_milnor_with_a_large_prime_returns_promptly():
+    done = run_within_10s("verify", "milnor", "--primes", "1000000000000000003")
+    assert done.returncode == 0
 
 
 def test_decide_rejects_prime_beyond_primality_limit(capsys):
@@ -100,6 +103,11 @@ _SIZED = {
         for target, (*_, counts) in cli._VERIFY_TARGETS.items()
         for flag in counts
     },
+    # {primes} stands for a list of that many primes
+    **{
+        f"verify-{target}--primes": ("verify", target, "--primes", "{primes}")
+        for target in cli._VERIFY_TARGETS
+    },
 }
 
 
@@ -107,17 +115,24 @@ def _cap(argv):
     """The flag an invocation sizes, and the cap on it."""
     if argv[0] != "verify":
         return cli._COMMANDS[argv[0]][1:]
-    *_, n_max_cap, counts = cli._VERIFY_TARGETS[argv[1]]
+    _, primes, _, n_max_cap, counts = cli._VERIFY_TARGETS[argv[1]]
+    if "{primes}" in argv:
+        return "--primes", len(primes.split(","))
     flag = argv[argv.index("{n}") - 1]
     return flag, counts.get(flag, n_max_cap)
+
+
+def _fill(argv, value):
+    primes = ",".join(map(str, (2, 3, 5, 7, 11, 13, 17)[:value]))
+    return [a.format(n=value, primes=primes) for a in argv]
 
 
 @pytest.mark.parametrize("argv", list(_SIZED.values()), ids=list(_SIZED))
 def test_sizes_above_ceiling_are_usage_errors(capsys, argv):
     flag, cap = _cap(argv)
-    code, out, err = run(capsys, *(a.format(n=cap + 1) for a in argv))
+    code, out, err = run(capsys, *_fill(argv, cap + 1))
     assert (code, out, err) == (2, "", f"error: {flag} is capped at {cap}, got {cap + 1}\n")
-    args = cli.build_parser().parse_args([a.format(n=cap) for a in argv])
+    args = cli.build_parser().parse_args(_fill(argv, cap))
     assert cli._check_args(args) is None
 
 
@@ -419,6 +434,11 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
             "error: --samples is capped at 20000, got 20001\n",
         ),
         (None, ("verify", "milnor", "--samples", "-1"), "error: need --samples >= 0, got -1\n"),
+        (
+            None,
+            ("verify", "newton", "--primes", "2,3,5,7"),
+            "error: --primes is capped at 3, got 4\n",
+        ),
     ],
     ids=[
         "n",
@@ -431,6 +451,7 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
         "degree-cap-below-floor",
         "samples-above-cap",
         "samples-below-floor",
+        "primes-above-cap",
     ],
 )
 def test_usage_errors_open_no_output(capsys, monkeypatch, tmp_path, env, argv, message):

@@ -51,6 +51,17 @@ def test_reduced_power_square_example():
     assert reduced_power(2, t(1, p) ** 2) == t(1, p) ** 4
 
 
+def test_bounded_compositions_match_filtered_product():
+    from itertools import product
+
+    from gaugetorsion.steenrod import _bounded_compositions
+
+    for bounds in ((0,), (3,), (2, 0), (1, 3), (2, 1, 3), (0, 2, 0, 1), (3, 3, 3)):
+        for total in range(sum(bounds) + 2):
+            expected = [s for s in product(*(range(b + 1) for b in bounds)) if sum(s) == total]
+            assert list(_bounded_compositions(total, bounds)) == expected, (bounds, total)
+
+
 @given(data=st.data())
 def test_total_operation_is_multiplicative(data):
     """Cartan consistency: R^i(fg) = sum over a+b=i of R^a(f) R^b(g)."""

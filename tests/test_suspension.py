@@ -387,22 +387,61 @@ def test_symbolic_engine_builds_no_intermediate_forms(monkeypatch):
 
 
 def test_memo_tables_fill_in_one_pass(monkeypatch):
-    """A cold alpha_init builds each lift once, and _derived_row reads its
-    whole vanishing window from one restricted-power-sum pass."""
+    """A cold alpha_init builds each lift once, and _derived_row checks every
+    forcing term in the one pass over the taps that lays out its row."""
     from gaugetorsion import chern, suspension
 
     chern._lift.cache_clear()
     alpha_init(6, P3, 1)
     assert chern._lift.cache_info().misses == 6
     passes = []
-    power_sums = suspension._phi_power_sums
+    newton_taps = suspension._newton_taps
 
-    def counted(m, n, q):
-        passes.append((m, n, q))
-        return power_sums(m, n, q)
+    def counted(n, q):
+        passes.append((n, q))
+        return newton_taps(n, q)
 
-    monkeypatch.setattr(suspension, "_phi_power_sums", counted)
+    monkeypatch.setattr(suspension, "_newton_taps", counted)
     for n, p in ((12, P2), (48, P3), (100, P5)):
         passes.clear()
         suspension._derived_row(n, p)
-        assert passes == [(n + 1, n, p.value)]
+        assert passes == [(n, p.value)]
+
+
+@pytest.mark.parametrize(
+    "ns, p",
+    [(range(q, 131, q), Prime(q)) for q in (2, 3, 5, 7, 17)]
+    + [((1020,), Prime(q)) for q in (2, 3, 5, 17)],
+    ids=[f"to130-p{q}" for q in (2, 3, 5, 7, 17)] + [f"1020-p{q}" for q in (2, 3, 5, 17)],
+)
+def test_alpha_rows_match_the_lucas_closed_form(ns, p):
+    """The taps satisfy 1 - sum_j c_j x^j = (1 - x)^n, so their impulse
+    response is h[t] = C(n + t - 1, t) and slot s of alpha_e is
+    (-1)^(s+1) s C(n + e - s, e + 1 - s) mod p; no tap enters this oracle."""
+    from gaugetorsion.fp import _lucas
+    from gaugetorsion.suspension import _symbolic_alphas
+
+    q = p.value
+    for n in ns:
+        for level, row in enumerate(_symbolic_alphas(n, p)[1]):
+            e = q**level
+            expected = [0] * (n + 1)
+            for s in range(1, min(n, e + 1) + 1):
+                expected[s] = (-1) ** (s + 1) * s * _lucas(n + e - s, e + 1 - s, q) % q
+            assert list(row) == expected, (n, q, e)
+
+
+def test_planted_forcing_term_raises(monkeypatch):
+    """A tap at 4, which 3 does not divide, has a nonzero forcing term 4 c_4,
+    so restricted power sum 4 would not vanish."""
+    import gaugetorsion.suspension as suspension_mod
+    from gaugetorsion.suspension import MechanizationError
+
+    newton_taps = suspension_mod._newton_taps
+
+    def planted(n, q):
+        return tuple(sorted(newton_taps(n, q) + ((4, 1),)))
+
+    monkeypatch.setattr(suspension_mod, "_newton_taps", planted)
+    with pytest.raises(MechanizationError, match="restricted power sum 4 did not vanish"):
+        suspension_mod._symbolic_alphas.__wrapped__(12, P3)
