@@ -19,7 +19,8 @@ runs their restrictions as one scalar pass over the mod-p Newton taps.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .fp import Prime, _lucas
 from .polyring import MultiPoly, UniPoly, _ExpPoly, elementary_sym, power_sum
@@ -70,14 +71,12 @@ class ChernPoly(_ExpPoly):
 def iota_star(poly: ChernPoly) -> MultiPoly:
     """Substitute cj -> elementary_sym(n, j) and expand in the torus ring."""
     n, p = poly.n, poly.p
-    out = MultiPoly.zero(n, p)
-    for mono, c in poly.terms.items():
-        term = MultiPoly.constant(n, p, c)
-        for j, e in enumerate(mono, start=1):
-            if e:
-                term = term * elementary_sym(n, j, p) ** e
-        out = out + term
-    return out
+    one = MultiPoly.one(n, p)
+    acc: dict[Exponents, int] = {}
+    for mono, c in poly.terms.items():  # the last factor of each term goes into one sum
+        *head, last = [elementary_sym(n, j, p) ** e for j, e in enumerate(mono, 1) if e] or [one]
+        reduce(mul, head, one)._mul_into(acc, last, c)
+    return MultiPoly._canonical(n, p, acc)
 
 
 def phi_star(poly: ChernPoly) -> UniPoly:
@@ -178,10 +177,8 @@ def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:
         raise ValueError(f"need n >= 2, got {n}")
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
-    residual = power_sum(n, n + i + 1, p)
+    acc = dict(power_sum(n, n + i + 1, p).terms)
     for j in range(1, n + 1):
-        sign = -1 if j % 2 == 1 else 1
-        residual = residual + (
-            elementary_sym(n, j, p) * power_sum(n, n + i + 1 - j, p)
-        ).scale(sign)
+        elementary_sym(n, j, p)._mul_into(acc, power_sum(n, n + i + 1 - j, p), (-1) ** j)
+    residual = MultiPoly._canonical(n, p, acc)  # the one reduction of the whole sum
     return residual.is_zero(), residual

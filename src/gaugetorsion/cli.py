@@ -15,8 +15,9 @@ exits 0 or 1, so a failed run leaves no file behind.
 Each size flag, and each count flag a verify target reads (--i-max,
 --degree-cap, --samples), has a floor and a cap; README.md tables the caps
 and the runs they bound; --primes takes at most as many primes as the
-target's default list. Primes given with --p or --primes must lie below
-3.317e24, where primality is decided exactly.
+target's default list, and verify order caps each prime's size. Primes
+given with --p or --primes must lie below 3.317e24, where primality is
+decided exactly.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
 alpha_p to stderr as JSON lines, one object per step with keys p, relation,
@@ -202,13 +203,16 @@ def _verify_recurrence_cases(args):
 
 
 # verify target -> (its cases, default --primes, default --n-max, --n-max cap,
-# the cap on each count flag it reads; counts start at 0).
+# the cap on each --primes entry or None, the cap on each count flag it reads;
+# counts start at 0). Only the matrix order search slows with the prime's size.
 _VERIFY_TARGETS = {
-    "newton": (_verify_newton_cases, "2,3,5", 6, 12, {"--i-max": 20}),
-    "milnor": (_verify_milnor_cases, "2,3,5", 5, 35, {"--degree-cap": 26, "--samples": 20000}),
-    "conjugation": (_verify_conjugation_cases, "2,3,5", 40, 100, {}),
-    "order": (_verify_order_cases, "2,3,5,7,11", 50, 120, {}),
-    "recurrence": (_verify_recurrence_cases, "2,3,5", 20, 250, {}),
+    "newton": (_verify_newton_cases, "2,3,5", 6, 12, None, {"--i-max": 20}),
+    "milnor": (
+        _verify_milnor_cases, "2,3,5", 5, 35, None, {"--degree-cap": 26, "--samples": 20000}
+    ),
+    "conjugation": (_verify_conjugation_cases, "2,3,5", 40, 100, None, {}),
+    "order": (_verify_order_cases, "2,3,5,7,11", 50, 120, 1000003, {}),
+    "recurrence": (_verify_recurrence_cases, "2,3,5", 20, 250, None, {}),
 }
 
 
@@ -336,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> str | None:
     """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
-    the size, the counts (the length of --primes one), then --p or --primes.
+    the size, the counts (the length of --primes one), then --p or --primes,
+    whose entries meet the target's ceiling before any primality test.
     Returns the usage message for the first bad argument, or None."""
     formats, size_flag, cap = _COMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
@@ -344,7 +349,7 @@ def _check_args(args: argparse.Namespace) -> str | None:
         return f"{args.command} supports --format {', '.join(formats)}; got {args.format!r}"
     counts = {}
     if args.command == "verify":
-        _, primes, n_max, cap, counts = _VERIFY_TARGETS[args.target]
+        _, primes, n_max, cap, prime_cap, counts = _VERIFY_TARGETS[args.target]
         args.primes = primes if args.primes is None else args.primes
         args.n_max = n_max if args.n_max is None else args.n_max
         counts = {**counts, "--primes": len(primes.split(","))}  # the default list's length
@@ -363,7 +368,10 @@ def _check_args(args: argparse.Namespace) -> str | None:
             return f"--p: {exc}"
     if args.command == "verify":
         try:
-            args.primes = [Prime(int(tok)) for tok in args.primes.split(",") if tok.strip()]
+            values = [int(tok) for tok in args.primes.split(",") if tok.strip()]
+            if prime_cap is not None and max(values, default=0) > prime_cap:
+                return f"--primes entries are capped at {prime_cap}, got {max(values)}"
+            args.primes = [Prime(value) for value in values]
         except ValueError:
             return f"bad prime list: {args.primes!r}"
     return None

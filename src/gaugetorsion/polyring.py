@@ -167,15 +167,19 @@ class _ExpPoly(_FpTable):
             raise ValueError(f"generator index {i} out of range 1..{n}")
         return cls(n, p, {_unit(n, i): 1})
 
-    def _mul(self, other):
-        # Bound as each ring's own ``__mul__``, where the benchmark's tracer wraps it.
+    def _mul_into(self, acc: dict[Monomial, int], other, scale: int) -> dict[Monomial, int]:
+        """Add scale * self * other into the raw dict acc, unreduced; returns acc."""
         self._match(other)
-        acc: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
+            c1 *= scale
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
                 acc[m] = acc.get(m, 0) + c1 * c2
-        return self._like(acc)
+        return acc
+
+    def _mul(self, other):
+        # Bound as each ring's own ``__mul__``, where the benchmark's tracer wraps it.
+        return self._like(self._mul_into({}, other, 1))
 
     def __pow__(self, e: int):
         if e < 0:

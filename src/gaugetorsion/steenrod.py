@@ -11,16 +11,18 @@ side and cross-checked by the test suite:
 
 On a single generator, R^i(t^e) = binom(e, i) t^(e + i(p-1)); products are
 handled by summing over all ways of distributing i across the variables,
-which is the Cartan formula pushed down to exponent vectors. At p = 2 the
+which is the Cartan formula pushed down to exponent vectors. R^i runs over
+Lucas digit rows cut at i, which list only the nonvanishing shares. At p = 2 the
 same formula realizes the even squares Sq^(2i) restricted to the subring
 generated by degree-2 classes, the only place this module is ever applied.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import lru_cache
+from math import comb
 
-from .fp import Prime, _lucas
+from .fp import Prime
 from .polyring import Monomial, MultiPoly, elementary_sym, power_sum
 
 __all__ = [
@@ -31,48 +33,49 @@ __all__ = [
 ]
 
 
-def _bounded_compositions(total: int, bounds: Monomial) -> Iterator[tuple[int, ...]]:
-    """All tuples (i1..in) with sum total and 0 <= ij <= bounds[j]; a slot
-    starts at what the later slots, of capacity rest, cannot hold, so no
-    prefix is walked that cannot complete (bounds near a large p)."""
-    n = len(bounds)
-
-    def rec(
-        pos: int, remaining: int, rest: int, prefix: tuple[int, ...]
-    ) -> Iterator[tuple[int, ...]]:
-        if pos == n - 1:
-            if remaining <= bounds[pos]:
-                yield prefix + (remaining,)
-            return
-        later = rest - bounds[pos + 1]
-        for i in range(max(0, remaining - rest), min(remaining, bounds[pos]) + 1):
-            yield from rec(pos + 1, remaining - i, later, prefix + (i,))
-
-    yield from rec(0, total, sum(bounds) - bounds[0], ())
+@lru_cache(maxsize=None)
+def _lucas_row(e: int, top: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Every (a, binom(e, a) mod p) with a <= top and a nonzero value, ascending in a:
+    by Lucas' theorem, the a whose base-p digits sit under e's, built digit by
+    digit up to the first place value above top, so a huge e costs its digits."""
+    row, place = [(0, 1)], 1
+    while place <= top:
+        e, d = divmod(e, p)
+        row = [  # d < p, so every binom(d, k) is a unit mod p
+            (k * place + a, comb(d, k) * c % p)
+            for k in range(min(d, top // place) + 1)
+            for a, c in row
+            if k * place + a <= top
+        ]
+        place *= p
+    return tuple(row)
 
 
 def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
-    """The i-th reduced power R^i of f; R^0 is the identity."""
+    """The i-th reduced power R^i of f; R^0 is the identity. Each monomial runs
+    slot by slot over its exponents' Lucas rows cut at i; a slot stops once the
+    running sum passes i and skips what the later slots cannot make up."""
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
     if i == 0:
         return f
     p = f.p.value
-    shift = p - 1
     acc: dict[Monomial, int] = {}
     for mono, c in f.terms.items():
-        if sum(mono) < i:
-            continue
-        for split in _bounded_compositions(i, mono):
-            coeff = c
-            for e, ij in zip(mono, split):
-                if ij:
-                    coeff = coeff * _lucas(e, ij, p) % p
-                    if not coeff:
+        rows = [_lucas_row(e, min(e, i), p) for e in mono]
+        rest = sum(row[-1][0] for row in rows)  # the most the slots still to run can hold
+        partial = [(0, (), c)]  # (running sum, target prefix, coefficient)
+        for e, row in zip(mono, rows):
+            rest -= row[-1][0]
+            grown = []
+            for s, prefix, coeff in partial:
+                for a, b in row:
+                    if s + a > i:
                         break
-            if not coeff:
-                continue
-            target = tuple(e + ij * shift for e, ij in zip(mono, split))
+                    if s + a + rest >= i:
+                        grown.append((s + a, prefix + (e + a * (p - 1),), coeff * b % p))
+            partial = grown
+        for _, target, coeff in partial:
             acc[target] = acc.get(target, 0) + coeff
     return f._like(acc)
 
@@ -85,13 +88,9 @@ def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
     acc: dict[Monomial, int] = {}
     for mono, c in f.terms.items():
         for j, e in enumerate(mono):
-            if e == 0:
-                continue
-            coeff = c * e
-            target = tuple(
-                ek - 1 + q if k == j else ek for k, ek in enumerate(mono)
-            )
-            acc[target] = acc.get(target, 0) + coeff
+            if e:
+                target = mono[:j] + (e - 1 + q,) + mono[j + 1 :]
+                acc[target] = acc.get(target, 0) + c * e
     return f._like(acc)
 
 

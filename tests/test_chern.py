@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gaugetorsion import (
     ChernPoly,
+    MultiPoly,
     Prime,
     UniPoly,
     binom_mod,
@@ -235,6 +236,36 @@ def test_newton_direct_expansion_oracle():
 def test_newton_residual_sweep(n, i, p):
     ok, residual = verify_newton(n, i, p)
     assert ok, f"nonzero residual at n={n} i={i} p={p}: {residual.render()}"
+
+
+def iota_term_by_term(poly: ChernPoly) -> MultiPoly:
+    """iota_star by public arithmetic alone: one product and one sum per term."""
+    n, p = poly.n, poly.p
+    out = MultiPoly.zero(n, p)
+    for mono, coeff in poly.terms.items():
+        term = MultiPoly.constant(n, p, coeff)
+        for j, e in enumerate(mono, start=1):
+            term = term * elementary_sym(n, j, p) ** e
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES_235)
+def test_fused_sums_match_public_arithmetic(p):
+    for n in range(2, 7):
+        for i in range(7):
+            m = n + i + 1
+            expected = power_sum(n, m, p)
+            for j in range(1, n + 1):
+                expected = expected + (elementary_sym(n, j, p) * power_sum(n, m - j, p)).scale(
+                    (-1) ** j
+                )
+            assert verify_newton(n, i, p) == (expected.is_zero(), expected)
+        for m in range(1, n + 4):
+            lift = lift_power_sum(m, n, p)
+            assert iota_star(lift) == iota_term_by_term(lift)
+    f = ChernPoly(3, p, {(2, 0, 1): 1, (0, 1, 0): p.value - 1, (0, 0, 0): 1})
+    assert iota_star(f) == iota_term_by_term(f)
 
 
 def test_newton_rejects_bad_arguments():

@@ -108,6 +108,8 @@ _SIZED = {
         f"verify-{target}--primes": ("verify", target, "--primes", "{primes}")
         for target in cli._VERIFY_TARGETS
     },
+    # a prime of that size beside a small one, at --n-max's cap
+    "verify-order--primes-entries": ("verify", "order", "--n-max", "120", "--primes", "2,{n}"),
 }
 
 
@@ -115,9 +117,11 @@ def _cap(argv):
     """The flag an invocation sizes, and the cap on it."""
     if argv[0] != "verify":
         return cli._COMMANDS[argv[0]][1:]
-    _, primes, _, n_max_cap, counts = cli._VERIFY_TARGETS[argv[1]]
+    _, primes, _, n_max_cap, prime_cap, counts = cli._VERIFY_TARGETS[argv[1]]
     if "{primes}" in argv:
         return "--primes", len(primes.split(","))
+    if "2,{n}" in argv:
+        return "--primes entries", prime_cap
     flag = argv[argv.index("{n}") - 1]
     return flag, counts.get(flag, n_max_cap)
 
@@ -131,7 +135,8 @@ def _fill(argv, value):
 def test_sizes_above_ceiling_are_usage_errors(capsys, argv):
     flag, cap = _cap(argv)
     code, out, err = run(capsys, *_fill(argv, cap + 1))
-    assert (code, out, err) == (2, "", f"error: {flag} is capped at {cap}, got {cap + 1}\n")
+    verb = "are" if flag.endswith("entries") else "is"
+    assert (code, out, err) == (2, "", f"error: {flag} {verb} capped at {cap}, got {cap + 1}\n")
     args = cli.build_parser().parse_args(_fill(argv, cap))
     assert cli._check_args(args) is None
 
@@ -439,6 +444,11 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
             ("verify", "newton", "--primes", "2,3,5,7"),
             "error: --primes is capped at 3, got 4\n",
         ),
+        (
+            None,
+            ("verify", "order", "--primes", "3,1000000000000000003"),
+            "error: --primes entries are capped at 1000003, got 1000000000000000003\n",
+        ),
     ],
     ids=[
         "n",
@@ -452,6 +462,7 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
         "samples-above-cap",
         "samples-below-floor",
         "primes-above-cap",
+        "prime-size-above-cap",
     ],
 )
 def test_usage_errors_open_no_output(capsys, monkeypatch, tmp_path, env, argv, message):

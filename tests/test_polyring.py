@@ -60,6 +60,8 @@ def test_ring_mismatch_rejected():
         f + g
     with pytest.raises(ValueError):
         f * MultiPoly.one(3, Prime(3))
+    with pytest.raises(ValueError):  # the fused multiply-accumulate checks the ring too
+        f._mul_into({}, g, 1)
 
 
 # The unit of each ring on the shared sparse core. Their tables coincide in
@@ -83,6 +85,9 @@ def test_distinct_rings_never_mix(left, right):
         a + b
     with pytest.raises(TypeError):
         a * b
+    if hasattr(a, "_mul_into"):
+        with pytest.raises(TypeError):
+            a._mul_into({}, b, 1)
     assert a != b and not a == b
 
 
@@ -109,7 +114,7 @@ def test_multiplicative_examples():
 
 @pytest.mark.parametrize("p", PRIMES_235)
 def test_ring_axioms_bulk(p):
-    rng = random.Random(p.value)
+    rng, scales = random.Random(p.value), random.Random(-p.value)
     for _ in range(350):
         n = rng.randint(1, 4)
         f = random_multipoly(rng, n, p)
@@ -120,6 +125,8 @@ def test_ring_axioms_bulk(p):
         assert (f + g) + h == f + (g + h)
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+        c = scales.randint(-p.value, p.value)
+        assert MultiPoly._canonical(n, p, f._mul_into(dict(h.terms), g, c)) == h + (f * g).scale(c)
 
 
 @given(data=st.data())

@@ -1,4 +1,11 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+from itertools import product
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +21,9 @@ from gaugetorsion import (
     power_sum,
     reduced_power,
 )
+from gaugetorsion import steenrod
+from gaugetorsion.fp import _lucas
+from gaugetorsion.steenrod import _lucas_row
 from tests.conftest import PRIMES_235, random_multipoly
 from tests.test_polyring import st_poly
 
@@ -51,15 +61,64 @@ def test_reduced_power_square_example():
     assert reduced_power(2, t(1, p) ** 2) == t(1, p) ** 4
 
 
-def test_bounded_compositions_match_filtered_product():
-    from itertools import product
+def cartan_by_brute_force(f: MultiPoly) -> dict[int, MultiPoly]:
+    """R^i(f) for every i, by the Cartan sum over all exponent splits of each monomial."""
+    p = f.p.value
+    by_i: dict[int, dict] = {}
+    for mono, c in f.terms.items():
+        for split in product(*(range(e + 1) for e in mono)):
+            coeff = c
+            for e, a in zip(mono, split):
+                coeff *= comb(e, a) % p
+            target = tuple(e + a * (p - 1) for e, a in zip(mono, split))
+            terms = by_i.setdefault(sum(split), {})
+            terms[target] = terms.get(target, 0) + coeff
+    return {i: MultiPoly(f.n, f.p, terms) for i, terms in by_i.items()}
 
-    from gaugetorsion.steenrod import _bounded_compositions
 
-    for bounds in ((0,), (3,), (2, 0), (1, 3), (2, 1, 3), (0, 2, 0, 1), (3, 3, 3)):
-        for total in range(sum(bounds) + 2):
-            expected = [s for s in product(*(range(b + 1) for b in bounds)) if sum(s) == total]
-            assert list(_bounded_compositions(total, bounds)) == expected, (bounds, total)
+@pytest.mark.parametrize("p", [Prime(2), Prime(3), Prime(5), Prime(7)])
+def test_reduced_power_matches_brute_force_cartan_sum(p):
+    rng = random.Random(p.value)
+    for n in (3, 4):
+        for _ in range(3):
+            f = random_multipoly(rng, n, p, max_exp=9, max_terms=5)
+            expected = cartan_by_brute_force(f)
+            for i in range(13):
+                assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(n, p)), (f, i)
+    q = p.value
+    for e in [*range(40), q**5 - 1, 10**18 + 7]:
+        for top in range(min(e, 40) + 3):
+            row = [(a, _lucas(e, a, q)) for a in range(top + 1)]
+            assert _lucas_row(e, top, q) == tuple((a, c) for a, c in row if c), (e, top)
+
+
+# R^1 and R^2 of monomials with exponents near 2^40 and 1e18. A Lucas row cut
+# at min(e, i) has a handful of entries; one built up to e would have 2^40 or
+# 3^38 of them, and run past the timeout or into the memory limit.
+CUT_ROWS = """
+from gaugetorsion import MultiPoly, Prime, reduced_power
+
+p2, p3 = Prime(2), Prime(3)
+e = 2**40 - 1
+assert reduced_power(1, MultiPoly(1, p2, {(e,): 1})) == MultiPoly(1, p2, {(e + 1,): 1})
+e = 3**38 - 1  # every base-3 digit is 2, so binom(e, a) = 1, 2, 1 mod 3 for a = 0, 1, 2
+expected = MultiPoly(2, p3, {(e + 4, 5): 1, (e + 2, 7): 4, (e, 9): 1})
+assert reduced_power(2, MultiPoly(2, p3, {(e, 5): 1})) == expected
+print("ok")
+"""
+
+
+def test_cut_lucas_rows_stay_cheap():
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(steenrod.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", CUT_ROWS],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10, preexec_fn=limit_memory,
+    )
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
 
 
 @given(data=st.data())
