@@ -15,9 +15,9 @@ exits 0 or 1, so a failed run leaves no file behind.
 Each size flag, and each count flag a verify target reads (--i-max,
 --degree-cap, --samples), has a floor and a cap; README.md tables the caps
 and the runs they bound; --primes takes at most as many primes as the
-target's default list, and verify order caps each prime's size. Primes
-given with --p or --primes must lie below 3.317e24, where primality is
-decided exactly.
+target's default list, and verify order caps each prime's size and the sum
+of their bit lengths. Primes given with --p or --primes must lie below
+3.317e24, where primality is decided exactly.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
 alpha_p to stderr as JSON lines, one object per step with keys p, relation,
@@ -203,16 +203,18 @@ def _verify_recurrence_cases(args):
 
 
 # verify target -> (its cases, default --primes, default --n-max, --n-max cap,
-# the cap on each --primes entry or None, the cap on each count flag it reads;
-# counts start at 0). Only the matrix order search slows with the prime's size.
+# the cap on each --primes entry or None, the cap on the entries' summed
+# bit lengths or None, the cap on each count flag it reads; counts start at 0).
+# Only the matrix order search slows with the prime's size, by about its bit
+# length: the budget admits one entry at the ceiling beside 2 or 3.
 _VERIFY_TARGETS = {
-    "newton": (_verify_newton_cases, "2,3,5", 6, 12, None, {"--i-max": 20}),
+    "newton": (_verify_newton_cases, "2,3,5", 6, 12, None, None, {"--i-max": 20}),
     "milnor": (
-        _verify_milnor_cases, "2,3,5", 5, 35, None, {"--degree-cap": 26, "--samples": 20000}
+        _verify_milnor_cases, "2,3,5", 5, 35, None, None, {"--degree-cap": 26, "--samples": 20000}
     ),
-    "conjugation": (_verify_conjugation_cases, "2,3,5", 40, 100, None, {}),
-    "order": (_verify_order_cases, "2,3,5,7,11", 50, 120, 1000003, {}),
-    "recurrence": (_verify_recurrence_cases, "2,3,5", 20, 250, None, {}),
+    "conjugation": (_verify_conjugation_cases, "2,3,5", 40, 100, None, None, {}),
+    "order": (_verify_order_cases, "2,3,5,7,11", 50, 120, 1000003, 22, {}),
+    "recurrence": (_verify_recurrence_cases, "2,3,5", 20, 250, None, None, {}),
 }
 
 
@@ -341,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args: argparse.Namespace) -> str | None:
     """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
     the size, the counts (the length of --primes one), then --p or --primes,
-    whose entries meet the target's ceiling before any primality test.
+    whose entries meet the target's ceiling before any primality test and
+    its bit budget after.
     Returns the usage message for the first bad argument, or None."""
     formats, size_flag, cap = _COMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
@@ -349,7 +352,7 @@ def _check_args(args: argparse.Namespace) -> str | None:
         return f"{args.command} supports --format {', '.join(formats)}; got {args.format!r}"
     counts = {}
     if args.command == "verify":
-        _, primes, n_max, cap, prime_cap, counts = _VERIFY_TARGETS[args.target]
+        _, primes, n_max, cap, prime_cap, bits_cap, counts = _VERIFY_TARGETS[args.target]
         args.primes = primes if args.primes is None else args.primes
         args.n_max = n_max if args.n_max is None else args.n_max
         counts = {**counts, "--primes": len(primes.split(","))}  # the default list's length
@@ -374,6 +377,9 @@ def _check_args(args: argparse.Namespace) -> str | None:
             args.primes = [Prime(value) for value in values]
         except ValueError:
             return f"bad prime list: {args.primes!r}"
+        bits = sum(value.bit_length() for value in values)
+        if bits_cap is not None and bits > bits_cap:
+            return f"--primes entries are capped at {bits_cap} bits in all, got {bits}"
     return None
 
 

@@ -309,9 +309,12 @@ def elementary_sym(n: int, i: int, p: Prime) -> MultiPoly:
 
 def power_sum(n: int, i: int, p: Prime) -> MultiPoly:
     """t1^i + ... + tn^i for i >= 1. The index 0 case is deliberately undefined."""
+    if n < 1:
+        raise ValueError(f"need at least one generator, got n={n}")
     if i < 1:
         raise ValueError(f"power sums start at index 1, got {i}")
-    return MultiPoly(n, p, {(0,) * j + (i,) + (0,) * (n - 1 - j): 1 for j in range(n)})
+    terms = {(0,) * j + (i,) + (0,) * (n - 1 - j): 1 for j in range(n)}
+    return MultiPoly._canonical(n, p, terms)
 
 
 def is_symmetric(f: MultiPoly) -> bool:

@@ -13,6 +13,9 @@ than returning a wrong certificate.
 
 The recurrence check belongs to the alpha engine's cached pass per ring in
 ``suspension``; the matrix order is taken from the row that pass checked.
+The primes of n are validated once per n, and a certificate is built once
+per set of checked quantities; the comparison of the two routes, and the
+gcd criterion, run on every call.
 
 The certificate annotations record, in plain language, the homotopy-theoretic
 equivalences that justify reading the algebra as a torsion statement. They
@@ -154,7 +157,23 @@ def decide_p(n: int, k: int, p: Prime) -> Certificate:
         raise MechanizationError(
             f"divisibility and cohomological routes disagree at n={n}, k={k}, p={p}"
         )
+    return _certificate(n, k, q, phi_c1, alpha_p, matrix_order, recurrence_check)
 
+
+@lru_cache(maxsize=4096)
+def _certificate(
+    n: int,
+    k: int,
+    q: int,
+    phi_c1: int,
+    alpha_p: int | None,
+    matrix_order: int | None,
+    recurrence_check: bool | None,
+) -> Certificate:
+    """The certificate of checked quantities, memoized: a repeated decision
+    shares one frozen value. Keyed by every field it holds, so an entry can
+    only be reused for the same quantities; the keys of every n <= 40
+    number 1350."""
     if n % q != 0:
         kind = TorsionKind.NO_TORSION_CASE1
     elif k % q != 0:
@@ -170,7 +189,10 @@ def decide_p(n: int, k: int, p: Prime) -> Certificate:
     )
 
 
-def _prime_divisors(n: int) -> list[int]:
+@lru_cache(maxsize=4096)
+def _ring_primes(n: int) -> tuple[Prime, ...]:
+    """The prime divisors of n, increasing, each validated once: later lookups
+    keyed by one of them find the same object."""
     out = []
     d = 2
     while d * d <= n:
@@ -181,7 +203,7 @@ def _prime_divisors(n: int) -> list[int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
-    return out
+    return tuple(Prime(q) for q in out)
 
 
 def decide_global(n: int, k: int) -> GlobalResult:
@@ -194,7 +216,7 @@ def decide_global(n: int, k: int) -> GlobalResult:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     k = k % n
-    certificates = tuple(decide_p(n, k, Prime(q)) for q in _prime_divisors(n))
+    certificates = tuple(decide_p(n, k, p) for p in _ring_primes(n))
     torsion_free = gcd(n, k) == 1
     any_torsion = any(c.verdict.kind is TorsionKind.TORSION for c in certificates)
     if torsion_free == any_torsion:

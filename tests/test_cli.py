@@ -117,7 +117,7 @@ def _cap(argv):
     """The flag an invocation sizes, and the cap on it."""
     if argv[0] != "verify":
         return cli._COMMANDS[argv[0]][1:]
-    _, primes, _, n_max_cap, prime_cap, counts = cli._VERIFY_TARGETS[argv[1]]
+    _, primes, _, n_max_cap, prime_cap, _, counts = cli._VERIFY_TARGETS[argv[1]]
     if "{primes}" in argv:
         return "--primes", len(primes.split(","))
     if "2,{n}" in argv:
@@ -139,6 +139,31 @@ def test_sizes_above_ceiling_are_usage_errors(capsys, argv):
     assert (code, out, err) == (2, "", f"error: {flag} {verb} capped at {cap}, got {cap + 1}\n")
     args = cli.build_parser().parse_args(_fill(argv, cap))
     assert cli._check_args(args) is None
+
+
+@pytest.mark.parametrize(
+    "primes, bits",
+    [
+        ("2,3,5,7,11", 14),
+        ("2,1000003", 22),
+        ("3,1000003", 22),
+        ("1021,1019,3", 22),
+        ("5,1000003", 23),
+        ("2039,2039,2", 24),
+        ("13,13,13,13,1021", 26),
+    ],
+)
+def test_verify_order_primes_share_one_bit_budget(capsys, primes, bits):
+    """verify order admits at most 22 bits of primes in all, so a list of
+    entries each under the ceiling cannot add up to many ceiling-sized runs."""
+    argv = ("verify", "order", "--n-max", "120", "--primes", primes)
+    args = cli.build_parser().parse_args(argv)
+    if bits <= 22:
+        assert cli._check_args(args) is None
+        assert [p.value for p in args.primes] == [int(q) for q in primes.split(",")]
+    else:
+        message = f"error: --primes entries are capped at 22 bits in all, got {bits}\n"
+        assert run(capsys, *argv) == (2, "", message)
 
 
 @pytest.mark.parametrize("extra", [(), ("--p", "3"), ("--format", "json")])
@@ -449,6 +474,11 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
             ("verify", "order", "--primes", "3,1000000000000000003"),
             "error: --primes entries are capped at 1000003, got 1000000000000000003\n",
         ),
+        (
+            None,
+            ("verify", "order", "--primes", "999983,999979,999961,999959,999953"),
+            "error: --primes entries are capped at 22 bits in all, got 100\n",
+        ),
     ],
     ids=[
         "n",
@@ -463,6 +493,7 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
         "samples-below-floor",
         "primes-above-cap",
         "prime-size-above-cap",
+        "prime-bits-above-cap",
     ],
 )
 def test_usage_errors_open_no_output(capsys, monkeypatch, tmp_path, env, argv, message):

@@ -163,6 +163,12 @@ def test_power_sum_index_zero_rejected():
         power_sum(3, 0, Prime(5))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_power_sum_needs_a_generator(n):
+    with pytest.raises(ValueError):
+        power_sum(n, 1, Prime(5))
+
+
 def test_symmetry_of_generators():
     for p in PRIMES_235:
         for n in range(2, 6):

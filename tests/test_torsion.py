@@ -124,7 +124,8 @@ def test_certificate_is_frozen():
 
 def test_route_disagreement_raises(monkeypatch):
     """The cross-check between divisibility and cohomology must have teeth:
-    a corrupted alpha resolution may not slip into a certificate."""
+    a corrupted alpha resolution may not slip into a certificate, also on a
+    key whose certificate is already memoized."""
     import gaugetorsion.torsion as torsion_mod
     from gaugetorsion.fp import FpScalar
     from gaugetorsion.suspension import AlphaSolution, MechanizationError
@@ -133,6 +134,7 @@ def test_route_disagreement_raises(monkeypatch):
         wrong = (k + 1) % p.value
         return AlphaSolution(value=FpScalar(wrong, p), trace=(), assigned=((2, 0),))
 
+    torsion_mod.decide_p(4, 2, P2)
     monkeypatch.setattr(torsion_mod, "solve_alpha_p", corrupted)
     with pytest.raises(MechanizationError):
         torsion_mod.decide_p(4, 2, P2)
@@ -180,3 +182,59 @@ def test_perturbed_recurrence_row_raises(perturbed_taps):
 
     with pytest.raises(MechanizationError):
         torsion_mod._ring_data.__wrapped__(12, P3)
+
+
+def test_gcd_check_runs_on_a_warm_key(monkeypatch):
+    """The gcd criterion is checked on every call, cached certificates or not."""
+    import gaugetorsion.torsion as torsion_mod
+    from gaugetorsion.suspension import MechanizationError
+
+    decide_global(6, 4)
+    monkeypatch.setattr(torsion_mod, "gcd", lambda a, b: 1)
+    with pytest.raises(MechanizationError):
+        torsion_mod.decide_global(6, 4)
+
+
+def test_warm_global_decision_constructs_nothing(monkeypatch):
+    """A repeated decision validates no prime and builds no certificate."""
+    import gaugetorsion.torsion as torsion_mod
+
+    built = []
+
+    def counted(name):
+        cls = getattr(torsion_mod, name)
+        return lambda *args, **kwargs: built.append(name) or cls(*args, **kwargs)
+
+    for name in ("Prime", "Verdict", "Certificate"):
+        monkeypatch.setattr(torsion_mod, name, counted(name))
+    # 1003 = 17 * 59, an n no other test decides, so the first call is cold
+    first = torsion_mod.decide_global(1003, 34)
+    assert sorted(set(built)) == ["Certificate", "Prime", "Verdict"]
+    built.clear()
+    again = torsion_mod.decide_global(1003, 34)
+    assert built == []
+    assert again == first
+    assert all(a is b for a, b in zip(again.primes, first.primes))
+
+
+def test_verdicts_hold_past_the_certificate_memo_bound():
+    """Every (n, k) with n <= 100 twice: 9243 certificates, more than the memo
+    keeps, so the second pass decides evicted keys again."""
+    import gaugetorsion.torsion as torsion_mod
+
+    primes = {
+        n: [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+        for n in range(2, 101)
+    }
+    for _ in range(2):
+        for n in range(2, 101):
+            for k in range(n):
+                result = decide_global(n, k)
+                assert result.torsion_free == (gcd(n, k) == 1), (n, k)
+                assert [c.verdict.p for c in result.primes] == primes[n]
+                for cert in result.primes:
+                    q = cert.verdict.p
+                    torsion = k % q == 0
+                    assert (cert.verdict.kind is TorsionKind.TORSION) == torsion, (n, k, q)
+    info = torsion_mod._certificate.cache_info()
+    assert info.currsize == info.maxsize == 4096
