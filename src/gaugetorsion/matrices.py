@@ -25,6 +25,8 @@ derived views; construction always happens in the exact layer first.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from functools import lru_cache
 from operator import mul
 from typing import Sequence
@@ -68,7 +70,7 @@ class IntMatrix:
         if any(len(r) != n for r in rows):
             raise ValueError("matrix is not square")
         self.n = n
-        self.rows = tuple(tuple(int(x) for x in r) for r in rows)
+        self.rows = tuple(tuple(map(int, r)) for r in rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -97,7 +99,7 @@ class IntMatrix:
 
     def reduce(self, p: Prime) -> "FpMatrix":
         q = p.value
-        return FpMatrix(p, [[x % q for x in row] for row in self.rows])
+        return FpMatrix._canonical(p, tuple(tuple([x % q for x in row]) for row in self.rows))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -148,10 +150,35 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+# Slot width in bits -> the array/memoryview typecode of that unsigned width.
+_CODES = {8 * array(code).itemsize: code for code in "BHIQ"}
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, q: int) -> tuple[str, int, int, int, int] | None:
+    """Word layout of the packed rows of n x n products mod q, or None.
+
+    A product slot holds at most n (q-1)^2 < 2^w. It is reduced mod q as
+    x - q ((x magic) >> s), with s = w + b and magic = ceil(2^s / q), b =
+    bitlen(q): that quotient is exact for x < 2^w (Granlund-Montgomery), and
+    x magic < 2^(2w+1) <= 2^(2w+b). So slots of W >= 2w + b bits reduce all
+    at once, with no carry or borrow between them; ``low`` masks the low
+    W - s bits of each slot, which hold the shifted quotients. Returns
+    (typecode, bytes per row, s, magic, low), or None if W would pass 64.
+    """
+    w, b = (n * (q - 1) ** 2).bit_length(), q.bit_length()
+    width = next((W for W in sorted(_CODES) if W >= 2 * w + b), None)
+    if width is None:
+        return None
+    s = w + b
+    low = ((1 << (width - s)) - 1) * sum(1 << k for k in range(0, n * width, width))
+    return _CODES[width], n * width // 8, s, -(-(1 << s) // q), low
+
+
 class FpMatrix:
     """Square matrix over F_p with canonical residues."""
 
-    __slots__ = ("n", "p", "rows")
+    __slots__ = ("n", "p", "rows", "_packed")
 
     def __init__(self, p: Prime, rows: Sequence[Sequence[int]]):
         n = len(rows)
@@ -163,14 +190,21 @@ class FpMatrix:
         self.n = n
         self.p = p
         self.rows = tuple(tuple(int(x) % q for x in r) for r in rows)
+        self._packed = None
 
     @classmethod
-    def _canonical(cls, p: Prime, rows: tuple[tuple[int, ...], ...]) -> "FpMatrix":
-        """Wrap rows that are already a square tuple of residues mod p, unchecked."""
+    def _canonical(
+        cls, p: Prime, rows: tuple[tuple[int, ...], ...], packed: list[int] | None = None
+    ) -> "FpMatrix":
+        """Wrap rows that are already a square tuple of residues mod p, unchecked.
+
+        ``packed``, if given, is the rows in their word layout (``_layout``).
+        """
         m = object.__new__(cls)
         m.n = len(rows)
         m.p = p
         m.rows = rows
+        m._packed = packed
         return m
 
     @classmethod
@@ -186,23 +220,44 @@ class FpMatrix:
     def __mul__(self, other: "FpMatrix") -> "FpMatrix":
         """Product by Kronecker substitution on the rows of ``other``.
 
-        Each row of ``other`` is packed into one integer, w bits per entry
-        with w = bitlen(n (p-1)^2). Row i of the product is then the single
-        integer sum of a_ik * packed_k, whose slots each hold at most
-        n (p-1)^2 < 2^w and so never carry; each slot is read back mod p.
+        Each row of ``other`` is packed into one integer, one slot per entry.
+        Row i of the product is then the single integer sum of a_ik *
+        packed_k, whose slots each hold at most n (p-1)^2 and never carry.
+        In the word layout of ``_layout`` every slot of that sum is reduced
+        mod p at once; the reduced sums are the product's own packed rows,
+        kept for any product that takes it as its right factor. A layout
+        wider than 64 bits packs w = bitlen(n (p-1)^2) bits a slot and reads
+        each slot back mod p.
         """
         self._match(other)
         n, q = self.n, self.p.value
-        w = (n * (q - 1) ** 2).bit_length()
-        mask = (1 << w) - 1
-        shifts = range(0, n * w, w)
-        packed = [sum(x << s for x, s in zip(row, shifts)) for row in other.rows]
+        layout = _layout(n, q)
+        if layout is None:
+            w = (n * (q - 1) ** 2).bit_length()
+            mask = (1 << w) - 1
+            shifts = range(0, n * w, w)
+            packed = [sum(x << s for x, s in zip(row, shifts)) for row in other.rows]
+            return FpMatrix._canonical(
+                self.p,
+                tuple(
+                    tuple([(acc >> s & mask) % q for s in shifts])
+                    for acc in [sum(map(mul, row, packed)) for row in self.rows]
+                ),
+            )
+        code, size, s, magic, low = layout
+        packed = other._packed
+        if packed is None:
+            packed = other._packed = [
+                int.from_bytes(array(code, row).tobytes(), sys.byteorder) for row in other.rows
+            ]
+        accs = []
+        for row in self.rows:
+            acc = sum(map(mul, row, packed))
+            accs.append(acc - q * ((acc * magic >> s) & low))
         return FpMatrix._canonical(
             self.p,
-            tuple(
-                tuple([(acc >> s & mask) % q for s in shifts])
-                for acc in [sum(map(mul, row, packed)) for row in self.rows]
-            ),
+            tuple(tuple(memoryview(acc.to_bytes(size, sys.byteorder)).cast(code)) for acc in accs),
+            accs,
         )
 
     def __pow__(self, e: int) -> "FpMatrix":

@@ -1,7 +1,12 @@
 import json
 import random
+import sys
+import threading
+from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gaugetorsion import (
     FpMatrix,
@@ -19,7 +24,7 @@ from gaugetorsion import (
     verify_conjugation,
     verify_p_power_order,
 )
-from gaugetorsion.matrices import _companion_order
+from gaugetorsion.matrices import _companion_order, _layout
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -116,6 +121,119 @@ def test_packed_product_matches_triple_loop(n, p):
     assert (full * full).rows == triple_loop_product(full.rows, full.rows, p)
 
 
+def power_by_triple_loop(rows, e, q):
+    """m^e by right-to-left squaring over the triple-loop product."""
+    n = len(rows)
+    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    while e:
+        if e & 1:
+            out = triple_loop_product(out, rows, q)
+        rows = triple_loop_product(rows, rows, q)
+        e >>= 1
+    return out
+
+
+def slot_code(n, q):
+    """Typecode of the word layout for n x n products mod q; None when wide."""
+    layout = _layout(n, q)
+    return layout[0] if layout else None
+
+
+LAYOUT_PRIMES = (2, 3, 5, 7, 11, 251, 257, 2039, 65521, 65537, 1000003)
+# one prime just below 2^64 and one just above
+HUGE_PRIMES = (18446744073709551557, 18446744073709551629)
+# (n, p) on both sides of every change of slot width for n <= 40, the wide
+# layout included, found by the layout rule itself
+LAYOUT_EDGES = sorted(
+    {
+        (m, q)
+        for q in LAYOUT_PRIMES
+        for n in range(3, 41)
+        if slot_code(n - 1, q) != slot_code(n, q)
+        for m in (n - 1, n)
+    }
+)
+
+
+def test_layout_edges_cross_into_the_wide_layout():
+    assert slot_code(16, 2039) == "Q" and slot_code(17, 2039) is None
+    assert {(16, 2039), (17, 2039)} <= set(LAYOUT_EDGES)
+    assert {slot_code(n, q) for n, q in LAYOUT_EDGES} == {"B", "H", "I", "Q", None}
+    assert all(slot_code(n, q) is None for n in (2, 40) for q in HUGE_PRIMES)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 13, 251])
+@pytest.mark.parametrize("n", [2, 3, 6, 17])
+def test_word_layout_reduces_every_slot_value(n, q):
+    """acc - q ((acc magic >> s) & low) is x mod q in every slot, for each
+    slot value x <= n (q-1)^2 a product can reach, n values at a time."""
+    code, size, s, magic, low = _layout(n, q)
+    width, top = 8 * size // n, n * (q - 1) ** 2
+    for start in range(0, top + 1, n):
+        xs = [min(x, top) for x in range(start, start + n)]
+        acc = sum(x << k for x, k in zip(xs, range(0, n * width, width)))
+        reduced = acc - q * ((acc * magic >> s) & low)
+        assert reduced.to_bytes(size, sys.byteorder) == array(code, [x % q for x in xs]).tobytes()
+
+
+@given(
+    case=st.one_of(
+        st.sampled_from(LAYOUT_EDGES),
+        st.tuples(st.integers(2, 40), st.sampled_from(LAYOUT_PRIMES + HUGE_PRIMES)),
+    ),
+    seed=st.integers(0, 2**32),
+    full=st.booleans(),
+    e=st.integers(0, 40),
+)
+def test_products_and_powers_match_triple_loop_on_both_layouts(case, seed, full, e):
+    n, q = case
+    rng = random.Random(seed)
+    prime = Prime(q)
+    a_rows = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+    # all entries p - 1 put every slot of a product at its largest sum
+    b_rows = tuple(tuple(q - 1 if full else rng.randrange(q) for _ in range(n)) for _ in range(n))
+    a, b = FpMatrix(prime, a_rows), FpMatrix(prime, b_rows)
+    ab = triple_loop_product(a_rows, b_rows, q)
+    assert (a * b).rows == ab
+    assert ((a * b) * b).rows == triple_loop_product(ab, b_rows, q)
+    assert (a * (a * b)).rows == triple_loop_product(a_rows, ab, q)
+    assert (a**e).rows == power_by_triple_loop(a_rows, e, q)
+    assert (b**e).rows == power_by_triple_loop(b_rows, e, q)
+    assert a.rows == a_rows and b.rows == b_rows
+
+
+def test_packed_rows_fill_safely_from_threads():
+    """Threads racing to pack one fresh right factor all get the same products."""
+    n, q, threads = 24, 251, 4
+    rng = random.Random(q)
+    a_rows, b_rows = (
+        tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)) for _ in range(2)
+    )
+    expected = (triple_loop_product(a_rows, b_rows, q), power_by_triple_loop(b_rows, 5, q))
+    a = FpMatrix(Prime(q), a_rows)
+    for _ in range(5):
+        b = FpMatrix(Prime(q), b_rows)  # its packed rows are not filled yet
+        barrier = threading.Barrier(threads)
+        results = [None] * threads
+
+        def work(i):
+            barrier.wait(timeout=60)
+            results[i] = ((a * b).rows, (b**5).rows)
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert results == [expected] * threads
+
+
 def test_power_zero_and_one():
     m = companion_matrix(5).reduce(P3)
     assert m**0 == FpMatrix.identity(5, P3)
@@ -152,6 +270,16 @@ def test_product_example():
 
 def test_reduce_example():
     assert companion_matrix(2).reduce(P2).rows == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("p", [2, 5, 65537])
+@pytest.mark.parametrize("n", [2, 3, 9, 24])
+def test_reduce_matches_validating_constructor(n, p):
+    """Negative and large integer entries reduce to the constructor's residues."""
+    prime = Prime(p)
+    b, a, d = companion_matrix(n), pascal_matrix(n), jordan_transpose(n)
+    for m in (b, a, d, b * a, a * d, b * b * b, unitriangular_inverse(a) * b * a):
+        assert m.reduce(prime) == FpMatrix(prime, m.rows)
 
 
 def test_unitriangular_inverse_round_trip():
