@@ -208,7 +208,7 @@ def _verify_recurrence_cases(args):
 # Only the matrix order search slows with the prime's size. Each of its m^p
 # is a binary power of bitlen(p) + popcount(p) - 2 products, and a product
 # costs far less while its packed slots fit a 64-bit word (matrices._layout;
-# at --n-max 120, p <= 1021) than past it. The bit budget admits one entry at
+# at --n-max 120, p <= 4231) than past it. The bit budget admits one entry at
 # the ceiling beside 2 or 3.
 _VERIFY_TARGETS = {
     "newton": (_verify_newton_cases, "2,3,5", 6, 12, None, None, {"--i-max": 20}),

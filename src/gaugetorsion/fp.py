@@ -71,6 +71,10 @@ class Prime:
 
     __index__ = __int__
 
+    def __hash__(self) -> int:
+        # primes key the per-ring memos; no tuple per lookup, as a generated hash builds
+        return self.value
+
     def __str__(self) -> str:
         return str(self.value)
 

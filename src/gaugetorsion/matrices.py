@@ -14,9 +14,9 @@ conjugates the companion matrix into the Jordan transpose, including the
 closed binomial form of the intermediate products. ``order_mod_p`` finds
 multiplicative orders by searching p-th power towers, with a plain
 repeated-multiplication search retained as the independent oracle. The
-decision path takes a companion matrix's order without building it, as the
-order of x in F_p[x]/(chi) (``_companion_order``); the matrix searches are
-its oracles.
+decision path builds no matrix: it reads the companion matrix's order off the
+alpha engine's impulse response (``suspension._symbolic_alphas``), and these
+matrix searches are its oracles.
 
 Everything is pure Python on unbounded integers. Reductions mod p are
 derived views; construction always happens in the exact layer first.
@@ -160,14 +160,15 @@ def _layout(n: int, q: int) -> tuple[str, int, int, int, int] | None:
 
     A product slot holds at most n (q-1)^2 < 2^w. It is reduced mod q as
     x - q ((x magic) >> s), with s = w + b and magic = ceil(2^s / q), b =
-    bitlen(q): that quotient is exact for x < 2^w (Granlund-Montgomery), and
-    x magic < 2^(2w+1) <= 2^(2w+b). So slots of W >= 2w + b bits reduce all
-    at once, with no carry or borrow between them; ``low`` masks the low
-    W - s bits of each slot, which hold the shifted quotients. Returns
-    (typecode, bytes per row, s, magic, low), or None if W would pass 64.
+    bitlen(q): that quotient is exact for x < 2^w (Granlund-Montgomery).
+    As 2^(b-1) <= q, magic <= 2^(w+1), so x magic < 2^(2w+1). Slots of
+    W >= 2w + 1 bits therefore reduce all at once, with no carry or borrow
+    between them; ``low`` masks the low W - s bits of each slot, which hold
+    the shifted quotients. Returns (typecode, bytes per row, s, magic, low),
+    or None if W would pass 64.
     """
     w, b = (n * (q - 1) ** 2).bit_length(), q.bit_length()
-    width = next((W for W in sorted(_CODES) if W >= 2 * w + b), None)
+    width = next((W for W in sorted(_CODES) if W >= 2 * w + 1), None)
     if width is None:
         return None
     s = w + b
@@ -392,44 +393,6 @@ def order_mod_p(m: FpMatrix, bound: int) -> int:
                 f"no p-power order <= {bound} for p={q}, dimension {m.n}"
             )
         power = power**q
-        e *= q
-    return e
-
-
-def _companion_order(row: Sequence[int], p: Prime, bound: int) -> int:
-    """``order_mod_p`` of the companion matrix with first row ``row``, as the
-    order of x in F_p[x]/(chi), chi = x^n - sum_j row[j-1] x^(n-j).
-
-    A companion matrix's minimal polynomial is its characteristic polynomial
-    chi, so its powers are the identity exactly where x's are 1 mod chi. The
-    tower x, x^p, x^(p^2), ... needs no products: over F_p, r(x)^p = r(x^p),
-    so each step spreads the coefficients with stride p and reduces mod chi
-    top-down over the row's nonzero entries. The failure contract is
-    ``order_mod_p``'s, with det = +-row[n-1] telling the two failures apart.
-    """
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
-    q, n = p.value, len(row)
-    if n < 2:
-        raise ValueError(f"need dimension >= 2, got {n}")
-    taps = [(j, r % q) for j, r in enumerate(row, 1) if r % q]
-    one = [1] + [0] * (n - 1)
-    power, e = [0, 1] + [0] * (n - 2), 1  # x^e mod chi, constant term first
-    while power != one:
-        if e * q > bound:
-            if row[n - 1] % q == 0:
-                raise ValueError("matrix is singular mod p")
-            raise OrderBoundExceeded(
-                f"no p-power order <= {bound} for p={q}, dimension {n}"
-            )
-        spread = [0] * ((n - 1) * q + 1)
-        spread[::q] = power
-        for d in range(len(spread) - 1, n - 1, -1):
-            c = spread[d] % q
-            if c:  # c x^d = c x^(d-n) (x^n - chi)
-                for j, r in taps:
-                    spread[d - j] += c * r
-        power = [c % q for c in spread[:n]]
         e *= q
     return e
 

@@ -21,8 +21,10 @@ of ``chern._newton_taps``, read only after their forcing terms are checked.
 The engine's one cached pass per (n, p) checks that row against the exact
 first row of the companion matrix, then runs it once as a scalar impulse
 response. Because that matrix has p-power order, the alpha window returns to
-its start after p_power_ceil(n, p) steps, which pins alpha at every p-power
-index and lets ``solve_alpha_p`` close the chain, read off the pass's rows,
+its start after p_power_ceil(n, p) steps. The pass checks that return and
+reports the first p-power step that makes it as the matrix order. The return
+pins alpha at every p-power index and lets ``solve_alpha_p`` close the chain,
+read off the pass's rows,
 
     -g2 = alpha_p = alpha_(p^m) = alpha_0 = k.
 """
@@ -314,9 +316,9 @@ def alpha_at(i: int, n: int, p: Prime, k: int | FpScalar) -> LinearForm:
 
 
 @lru_cache(maxsize=None)
-def _symbolic_alphas(n: int, p: Prime) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The checked first row of the alpha recurrence, and the alpha rows at
-    the p-power indices up to p_power_ceil(n, p), the one at p^level in place
+def _symbolic_alphas(n: int, p: Prime) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The order mod p of the recurrence matrix, and the alpha rows at the
+    p-power indices up to p_power_ceil(n, p), the one at p^level in place
     ``level``; requires p dividing n.
 
     ``_derived_row`` is compared with the companion matrix's exact first row
@@ -328,6 +330,11 @@ def _symbolic_alphas(n: int, p: Prime) -> tuple[tuple[int, ...], tuple[tuple[int
     impulse response h of the taps, and slot s of alpha_e is
     (-1)^(s+1) s h[e + 1 - s]. The definitional ``alpha_init``/``alpha_at``
     route is its test oracle.
+
+    The impulse is a cyclic vector of the companion matrix M, so M^e = I
+    exactly when the window of h at step e is its starting window. The first
+    p-power e that returns it is the order; if none up to p_power_ceil(n, p)
+    does, the pass raises. The matrix route (``order_mod_p``) is its oracle.
     """
     q = p.value
     row = _derived_row(n, p)
@@ -343,12 +350,19 @@ def _symbolic_alphas(n: int, p: Prime) -> tuple[tuple[int, ...], tuple[tuple[int
         for j, c in taps:
             acc += c * h[-j]
         h.append(acc % q)
+    order = None
     alphas = []
     e = 1
     while e <= top:
+        if order is None and h[e : e + n] == h[:n]:
+            order = e
         alphas.append((0, *((s if s % 2 else -s) * h[n + e - s] % q for s in range(1, n + 1))))
         e *= q
-    return row, tuple(alphas)
+    if order is None:
+        raise MechanizationError(
+            f"the alpha window does not return to its start by step {top} at n={n}, p={p}"
+        )
+    return order, tuple(alphas)
 
 
 def solve_alpha_p(n: int, p: Prime, k: int | FpScalar) -> AlphaSolution:

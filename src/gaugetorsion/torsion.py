@@ -11,8 +11,10 @@ call: the divisibility table, and the cohomological chain through the
 restriction of c1 and the resolved alpha_p. A disagreement raises rather
 than returning a wrong certificate.
 
-The recurrence check belongs to the alpha engine's cached pass per ring in
-``suspension``; the matrix order is taken from the row that pass checked.
+The recurrence check and the matrix order both come from the alpha engine's
+one cached pass per ring in ``suspension``: the order is the first p-power
+step at which its impulse response returns to its starting window. This
+module imports nothing from ``matrices``, whose order searches are oracles.
 The primes of n are validated once per n, and a certificate is built once
 per set of checked quantities; the comparison of the two routes, and the
 gcd criterion, run on every call.
@@ -31,8 +33,7 @@ from functools import lru_cache
 from math import gcd
 
 from .chern import ChernPoly, phi_star
-from .fp import Prime, p_power_ceil, padic_val
-from .matrices import _companion_order
+from .fp import Prime
 from .suspension import MechanizationError, _symbolic_alphas, solve_alpha_p
 
 __all__ = [
@@ -126,20 +127,13 @@ class GlobalResult:
 
 @lru_cache(maxsize=None)
 def _ring_data(n: int, p: Prime) -> tuple[int, bool | None, int | None]:
-    """k-independent facts of one ring, one pass each: phi_c1, and for p | n
-    the recurrence check (the engine's pass raises unless it holds) and the
-    matrix order of the checked row."""
-    q = p.value
+    """k-independent facts of one ring: phi_c1, and for p | n the recurrence
+    check and the matrix order, both from the alpha engine's one pass, which
+    raises unless the row checks and the order is a p-power."""
     phi_c1 = phi_star(ChernPoly.generator(n, p, 1)).coefficient(1)
-    if n % q != 0:
+    if n % p.value != 0:
         return phi_c1, None, None
-    row = _symbolic_alphas(n, p)[0]
-    matrix_order = _companion_order(row, p, bound=p_power_ceil(n, p) * q)
-    if q ** padic_val(matrix_order, p) != matrix_order:
-        raise MechanizationError(
-            f"matrix order {matrix_order} is not a p-power at n={n}, p={p}"
-        )
-    return phi_c1, True, matrix_order
+    return phi_c1, True, _symbolic_alphas(n, p)[0]
 
 
 def decide_p(n: int, k: int, p: Prime) -> Certificate:

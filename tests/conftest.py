@@ -30,10 +30,20 @@ def random_multipoly(
 
 
 @pytest.fixture
-def perturbed_taps(monkeypatch):
-    """The alpha engine runs uncached, with its middle Newton tap off by one."""
+def uncached_engine(monkeypatch):
+    """The alpha engine runs uncached, so every ring it is asked for is cold."""
     import gaugetorsion.suspension as suspension_mod
     import gaugetorsion.torsion as torsion_mod
+
+    uncached = suspension_mod._symbolic_alphas.__wrapped__
+    for module in (suspension_mod, torsion_mod):
+        monkeypatch.setattr(module, "_symbolic_alphas", uncached)
+
+
+@pytest.fixture
+def perturbed_taps(monkeypatch, uncached_engine):
+    """The alpha engine runs uncached, with its middle Newton tap off by one."""
+    import gaugetorsion.suspension as suspension_mod
 
     newton_taps = suspension_mod._newton_taps
 
@@ -44,6 +54,3 @@ def perturbed_taps(monkeypatch):
         return tuple(taps)
 
     monkeypatch.setattr(suspension_mod, "_newton_taps", perturbed)
-    uncached = suspension_mod._symbolic_alphas.__wrapped__
-    for module in (suspension_mod, torsion_mod):
-        monkeypatch.setattr(module, "_symbolic_alphas", uncached)

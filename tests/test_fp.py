@@ -68,6 +68,14 @@ def test_prime_agrees_with_trial_division():
         assert accepted == is_prime_by_trial_division(n), n
 
 
+def test_equal_primes_key_one_memo_entry():
+    """Equal primes hash equal, so they key one entry of a memo table."""
+    a, b = Prime(1000003), Prime(1000003)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2, Prime(7): 3}) == 2
+    assert Prime(7) != Prime(11)
+
+
 def test_prime_names_its_limit():
     with pytest.raises(ValueError, match="3317044064679887385961981"):
         Prime(2**89 - 1)

@@ -24,7 +24,7 @@ from gaugetorsion import (
     verify_conjugation,
     verify_p_power_order,
 )
-from gaugetorsion.matrices import _companion_order, _layout
+from gaugetorsion.matrices import _layout
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -139,7 +139,7 @@ def slot_code(n, q):
     return layout[0] if layout else None
 
 
-LAYOUT_PRIMES = (2, 3, 5, 7, 11, 251, 257, 2039, 65521, 65537, 1000003)
+LAYOUT_PRIMES = (2, 3, 5, 7, 11, 251, 257, 2039, 8191, 65521, 65537, 1000003)
 # one prime just below 2^64 and one just above
 HUGE_PRIMES = (18446744073709551557, 18446744073709551629)
 # (n, p) on both sides of every change of slot width for n <= 40, the wide
@@ -156,8 +156,8 @@ LAYOUT_EDGES = sorted(
 
 
 def test_layout_edges_cross_into_the_wide_layout():
-    assert slot_code(16, 2039) == "Q" and slot_code(17, 2039) is None
-    assert {(16, 2039), (17, 2039)} <= set(LAYOUT_EDGES)
+    assert slot_code(32, 8191) == "Q" and slot_code(33, 8191) is None
+    assert {(32, 8191), (33, 8191)} <= set(LAYOUT_EDGES)
     assert {slot_code(n, q) for n, q in LAYOUT_EDGES} == {"B", "H", "I", "Q", None}
     assert all(slot_code(n, q) is None for n in (2, 40) for q in HUGE_PRIMES)
 
@@ -395,69 +395,6 @@ def test_order_is_exact():
             d = jordan_transpose(n).reduce(p)
             assert (d**e).is_identity()
             assert not (d ** (e // p.value)).is_identity()
-
-
-# -- the order of x in F_p[x]/(chi) ----------------------------------------------------
-
-
-def companion_row(n, p):
-    """First row of companion_matrix(n) mod p, without building the matrix."""
-    return [(-1) ** (j + 1) * binom_int(n, j) % p.value for j in range(1, n + 1)]
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_companion_order_matches_matrix_routes(q):
-    p = Prime(q)
-    for n in range(2, 61):
-        m = companion_matrix(n).reduce(p)
-        bound = p_power_ceil(n, p) * q
-        order = _companion_order(m.rows[0], p, bound)
-        assert order == order_mod_p(m, bound), (n, q)
-        if n <= 30:
-            assert order == order_brute(m, bound), (n, q)
-
-
-@pytest.mark.parametrize("n", [256, 729, 1024])
-@pytest.mark.parametrize("q", [2, 3])
-def test_companion_order_at_large_n(n, q):
-    p = Prime(q)
-    order = _companion_order(companion_row(n, p), p, p_power_ceil(n, p) * q)
-    assert order == p_power_ceil(n, p)
-
-
-def outcome(search, *args):
-    try:
-        return search(*args)
-    except (ValueError, OrderBoundExceeded) as exc:
-        return type(exc)
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_companion_order_matches_order_mod_p_on_random_rows(q):
-    """Any first row, singular or not, and bounds below and above the order."""
-    rng = random.Random(q)
-    p = Prime(q)
-    seen = set()
-    for _ in range(150):
-        n = rng.randint(2, 8)
-        row = [rng.randrange(q) for _ in range(n)]
-        if rng.random() < 0.2:
-            row[-1] = 0
-        elif rng.random() < 0.25:  # the one row of p-power order: chi = (x - 1)^n
-            row = companion_row(n, p)
-        m = FpMatrix(p, [row] + [[int(j == i - 1) for j in range(n)] for i in range(1, n)])
-        bound = rng.choice([1, q, q**2, q**4, q**8])
-        got = outcome(_companion_order, row, p, bound)
-        assert got == outcome(order_mod_p, m, bound), (row, bound)
-        seen.add(got if isinstance(got, type) else int)
-    assert seen == {int, ValueError, OrderBoundExceeded}
-
-
-def test_companion_order_rejects_bad_input():
-    with pytest.raises(ValueError):
-        _companion_order(companion_row(4, P2), P2, bound=0)
-    with pytest.raises(ValueError):
-        _companion_order((1,), P2, bound=4)
 
 
 # -- rendering ----------------------------------------------------------------------

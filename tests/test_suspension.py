@@ -15,6 +15,8 @@ from gaugetorsion import (
     apply_suspension,
     companion_matrix,
     derive_recurrence,
+    order_brute,
+    order_mod_p,
     p_power_ceil,
     phi_star,
     solve_alpha_p,
@@ -278,8 +280,8 @@ def test_top_form_other_than_k_raises(monkeypatch):
     symbolic_alphas = suspension_mod._symbolic_alphas
 
     def corrupted(n, p):
-        row, alphas = symbolic_alphas(n, p)
-        return row, alphas[:-1] + ((1,) + (0,) * n,)  # the constant 1
+        order, alphas = symbolic_alphas(n, p)
+        return order, alphas[:-1] + ((1,) + (0,) * n,)  # the constant 1
 
     monkeypatch.setattr(suspension_mod, "_symbolic_alphas", corrupted)
     with pytest.raises(MechanizationError, match="not the bare symbol k"):
@@ -408,22 +410,31 @@ def test_memo_tables_fill_in_one_pass(monkeypatch):
         assert passes == [(n, p.value)]
 
 
+LARGE_RINGS = ((1018, 509), (1021, 1021), (1024, 2), (729, 3))
+
+
 @pytest.mark.parametrize(
     "ns, p",
     [(range(q, 131, q), Prime(q)) for q in (2, 3, 5, 7, 17)]
-    + [((1020,), Prime(q)) for q in (2, 3, 5, 17)],
-    ids=[f"to130-p{q}" for q in (2, 3, 5, 7, 17)] + [f"1020-p{q}" for q in (2, 3, 5, 17)],
+    + [((1020,), Prime(q)) for q in (2, 3, 5, 17)]
+    + [((n,), Prime(q)) for n, q in LARGE_RINGS],
+    ids=[f"to130-p{q}" for q in (2, 3, 5, 7, 17)]
+    + [f"1020-p{q}" for q in (2, 3, 5, 17)]
+    + [f"{n}-p{q}" for n, q in LARGE_RINGS],
 )
 def test_alpha_rows_match_the_lucas_closed_form(ns, p):
     """The taps satisfy 1 - sum_j c_j x^j = (1 - x)^n, so their impulse
     response is h[t] = C(n + t - 1, t) and slot s of alpha_e is
-    (-1)^(s+1) s C(n + e - s, e + 1 - s) mod p; no tap enters this oracle."""
+    (-1)^(s+1) s C(n + e - s, e + 1 - s) mod p; no tap enters this oracle.
+    The order the pass returns is the p-power the paper names."""
     from gaugetorsion.fp import _lucas
     from gaugetorsion.suspension import _symbolic_alphas
 
     q = p.value
     for n in ns:
-        for level, row in enumerate(_symbolic_alphas(n, p)[1]):
+        order, alphas = _symbolic_alphas(n, p)
+        assert order == p_power_ceil(n, p), (n, q)
+        for level, row in enumerate(alphas):
             e = q**level
             expected = [0] * (n + 1)
             for s in range(1, min(n, e + 1) + 1):
@@ -444,4 +455,32 @@ def test_planted_forcing_term_raises(monkeypatch):
 
     monkeypatch.setattr(suspension_mod, "_newton_taps", planted)
     with pytest.raises(MechanizationError, match="restricted power sum 4 did not vanish"):
+        suspension_mod._symbolic_alphas.__wrapped__(12, P3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_engine_order_matches_matrix_routes(q):
+    """The first p-power at which the impulse response returns to its start
+    is the companion matrix's order, as the matrix tower and the brute-force
+    search find it."""
+    from gaugetorsion.suspension import _symbolic_alphas
+
+    p = Prime(q)
+    for n in range(q, 61, q):
+        m = companion_matrix(n).reduce(p)
+        bound = p_power_ceil(n, p) * q
+        order = _symbolic_alphas(n, p)[0]
+        assert order == order_mod_p(m, bound), (n, q)
+        if n <= 30:
+            assert order == order_brute(m, bound), (n, q)
+
+
+def test_window_that_never_returns_raises(monkeypatch):
+    """A pass run one p-power short of the order finds no return of the
+    window, and raises rather than report an order it did not see."""
+    import gaugetorsion.suspension as suspension_mod
+    from gaugetorsion.suspension import MechanizationError
+
+    monkeypatch.setattr(suspension_mod, "p_power_ceil", lambda n, p: p_power_ceil(n, p) // p.value)
+    with pytest.raises(MechanizationError, match="does not return to its start"):
         suspension_mod._symbolic_alphas.__wrapped__(12, P3)

@@ -174,6 +174,24 @@ def test_cold_ring_data_builds_no_matrices(monkeypatch, n, p):
     assert products == []
 
 
+def test_cold_prime_ring_stays_small(uncached_engine):
+    """At n = p = 1021, the largest prime below the cap, a cold ring's order
+    costs O(n + p) memory: one impulse response, no O(n p) Frobenius spread."""
+    import tracemalloc
+
+    import gaugetorsion.torsion as torsion_mod
+
+    p = Prime(1021)
+    tracemalloc.start()
+    try:
+        facts = torsion_mod._ring_data.__wrapped__(1021, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert facts == (0, True, 1021)
+    assert peak < 1 << 20, peak
+
+
 def test_perturbed_recurrence_row_raises(perturbed_taps):
     """The first-row recurrence check must guard the taps the engine runs,
     also when the decision layer is the first to ask for the ring."""
