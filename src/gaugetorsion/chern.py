@@ -11,6 +11,12 @@ ring maps are implemented:
 route through ``iota_star`` and the diagonal evaluation is kept as the
 independent oracle in the tests.
 
+``iota_star`` and ``verify_newton`` expand their sums of products as one
+``polyring._PackedSum`` each: every exponent vector is a packed integer,
+so a product of monomials is one integer addition, and the sum is reduced
+mod p once, at the end, with only its surviving terms unpacked (none for a
+vanishing Newton residual).
+
 Power sums are lifted to this ring through the classical Newton identities
 below the variable count and through the companion recurrence above it.
 Lifts are memoized per ring in a ``functools.lru_cache``; ``phi_power_sum``
@@ -20,10 +26,9 @@ runs their restrictions as one scalar pass over the mod-p Newton taps.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from operator import mul
 
 from .fp import Prime, _lucas
-from .polyring import MultiPoly, UniPoly, _ExpPoly, elementary_sym, power_sum
+from .polyring import MultiPoly, UniPoly, _ExpPoly, _PackedSum
 
 __all__ = [
     "ChernPoly",
@@ -69,14 +74,20 @@ class ChernPoly(_ExpPoly):
 
 
 def iota_star(poly: ChernPoly) -> MultiPoly:
-    """Substitute cj -> elementary_sym(n, j) and expand in the torus ring."""
+    """Substitute cj -> elementary_sym(n, j) and expand in the torus ring.
+
+    The expansion is one packed sum: no torus exponent passes the largest
+    unweighted degree of a term, so that degree bounds the slots. Each term's
+    powers of the e_j are formed on packed keys, and its last factor is
+    multiplied straight into the sum, which is reduced mod p once at the end.
+    """
     n, p = poly.n, poly.p
-    one = MultiPoly.one(n, p)
-    acc: dict[Exponents, int] = {}
-    for mono, c in poly.terms.items():  # the last factor of each term goes into one sum
-        *head, last = [elementary_sym(n, j, p) ** e for j, e in enumerate(mono, 1) if e] or [one]
-        reduce(mul, head, one)._mul_into(acc, last, c)
-    return MultiPoly._canonical(n, p, acc)
+    acc = _PackedSum(MultiPoly.zero(n, p), max(map(sum, poly.terms), default=0))
+    one = {0: 1}  # key 0 is the monomial 1
+    for mono, c in poly.terms.items():
+        *head, last = [acc.power(acc.elementary(j), e) for j, e in enumerate(mono, 1) if e] or [one]
+        acc.mac(reduce(acc.product, head) if head else one, last, c)
+    return acc.result()
 
 
 def phi_star(poly: ChernPoly) -> UniPoly:
@@ -177,8 +188,9 @@ def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:
         raise ValueError(f"need n >= 2, got {n}")
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
-    acc = dict(power_sum(n, n + i + 1, p).terms)
-    for j in range(1, n + 1):
-        elementary_sym(n, j, p)._mul_into(acc, power_sum(n, n + i + 1 - j, p), (-1) ** j)
-    residual = MultiPoly._canonical(n, p, acc)  # the one reduction of the whole sum
+    top = n + i + 1
+    acc = _PackedSum(MultiPoly.zero(n, p), top)  # no exponent of the sum passes top
+    for j in range(n + 1):
+        acc.mac(acc.elementary(j), acc.power_sum(top - j), (-1) ** j)
+    residual = acc.result()  # the one reduction of the whole sum
     return residual.is_zero(), residual

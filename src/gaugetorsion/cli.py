@@ -46,7 +46,7 @@ from .matrices import (
 from .polyring import MultiPoly
 from .steenrod import check_milnor_on_c2, milnor_q_closed, milnor_q_recursive
 from .suspension import MechanizationError, derive_recurrence, solve_alpha_p
-from .torsion import decide_global, decide_p
+from .torsion import TorsionKind, decide_global, decide_p
 
 ENV_FORMAT = "GAUGETORSION_FORMAT"
 
@@ -250,7 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for k in range(n):
             result = decide_global(n, k)
             witness = next(
-                (c.verdict.p for c in result.primes if c.verdict.kind.value == "Torsion"),
+                (c.verdict.p for c in result.primes if c.verdict.kind is TorsionKind.TORSION),
                 None,
             )
             rows.append((n, k, result.torsion_free, witness))

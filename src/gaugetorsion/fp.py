@@ -8,6 +8,7 @@ the full integer.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import comb
 
@@ -27,6 +28,11 @@ __all__ = [
 # Webster, "Strong pseudoprimes to twelve prime bases", 2015).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+
+# Slot width in bits -> the array/memoryview typecode of that unsigned width.
+# Packed matrix rows (matrices._layout) and packed monomial keys
+# (polyring._PackedSum) both lay their slots out by this one table.
+_SLOT_CODES = {8 * array(code).itemsize: code for code in "BHIQ"}
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .fp import Prime, binom_int, p_power_ceil, padic_val
+from .fp import _SLOT_CODES, Prime, binom_int, p_power_ceil, padic_val
 
 __all__ = [
     "IntMatrix",
@@ -150,10 +150,6 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-# Slot width in bits -> the array/memoryview typecode of that unsigned width.
-_CODES = {8 * array(code).itemsize: code for code in "BHIQ"}
-
-
 @lru_cache(maxsize=None)
 def _layout(n: int, q: int) -> tuple[str, int, int, int, int] | None:
     """Word layout of the packed rows of n x n products mod q, or None.
@@ -168,12 +164,12 @@ def _layout(n: int, q: int) -> tuple[str, int, int, int, int] | None:
     or None if W would pass 64.
     """
     w, b = (n * (q - 1) ** 2).bit_length(), q.bit_length()
-    width = next((W for W in sorted(_CODES) if W >= 2 * w + 1), None)
+    width = next((W for W in sorted(_SLOT_CODES) if W >= 2 * w + 1), None)
     if width is None:
         return None
     s = w + b
     low = ((1 << (width - s)) - 1) * sum(1 << k for k in range(0, n * width, width))
-    return _CODES[width], n * width // 8, s, -(-(1 << s) // q), low
+    return _SLOT_CODES[width], n * width // 8, s, -(-(1 << s) // q), low
 
 
 class FpMatrix:
@@ -318,8 +314,18 @@ class FpMatrix:
 
 
 def _companion_row(n: int) -> tuple[int, ...]:
-    """Exact first row of ``companion_matrix(n)``: (-1)^(j+1) binom(n, j)."""
-    return tuple((-1) ** (j + 1) * binom_int(n, j) for j in range(1, n + 1))
+    """Exact first row of ``companion_matrix(n)``: (-1)^(j+1) binom(n, j).
+
+    Built by the running product binom(n, j) = binom(n, j-1) (n-j+1) / j, whose
+    every division is exact, so each entry costs one multiplication and one
+    division by a small integer instead of a fresh binomial; it shares no code
+    with the Lucas digit products.
+    """
+    row, c = [], 1
+    for j in range(1, n + 1):
+        c = c * (n - j + 1) // j
+        row.append(c if j % 2 else -c)
+    return tuple(row)
 
 
 def companion_matrix(n: int) -> IntMatrix:

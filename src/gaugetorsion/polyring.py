@@ -15,16 +15,26 @@ Every sparse ring of the package (this torus ring, F_p[u], the Chern ring
 and the linear forms of the suspension engine) sits on one private core,
 ``_FpTable``: a map from keys to nonzero residues mod p with the shared
 additive structure, equality and an unchecked internal constructor.
+
+A single product keeps tuple keys. A long sum of products in one exponent
+ring goes through ``_PackedSum`` instead: each exponent vector is packed
+into one integer, in slots wide enough for the sum's exponent bound, so a
+product of monomials is an integer addition that never carries between
+slots; the sum stays unreduced under packed keys until its one reduction
+mod p, and only the surviving terms are unpacked back into tuples.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from operator import add, mul
+from sys import byteorder
+from types import MappingProxyType
 from typing import Mapping
 
-from .fp import Prime
+from .fp import _SLOT_CODES, Prime
 
 __all__ = [
     "Monomial",
@@ -167,19 +177,17 @@ class _ExpPoly(_FpTable):
             raise ValueError(f"generator index {i} out of range 1..{n}")
         return cls(n, p, {_unit(n, i): 1})
 
-    def _mul_into(self, acc: dict[Monomial, int], other, scale: int) -> dict[Monomial, int]:
-        """Add scale * self * other into the raw dict acc, unreduced; returns acc."""
+    def _mul(self, other):
+        # Bound as each ring's own ``__mul__``, where the benchmark's tracer wraps it.
+        # A one-off product unpacks every term it makes, so it keeps tuple keys;
+        # long sums of products go through ``_PackedSum`` instead.
         self._match(other)
+        acc: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
-            c1 *= scale
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
                 acc[m] = acc.get(m, 0) + c1 * c2
-        return acc
-
-    def _mul(self, other):
-        # Bound as each ring's own ``__mul__``, where the benchmark's tracer wraps it.
-        return self._like(self._mul_into({}, other, 1))
+        return self._like(acc)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -220,6 +228,113 @@ class _ExpPoly(_FpTable):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, p={self.p}, {self.render()})"
+
+
+@lru_cache(maxsize=None)
+def _slot_units(n: int, width: int) -> tuple[int, ...]:
+    """Packed keys of t1, ..., tn in slots of ``width`` bits.
+
+    Word slots follow the machine's byte order, as their bytes are read back
+    through a memoryview; wider slots put t_k at bit width (k - 1).
+    """
+    code = _SLOT_CODES.get(width)
+    if code is None:
+        return tuple(1 << shift for shift in range(0, n * width, width))
+    return tuple(
+        int.from_bytes(array(code, _unit(n, i)).tobytes(), byteorder) for i in range(1, n + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _packed_elementary(n: int, j: int, width: int) -> Mapping[int, int]:
+    """e_j in n variables under packed keys, as a read-only view."""
+    return MappingProxyType(dict.fromkeys(map(sum, combinations(_slot_units(n, width), j)), 1))
+
+
+def _mac(acc: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], scale: int) -> dict:
+    """Add scale * a * b into acc, all three keyed by packed exponents; returns acc."""
+    get = acc.get
+    for k1, c1 in a.items():
+        c1 *= scale
+        for k2, c2 in b.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+class _PackedSum:
+    """A sum of products in one exponent ring, under packed-integer keys.
+
+    An exponent vector is one integer whose slot k, W bits wide, holds the k-th
+    exponent (Monagan and Pearce's packed monomials). W is the narrowest word
+    width of ``_SLOT_CODES`` that holds ``bound``, or past 64 bits the
+    narrowest whole number of bytes. While every exponent of every product
+    stays at most ``bound``, the product of two monomials is the sum of their
+    keys, and no slot carries into the next. A monomial packs as its exponents
+    times the generators' keys; surviving keys unpack through one memoryview
+    per sum in word slots, and by shifts and masks in wider ones. Products add
+    into ``terms`` unreduced, and ``result`` reduces the whole sum mod p once
+    and unpacks only the entries that survive.
+    """
+
+    __slots__ = ("_zero", "_width", "_units", "terms")
+
+    def __init__(self, ring: _ExpPoly, bound: int) -> None:
+        """An empty sum in the ring of ``ring``, for exponents up to ``bound``."""
+        self._zero = ring._like({})
+        bits = bound.bit_length()
+        self._width = next((w for w in sorted(_SLOT_CODES) if w >= bits), -(-bits // 8) * 8)
+        self._units = _slot_units(ring.n, self._width)
+        self.terms: dict[int, int] = {}
+
+    def pack(self, f: _ExpPoly) -> dict[int, int]:
+        """The terms of f, an element of this sum's ring, under packed keys."""
+        self._zero._match(f)
+        units = self._units
+        return {sum(map(mul, mono, units)): c for mono, c in f.terms.items()}
+
+    def elementary(self, j: int) -> Mapping[int, int]:
+        """e_j under packed keys, for 0 <= j <= n."""
+        return _packed_elementary(self._zero.n, j, self._width)
+
+    def power_sum(self, e: int) -> dict[int, int]:
+        """t1^e + ... + tn^e under packed keys."""
+        return {u * e: 1 for u in self._units}
+
+    def mac(self, a: Mapping[int, int], b: Mapping[int, int], scale: int = 1) -> None:
+        """Add scale * a * b, two packed term tables, into the sum, unreduced."""
+        _mac(self.terms, a, b, scale)
+
+    def product(self, a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+        """The packed product a * b, reduced mod p."""
+        q = self._zero.p.value
+        return {k: r for k, c in _mac({}, a, b, 1).items() if (r := c % q)}
+
+    def power(self, a: Mapping[int, int], e: int) -> Mapping[int, int]:
+        """The packed power a^e for e >= 1 by binary powering, reduced mod p; a^1 is a."""
+        out = None
+        while True:
+            if e & 1:
+                out = a if out is None else self.product(out, a)
+            e >>= 1
+            if not e:
+                return out
+            a = self.product(a, a)
+
+    def result(self) -> _ExpPoly:
+        """The sum reduced mod p, with its surviving keys unpacked."""
+        zero, width = self._zero, self._width
+        q = zero.p.value
+        live = {k: r for k, c in self.terms.items() if (r := c % q)}
+        code = _SLOT_CODES.get(width)
+        if code is None:
+            shifts, mask = range(0, zero.n * width, width), (1 << width) - 1
+            monos = (tuple((k >> s) & mask for s in shifts) for k in live)
+        else:
+            size = zero.n * width // 8
+            raw = b"".join(k.to_bytes(size, byteorder) for k in live)
+            monos = zip(*[iter(memoryview(raw).cast(code))] * zero.n)
+        return zero._like(dict(zip(monos, live.values())))
 
 
 class MultiPoly(_ExpPoly):

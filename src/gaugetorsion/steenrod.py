@@ -11,9 +11,11 @@ side and cross-checked by the test suite:
 
 On a single generator, R^i(t^e) = binom(e, i) t^(e + i(p-1)); products are
 handled by summing over all ways of distributing i across the variables,
-which is the Cartan formula pushed down to exponent vectors. R^i runs over
-Lucas digit rows cut at i, which list only the nonvanishing shares. At p = 2 the
-same formula realizes the even squares Sq^(2i) restricted to the subring
+which is the Cartan formula pushed down to exponent vectors. R^i walks only
+each monomial's support, the variables with a nonzero exponent, over Lucas
+digit rows cut at i, which list only the nonvanishing shares; the last
+support variable takes what is left of i by one lookup. At p = 2 the same
+formula realizes the even squares Sq^(2i) restricted to the subring
 generated by degree-2 classes, the only place this module is ever applied.
 """
 
@@ -51,10 +53,21 @@ def _lucas_row(e: int, top: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(row)
 
 
+@lru_cache(maxsize=None)
+def _lucas_share(e: int, top: int, p: int) -> dict[int, int]:
+    """The Lucas row of e cut at top as a lookup, a -> binom(e, a) mod p; read only."""
+    return dict(_lucas_row(e, top, p))
+
+
 def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
-    """The i-th reduced power R^i of f; R^0 is the identity. Each monomial runs
-    slot by slot over its exponents' Lucas rows cut at i; a slot stops once the
-    running sum passes i and skips what the later slots cannot make up."""
+    """The i-th reduced power R^i of f; R^0 is the identity.
+
+    Each monomial walks only its support, the slots with a nonzero exponent.
+    Every support slot but the last runs over its Lucas row cut at i, keeping
+    the nonzero shares it takes, and stops once the running sum s passes i; the
+    last slot's share is then i - s, read from its row as a lookup. Each split
+    that survives patches its shares into one copy of the monomial.
+    """
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
     if i == 0:
@@ -62,21 +75,31 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
     p = f.p.value
     acc: dict[Monomial, int] = {}
     for mono, c in f.terms.items():
-        rows = [_lucas_row(e, min(e, i), p) for e in mono]
-        rest = sum(row[-1][0] for row in rows)  # the most the slots still to run can hold
-        partial = [(0, (), c)]  # (running sum, target prefix, coefficient)
-        for e, row in zip(mono, rows):
-            rest -= row[-1][0]
+        support = [k for k, e in enumerate(mono) if e]
+        if not support:
+            continue  # R^i of a constant is 0
+        k_last = support.pop()
+        e_last = mono[k_last]
+        last = _lucas_share(e_last, i, p)
+        partial = [(0, c, ())]  # (running sum, coefficient, nonzero shares as (slot, share))
+        for k in support:
             grown = []
-            for s, prefix, coeff in partial:
+            row = _lucas_row(mono[k], i, p)
+            for s, coeff, shares in partial:
                 for a, b in row:
                     if s + a > i:
                         break
-                    if s + a + rest >= i:
-                        grown.append((s + a, prefix + (e + a * (p - 1),), coeff * b % p))
+                    grown.append((s + a, coeff * b, (*shares, (k, a)) if a else shares))
             partial = grown
-        for _, target, coeff in partial:
-            acc[target] = acc.get(target, 0) + coeff
+        for s, coeff, shares in partial:
+            b = last.get(i - s)
+            if b:
+                target = list(mono)
+                target[k_last] = e_last + (i - s) * (p - 1)
+                for k, a in shares:
+                    target[k] += a * (p - 1)
+                target = tuple(target)
+                acc[target] = acc.get(target, 0) + coeff * b
     return f._like(acc)
 
 

@@ -268,6 +268,26 @@ def test_fused_sums_match_public_arithmetic(p):
     assert iota_star(f) == iota_term_by_term(f)
 
 
+@pytest.mark.parametrize("p", PRIMES_235)
+@pytest.mark.parametrize("a", [255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
+def test_iota_star_at_each_slot_width_edge(a, p):
+    # the degree bound a lands on each side of every slot width change
+    assert iota_star(ChernPoly(1, p, {(a,): 1})) == MultiPoly(1, p, {(a,): 1})
+    assert iota_star(ChernPoly(2, p, {(0, a): 2})) == MultiPoly(2, p, {(a, a): 2})
+    f = ChernPoly(2, p, {(1, a - 1): 1, (0, 1): 1})  # e1 e2^(a-1) + e2
+    expected = {(a, a - 1): 1, (a - 1, a): 1, (1, 1): 1}
+    assert iota_star(f) == MultiPoly(2, p, expected)
+
+
+@pytest.mark.parametrize("p", PRIMES_235)
+def test_iota_star_past_64_bit_slots(p):
+    assert iota_star(ChernPoly(1, p, {(2**70,): 1})) == MultiPoly(1, p, {(2**70,): 1})
+    f = ChernPoly(3, p, {(1, 0, 2**70): 1, (0, 0, 0): 1})  # e1 e3^(2^70) + 1
+    big = 2**70
+    expected = {(big + 1, big, big): 1, (big, big + 1, big): 1, (big, big, big + 1): 1}
+    assert iota_star(f) == MultiPoly(3, p, {**expected, (0, 0, 0): 1})
+
+
 def test_newton_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify_newton(1, 0, Prime(2))

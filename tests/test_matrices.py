@@ -24,7 +24,7 @@ from gaugetorsion import (
     verify_conjugation,
     verify_p_power_order,
 )
-from gaugetorsion.matrices import _layout
+from gaugetorsion.matrices import _companion_row, _layout
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -51,6 +51,13 @@ def cofactor_det(rows) -> int:
 def test_companion_matrix_examples():
     assert companion_matrix(2).rows == ((2, -1), (1, 0))
     assert companion_matrix(3).rows == ((3, -3, 1), (1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("ns", [range(1, 301), (1018, 1024, 4096)], ids=["to300", "large"])
+def test_companion_row_running_product_matches_binomials(ns):
+    for n in ns:
+        expected = tuple((-1) ** (j + 1) * binom_int(n, j) for j in range(1, n + 1))
+        assert _companion_row(n) == expected, n
 
 
 def test_pascal_matrix_examples():

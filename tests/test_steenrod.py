@@ -85,6 +85,24 @@ def test_reduced_power_matches_brute_force_cartan_sum(p):
             expected = cartan_by_brute_force(f)
             for i in range(13):
                 assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(n, p)), (f, i)
+    # wide sparse monomials: up to 8 slots, mostly zero, so the walk skips most
+    # of them; a constant term, which every R^i with i > 0 sends to 0; and an
+    # i one past the largest total degree, which no split reaches
+    for n in (5, 6, 8):
+        for _ in range(3):
+            terms = {(0,) * n: rng.randrange(1, p.value) if p.value > 2 else 1}
+            while len(terms) < 5:
+                mono = [0] * n
+                for k in rng.sample(range(n), rng.randint(1, 3)):
+                    mono[k] = rng.randint(1, 9)
+                terms[tuple(mono)] = rng.randrange(1, p.value) if p.value > 2 else 1
+            f = MultiPoly(n, p, terms)
+            expected = cartan_by_brute_force(f)
+            for i in range(f.total_degree() + 2):
+                assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(n, p)), (f, i)
+            assert reduced_power(f.total_degree() + 1, f).is_zero()
+    constant = MultiPoly.constant(8, p, 1)
+    assert reduced_power(0, constant) == constant and reduced_power(1, constant).is_zero()
     q = p.value
     for e in [*range(40), q**5 - 1, 10**18 + 7]:
         for top in range(min(e, 40) + 3):
