@@ -82,7 +82,7 @@ def iota_star(poly: ChernPoly) -> MultiPoly:
     multiplied straight into the sum, which is reduced mod p once at the end.
     """
     n, p = poly.n, poly.p
-    acc = _PackedSum(MultiPoly.zero(n, p), max(map(sum, poly.terms), default=0))
+    acc = _PackedSum(n, p, max(map(sum, poly.terms), default=0))
     one = {0: 1}  # key 0 is the monomial 1
     for mono, c in poly.terms.items():
         *head, last = [acc.power(acc.elementary(j), e) for j, e in enumerate(mono, 1) if e] or [one]
@@ -189,7 +189,7 @@ def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
     top = n + i + 1
-    acc = _PackedSum(MultiPoly.zero(n, p), top)  # no exponent of the sum passes top
+    acc = _PackedSum(n, p, top)  # no exponent of the sum passes top
     for j in range(n + 1):
         acc.mac(acc.elementary(j), acc.power_sum(top - j), (-1) ** j)
     residual = acc.result()  # the one reduction of the whole sum

@@ -29,9 +29,9 @@ __all__ = [
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
-# Slot width in bits -> the array/memoryview typecode of that unsigned width.
-# Packed matrix rows (matrices._layout) and packed monomial keys
-# (polyring._PackedSum) both lay their slots out by this one table.
+# Slot width in bits -> the array/memoryview typecode of that unsigned width,
+# the one table of word slots for packed rows (matrices._layout). Packed
+# monomial keys (polyring._PackedSum) use no typecodes: they unpack by shifts.
 _SLOT_CODES = {8 * array(code).itemsize: code for code in "BHIQ"}
 
 

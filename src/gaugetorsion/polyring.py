@@ -26,15 +26,13 @@ mod p, and only the surviving terms are unpacked back into tuples.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from itertools import combinations
-from operator import add, mul
-from sys import byteorder
+from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
-from .fp import _SLOT_CODES, Prime
+from .fp import Prime
 
 __all__ = [
     "Monomial",
@@ -232,17 +230,8 @@ class _ExpPoly(_FpTable):
 
 @lru_cache(maxsize=None)
 def _slot_units(n: int, width: int) -> tuple[int, ...]:
-    """Packed keys of t1, ..., tn in slots of ``width`` bits.
-
-    Word slots follow the machine's byte order, as their bytes are read back
-    through a memoryview; wider slots put t_k at bit width (k - 1).
-    """
-    code = _SLOT_CODES.get(width)
-    if code is None:
-        return tuple(1 << shift for shift in range(0, n * width, width))
-    return tuple(
-        int.from_bytes(array(code, _unit(n, i)).tobytes(), byteorder) for i in range(1, n + 1)
-    )
+    """Packed keys of t1, ..., tn in slots of ``width`` bits: t_k is 1 << width (k - 1)."""
+    return tuple(1 << shift for shift in range(0, n * width, width))
 
 
 @lru_cache(maxsize=None)
@@ -263,39 +252,30 @@ def _mac(acc: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], scale:
 
 
 class _PackedSum:
-    """A sum of products in one exponent ring, under packed-integer keys.
+    """A sum of products in F_p[t1, ..., tn], under packed-integer keys.
 
     An exponent vector is one integer whose slot k, W bits wide, holds the k-th
-    exponent (Monagan and Pearce's packed monomials). W is the narrowest word
-    width of ``_SLOT_CODES`` that holds ``bound``, or past 64 bits the
-    narrowest whole number of bytes. While every exponent of every product
-    stays at most ``bound``, the product of two monomials is the sum of their
-    keys, and no slot carries into the next. A monomial packs as its exponents
-    times the generators' keys; surviving keys unpack through one memoryview
-    per sum in word slots, and by shifts and masks in wider ones. Products add
-    into ``terms`` unreduced, and ``result`` reduces the whole sum mod p once
-    and unpacks only the entries that survive.
+    exponent (Monagan and Pearce's packed monomials); a monomial packs as its
+    exponents times the generators' keys ``_units``. W is the narrowest whole
+    number of bytes that holds ``bound``. While every exponent of every
+    product stays at most ``bound``, the product of two monomials is the sum of
+    their keys, and no slot carries into the next. Products add into
+    ``terms`` unreduced, and ``result`` reduces the whole sum mod p once and
+    unpacks, by shifts and masks, only the entries that survive.
     """
 
-    __slots__ = ("_zero", "_width", "_units", "terms")
+    __slots__ = ("n", "p", "_width", "_units", "terms")
 
-    def __init__(self, ring: _ExpPoly, bound: int) -> None:
-        """An empty sum in the ring of ``ring``, for exponents up to ``bound``."""
-        self._zero = ring._like({})
-        bits = bound.bit_length()
-        self._width = next((w for w in sorted(_SLOT_CODES) if w >= bits), -(-bits // 8) * 8)
-        self._units = _slot_units(ring.n, self._width)
+    def __init__(self, n: int, p: Prime, bound: int) -> None:
+        """An empty sum in n generators over F_p, for exponents up to ``bound``."""
+        self.n, self.p = n, p
+        self._width = 8 * max(1, -(-bound.bit_length() // 8))
+        self._units = _slot_units(n, self._width)
         self.terms: dict[int, int] = {}
-
-    def pack(self, f: _ExpPoly) -> dict[int, int]:
-        """The terms of f, an element of this sum's ring, under packed keys."""
-        self._zero._match(f)
-        units = self._units
-        return {sum(map(mul, mono, units)): c for mono, c in f.terms.items()}
 
     def elementary(self, j: int) -> Mapping[int, int]:
         """e_j under packed keys, for 0 <= j <= n."""
-        return _packed_elementary(self._zero.n, j, self._width)
+        return _packed_elementary(self.n, j, self._width)
 
     def power_sum(self, e: int) -> dict[int, int]:
         """t1^e + ... + tn^e under packed keys."""
@@ -307,7 +287,7 @@ class _PackedSum:
 
     def product(self, a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
         """The packed product a * b, reduced mod p."""
-        q = self._zero.p.value
+        q = self.p.value
         return {k: r for k, c in _mac({}, a, b, 1).items() if (r := c % q)}
 
     def power(self, a: Mapping[int, int], e: int) -> Mapping[int, int]:
@@ -321,20 +301,16 @@ class _PackedSum:
                 return out
             a = self.product(a, a)
 
-    def result(self) -> _ExpPoly:
+    def result(self) -> "MultiPoly":
         """The sum reduced mod p, with its surviving keys unpacked."""
-        zero, width = self._zero, self._width
-        q = zero.p.value
-        live = {k: r for k, c in self.terms.items() if (r := c % q)}
-        code = _SLOT_CODES.get(width)
-        if code is None:
-            shifts, mask = range(0, zero.n * width, width), (1 << width) - 1
-            monos = (tuple((k >> s) & mask for s in shifts) for k in live)
-        else:
-            size = zero.n * width // 8
-            raw = b"".join(k.to_bytes(size, byteorder) for k in live)
-            monos = zip(*[iter(memoryview(raw).cast(code))] * zero.n)
-        return zero._like(dict(zip(monos, live.values())))
+        q, width = self.p.value, self._width
+        shifts, mask = range(0, self.n * width, width), (1 << width) - 1
+        live = {
+            tuple((k >> s) & mask for s in shifts): r
+            for k, c in self.terms.items()
+            if (r := c % q)
+        }
+        return MultiPoly._canonical(self.n, self.p, live)
 
 
 class MultiPoly(_ExpPoly):

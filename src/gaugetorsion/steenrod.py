@@ -64,9 +64,10 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
 
     Each monomial walks only its support, the slots with a nonzero exponent.
     Every support slot but the last runs over its Lucas row cut at i, keeping
-    the nonzero shares it takes, and stops once the running sum s passes i; the
-    last slot's share is then i - s, read from its row as a lookup. Each split
-    that survives patches its shares into one copy of the monomial.
+    the nonzero shares it takes; it stops once the running sum s passes i and
+    skips what the slots still to run cannot make up. The last slot's share is
+    then i - s, read from its row as a lookup. Each split that survives
+    patches its shares into one copy of the monomial.
     """
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
@@ -81,15 +82,19 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
         k_last = support.pop()
         e_last = mono[k_last]
         last = _lucas_share(e_last, i, p)
+        rows = [_lucas_row(mono[k], i, p) for k in support]
+        # the most the slots still to run can hold, the last slot's included
+        rest = _lucas_row(e_last, i, p)[-1][0] + sum(row[-1][0] for row in rows)
         partial = [(0, c, ())]  # (running sum, coefficient, nonzero shares as (slot, share))
-        for k in support:
+        for k, row in zip(support, rows):
+            rest -= row[-1][0]
             grown = []
-            row = _lucas_row(mono[k], i, p)
             for s, coeff, shares in partial:
                 for a, b in row:
                     if s + a > i:
                         break
-                    grown.append((s + a, coeff * b, (*shares, (k, a)) if a else shares))
+                    if s + a + rest >= i:
+                        grown.append((s + a, coeff * b, (*shares, (k, a)) if a else shares))
             partial = grown
         for s, coeff, shares in partial:
             b = last.get(i - s)

@@ -1,5 +1,5 @@
 import random
-import sys
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -18,8 +18,14 @@ from gaugetorsion import (
     is_symmetric,
     power_sum,
 )
-from gaugetorsion.polyring import _ExpPoly, _PackedSum
+from gaugetorsion.polyring import _PackedSum
 from tests.conftest import PRIMES_235, random_multipoly
+
+
+def pack(acc: _PackedSum, f: MultiPoly) -> dict[int, int]:
+    """The terms of f under acc's packed keys; production code packs no operand."""
+    assert (f.n, f.p) == (acc.n, acc.p)
+    return {sum(map(mul, mono, acc._units)): c for mono, c in f.terms.items()}
 
 
 def st_poly(n: int, p: Prime, max_exp: int = 3, max_terms: int = 4):
@@ -62,10 +68,6 @@ def test_ring_mismatch_rejected():
         f + g
     with pytest.raises(ValueError):
         f * MultiPoly.one(3, Prime(3))
-    with pytest.raises(ValueError):  # the packed multiply-accumulate checks the ring too
-        _PackedSum(f, 1).pack(g)
-    with pytest.raises(ValueError):
-        _PackedSum(f, 1).pack(MultiPoly.one(3, Prime(3)))
 
 
 # The unit of each ring on the shared sparse core. Their tables coincide in
@@ -89,9 +91,6 @@ def test_distinct_rings_never_mix(left, right):
         a + b
     with pytest.raises(TypeError):
         a * b
-    if isinstance(a, _ExpPoly):
-        with pytest.raises(TypeError):
-            _PackedSum(a, 1).pack(b)
     assert a != b and not a == b
 
 
@@ -130,9 +129,9 @@ def test_ring_axioms_bulk(p):
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
         c = scales.randint(-p.value, p.value)
-        acc = _PackedSum(h, max(f.total_degree() + g.total_degree(), h.total_degree(), 0))
-        acc.mac(acc.pack(h), acc.pack(MultiPoly.one(n, p)))
-        acc.mac(acc.pack(f), acc.pack(g), c)
+        acc = _PackedSum(n, p, max(f.total_degree() + g.total_degree(), h.total_degree(), 0))
+        acc.mac(pack(acc, h), pack(acc, MultiPoly.one(n, p)))
+        acc.mac(pack(acc, f), pack(acc, g), c)
         assert acc.result() == h + (f * g).scale(c)
 
 
@@ -154,9 +153,9 @@ SLOT_EDGES = [
     (255, 8),
     (256, 16),
     (65535, 16),
-    (65536, 32),
+    (65536, 24),
     (2**32 - 1, 32),
-    (2**32, 64),
+    (2**32, 40),
     (2**64 - 1, 64),
     (2**64, 72),
     (2**70, 72),
@@ -171,22 +170,21 @@ def test_packed_sum_slots_hold_exponents_up_to_the_bound(bound, width):
     f = MultiPoly(3, p, {(bound - 1, 0, 0): 1, (0, 1, 2): 2, (0, 0, 0): 3})
     g = MultiPoly(3, p, {(1, 0, 0): 4, (0, bound - 1, 1): 1, (0, 0, bound - 2): 2})
     h = MultiPoly(3, p, {(bound, bound, bound): 1, (1, 0, 0): 1})
-    acc = _PackedSum(f, bound)
+    acc = _PackedSum(3, p, bound)
     assert acc._width == width
-    acc.mac(acc.pack(f), acc.pack(g), 3)
-    acc.mac(acc.pack(h), acc.pack(MultiPoly.one(3, p)), -1)
+    acc.mac(pack(acc, f), pack(acc, g), 3)
+    acc.mac(pack(acc, h), pack(acc, MultiPoly.one(3, p)), -1)
     assert acc.result() == (f * g).scale(3) - h
 
 
-@pytest.mark.skipif(sys.byteorder != "little", reason="t1 takes the low slot on little-endian")
 @pytest.mark.parametrize("bound", [256, 65536, 2**32, 2**64])
 def test_packed_sum_one_below_the_bound_carries(bound):
     # the slots are no wider than stated: t1^(bound-1) * t1 in slots sized for
     # bound - 1 carries into t2's slot
     p = Prime(5)
     t1 = MultiPoly.variable(2, p, 1)
-    narrow = _PackedSum(t1, bound - 1)
-    narrow.mac(narrow.pack(MultiPoly(2, p, {(bound - 1, 0): 1})), narrow.pack(t1))
+    narrow = _PackedSum(2, p, bound - 1)
+    narrow.mac(pack(narrow, MultiPoly(2, p, {(bound - 1, 0): 1})), pack(narrow, t1))
     assert narrow.result() == MultiPoly.variable(2, p, 2)
 
 
@@ -195,24 +193,24 @@ def test_packed_generators_match_packed_polynomials(bound):
     p = Prime(3)
     rng = random.Random(bound)
     for n in range(1, 7):
-        acc = _PackedSum(MultiPoly.zero(n, p), bound)
+        acc = _PackedSum(n, p, bound)
         for j in range(n + 1):
-            assert acc.elementary(j) == acc.pack(elementary_sym(n, j, p))
-        assert acc.power_sum(bound) == acc.pack(power_sum(n, bound, p))
+            assert acc.elementary(j) == pack(acc, elementary_sym(n, j, p))
+        assert acc.power_sum(bound) == pack(acc, power_sum(n, bound, p))
         f = random_multipoly(rng, n, p, max_exp=9, max_terms=6)
-        acc.terms = acc.pack(f)  # a round trip through the packed keys
+        acc.terms = pack(acc, f)  # a round trip through the packed keys
         assert acc.result() == f
 
 
 def test_packed_sum_reduces_once_and_unpacks_only_survivors():
     p = Prime(3)
     t1, t2 = MultiPoly.variable(2, p, 1), MultiPoly.variable(2, p, 2)
-    acc = _PackedSum(t1, 4)
+    acc = _PackedSum(2, p, 4)
     for _ in range(3):  # three equal products cancel mod 3
-        acc.mac(acc.pack(t1 + t2), acc.pack(t1 * t2))
+        acc.mac(pack(acc, t1 + t2), pack(acc, t1 * t2))
     assert len(acc.terms) == 2 and set(acc.terms.values()) == {3}
     assert acc.result().is_zero()
-    acc.mac(acc.pack(t1**2), acc.pack(t2**2), -1)
+    acc.mac(pack(acc, t1**2), pack(acc, t2**2), -1)
     assert acc.result() == (t1**2 * t2**2).scale(-1)
 
 

@@ -103,6 +103,17 @@ def test_reduced_power_matches_brute_force_cartan_sum(p):
             assert reduced_power(f.total_degree() + 1, f).is_zero()
     constant = MultiPoly.constant(8, p, 1)
     assert reduced_power(0, constant) == constant and reduced_power(1, constant).is_zero()
+    # a dense monomial: 8 slots of exponent e = p^2 - 1, whose every binom(e, a) is
+    # a unit, so without cutting the splits the later slots cannot make up, the
+    # walk would carry (e + 1)^7 partial splits for an i near the total degree
+    q = p.value
+    e = q * q - 1
+    top = 8 * e
+    dense = MultiPoly(8, p, {(e,) * 8: 1})
+    assert reduced_power(top, dense) == MultiPoly(8, p, {(e * q,) * 8: 1})
+    below = {tuple(e * q - (q - 1) * (k == j) for k in range(8)): e for j in range(8)}
+    assert reduced_power(top - 1, dense) == MultiPoly(8, p, below)
+    assert reduced_power(top + 1, dense).is_zero()
     q = p.value
     for e in [*range(40), q**5 - 1, 10**18 + 7]:
         for top in range(min(e, 40) + 3):
