@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .fp import Prime, _lucas
+from .fp import Prime, _lucas, _lucas_row
 from .polyring import MultiPoly, UniPoly, _ExpPoly, _PackedSum
 
 __all__ = [
@@ -161,20 +161,14 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     return UniPoly._canonical(p, {m: sums[-1]})
 
 
-@lru_cache(maxsize=None)
 def _newton_taps(n: int, q: int) -> tuple[tuple[int, int], ...]:
     """Nonzero taps (j, (-1)^(j+1) binom(n, j) mod q) of the Newton recurrence.
 
-    Ascending in j over 1 <= j <= n. By Lucas' theorem only the j whose
-    base-q digits sit below those of n survive, so when q divides n most
-    taps vanish; at n = 2^a with q = 2 there is exactly one.
+    Ascending in j over 1 <= j <= n: the signed tail of n's Lucas row, so only
+    the j whose base-q digits sit below those of n appear, and when q divides
+    n most taps vanish; at n = 2^a with q = 2 there is exactly one.
     """
-    taps = []
-    for j in range(1, n + 1):
-        c = _lucas(n, j, q)
-        if c:
-            taps.append((j, c if j % 2 == 1 else -c % q))
-    return tuple(taps)
+    return tuple((j, c if j % 2 else -c % q) for j, c in _lucas_row(n, n, q)[1:])
 
 
 def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:

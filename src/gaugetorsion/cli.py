@@ -14,10 +14,10 @@ exits 0 or 1, so a failed run leaves no file behind.
 
 Each size flag, and each count flag a verify target reads (--i-max,
 --degree-cap, --samples), has a floor and a cap; README.md tables the caps
-and the runs they bound; --primes takes at most as many primes as the
-target's default list, and verify order caps each prime's size and the sum
-of their bit lengths. Primes given with --p or --primes must lie below
-3.317e24, where primality is decided exactly.
+and the runs they bound; --primes takes at least one prime and at most as
+many as the target's default list, and verify order caps each prime's size
+and the sum of their bit lengths. Primes given with --p or --primes must lie
+below 3.317e24, where primality is decided exactly.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
 alpha_p to stderr as JSON lines, one object per step with keys p, relation,
@@ -345,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> str | None:
     """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
-    the size, the counts (the length of --primes one), then --p or --primes,
-    whose entries meet the target's ceiling before any primality test and
-    its bit budget after.
+    the size, the counts (the length of --primes one, at least 1), then --p
+    or --primes, whose entries meet the target's ceiling before any
+    primality test and its bit budget after.
     Returns the usage message for the first bad argument, or None."""
     formats, size_flag, cap = _COMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
@@ -359,7 +359,8 @@ def _check_args(args: argparse.Namespace) -> str | None:
         args.primes = primes if args.primes is None else args.primes
         args.n_max = n_max if args.n_max is None else args.n_max
         counts = {**counts, "--primes": len(primes.split(","))}  # the default list's length
-    for flag, floor, ceiling in ((size_flag, 2, cap), *((f, 0, c) for f, c in counts.items())):
+    for flag, ceiling in ((size_flag, cap), *counts.items()):
+        floor = {size_flag: 2, "--primes": 1}.get(flag, 0)  # no run passes on no prime
         value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest
         if flag == "--primes":
             value = sum(1 for tok in value.split(",") if tok.strip())

@@ -3,13 +3,15 @@
 The exact layer uses Python's unbounded integers throughout; the mod-p layer
 keeps canonical residues in [0, p). Binomial coefficients modulo p are
 computed digit-wise by Lucas' theorem, so huge arguments never materialize
-the full integer.
+the full integer: ``_lucas`` gives one of them, and ``_lucas_row`` lists
+every nonzero binom(e, a) mod p with a up to a cut, the one enumerator of
+such rows (the reduced powers' shares, the Newton taps of ``chern``).
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 __all__ = [
@@ -28,11 +30,6 @@ __all__ = [
 # Webster, "Strong pseudoprimes to twelve prime bases", 2015).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
-
-# Slot width in bits -> the array/memoryview typecode of that unsigned width,
-# the one table of word slots for packed rows (matrices._layout). Packed
-# monomial keys (polyring._PackedSum) use no typecodes: they unpack by shifts.
-_SLOT_CODES = {8 * array(code).itemsize: code for code in "BHIQ"}
 
 
 @dataclass(frozen=True)
@@ -156,6 +153,24 @@ def _lucas(n: int, j: int, p: int) -> int:
         n //= p
         j //= p
     return out
+
+
+@lru_cache(maxsize=None)
+def _lucas_row(e: int, top: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Every (a, binom(e, a) mod p) with a <= top and a nonzero value, ascending in a:
+    by Lucas' theorem, the a whose base-p digits sit under e's, built digit by
+    digit up to the first place value above top, so a huge e costs its digits."""
+    row, place = [(0, 1)], 1
+    while place <= top:
+        e, d = divmod(e, p)
+        row = [  # d < p, so every binom(d, k) is a unit mod p
+            (k * place + a, comb(d, k) * c % p)
+            for k in range(min(d, top // place) + 1)
+            for a, c in row
+            if k * place + a <= top
+        ]
+        place *= p
+    return tuple(row)
 
 
 def binom_mod(n: int, j: int, p: Prime) -> FpScalar:

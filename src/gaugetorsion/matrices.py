@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .fp import _SLOT_CODES, Prime, binom_int, p_power_ceil, padic_val
+from .fp import Prime, binom_int, p_power_ceil, padic_val
 
 __all__ = [
     "IntMatrix",
@@ -148,6 +148,11 @@ class IntMatrix:
 @lru_cache(maxsize=None)
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+# Slot width in bits -> the array/memoryview typecode of that unsigned width,
+# the word slots a packed row can use.
+_SLOT_CODES = {8 * array(code).itemsize: code for code in "BHIQ"}
 
 
 @lru_cache(maxsize=None)

@@ -358,12 +358,8 @@ class UniPoly(_FpTable):
         return cls(p, {e: c})
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        self._match(other)
-        acc: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        return self._like(acc)
+        self._match(other)  # a u-exponent is a packed key of one slot
+        return self._like(_mac({}, self.terms, other.terms, 1))
 
     def coefficient(self, e: int) -> int:
         return self.terms.get(e, 0)

@@ -12,19 +12,19 @@ side and cross-checked by the test suite:
 On a single generator, R^i(t^e) = binom(e, i) t^(e + i(p-1)); products are
 handled by summing over all ways of distributing i across the variables,
 which is the Cartan formula pushed down to exponent vectors. R^i walks only
-each monomial's support, the variables with a nonzero exponent, over Lucas
-digit rows cut at i, which list only the nonvanishing shares; the last
-support variable takes what is left of i by one lookup. At p = 2 the same
-formula realizes the even squares Sq^(2i) restricted to the subring
-generated by degree-2 classes, the only place this module is ever applied.
+each monomial's support, the variables with a nonzero exponent, over the
+Lucas rows of ``fp._lucas_row`` cut at i, which list only the nonvanishing
+shares; the last support variable takes what is left of i by one lookup.
+At p = 2 the same formula realizes the even squares Sq^(2i) restricted to
+the subring generated by degree-2 classes, the only place this module is
+ever applied.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
-from .fp import Prime
+from .fp import Prime, _lucas_row
 from .polyring import Monomial, MultiPoly, elementary_sym, power_sum
 
 __all__ = [
@@ -33,24 +33,6 @@ __all__ = [
     "milnor_q_recursive",
     "check_milnor_on_c2",
 ]
-
-
-@lru_cache(maxsize=None)
-def _lucas_row(e: int, top: int, p: int) -> tuple[tuple[int, int], ...]:
-    """Every (a, binom(e, a) mod p) with a <= top and a nonzero value, ascending in a:
-    by Lucas' theorem, the a whose base-p digits sit under e's, built digit by
-    digit up to the first place value above top, so a huge e costs its digits."""
-    row, place = [(0, 1)], 1
-    while place <= top:
-        e, d = divmod(e, p)
-        row = [  # d < p, so every binom(d, k) is a unit mod p
-            (k * place + a, comb(d, k) * c % p)
-            for k in range(min(d, top // place) + 1)
-            for a, c in row
-            if k * place + a <= top
-        ]
-        place *= p
-    return tuple(row)
 
 
 @lru_cache(maxsize=None)

@@ -16,15 +16,16 @@ values; the invariants in the test suite fail if a result accidentally does.
 The alpha sequence is defined by alpha_i u^i = Dk(S_(i+1)) with S_m the
 lifted power sum. Applying Dk to the power-sum relation of ``verify_newton``
 and using that every restricted power sum vanishes when p divides n yields a
-linear recurrence on the alpha forms. Its first row is the mod-p Newton taps
-of ``chern._newton_taps``, read only after their forcing terms are checked.
-The engine's one cached pass per (n, p) checks that row against the exact
-first row of the companion matrix, then runs it once as a scalar impulse
+linear recurrence on the alpha forms. The nonzero entries of its first row
+are the mod-p Newton taps of ``chern._newton_taps``, read only after their
+forcing terms are checked, and kept as sparse (j, c_j) pairs throughout.
+The engine's one cached pass per (n, p) checks those taps against the exact
+first row of the companion matrix, then runs them once as a scalar impulse
 response. Because that matrix has p-power order, the alpha window returns to
 its start after p_power_ceil(n, p) steps. The pass checks that return and
 reports the first p-power step that makes it as the matrix order. The return
 pins alpha at every p-power index and lets ``solve_alpha_p`` close the chain,
-read off the pass's rows,
+read off the nonzero slots of the pass's levels,
 
     -g2 = alpha_p = alpha_(p^m) = alpha_0 = k.
 """
@@ -249,41 +250,42 @@ def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
     return AlphaVector(tuple(forms))
 
 
-def _derived_row(n: int, p: Prime) -> tuple[int, ...]:
-    """First row of the alpha recurrence, after checking the step of the
-    derivation that yields it; requires p dividing n.
+def _derived_row(n: int, p: Prime) -> tuple[tuple[int, int], ...]:
+    """Taps ((j, c_j), ...) of the alpha recurrence, the nonzero entries of its
+    first row ascending in column j, after checking the step of the
+    derivation that yields them; requires p dividing n.
 
     Applying Dk to the power-sum relation splits into two families of terms.
     The family Dk(cj) * phi(power sum) dies because every restricted power
     sum vanishes mod p when p divides n. That is checked, not assumed: the
     sums obey s_i = sum_(j<i) c_j s_(i-j) + i c_i, triangular with a unit
     diagonal, so they all vanish exactly when every forcing term j c_j does.
-    The surviving family phi(cj) * Dk(power sum) contributes the first row:
-    the mod-p Newton taps c_j of ``_newton_taps``, laid out densely. The
-    remaining rows of the recurrence matrix just shift the window.
+    The surviving family phi(cj) * Dk(power sum) contributes the first row,
+    whose nonzero entries are the mod-p Newton taps c_j of ``_newton_taps``.
+    The remaining rows of the recurrence matrix just shift the window.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n % p.value != 0:
         raise ValueError(f"recurrence needs p | n, got n={n}, p={p}")
-    row = [0] * n
-    for j, c in _newton_taps(n, p.value):
+    taps = _newton_taps(n, p.value)
+    for j, c in taps:
         if j * c % p.value:
             raise MechanizationError(
                 f"restricted power sum {j} did not vanish for n={n}, p={p}"
             )
-        row[j - 1] = c
-    return tuple(row)
+    return taps
 
 
 def derive_recurrence(n: int, p: Prime) -> FpMatrix:
     """Extract the alpha recurrence matrix; requires p dividing n.
 
-    The first row is ``_derived_row``'s; the rows below it shift the window
-    by one step.
+    The first row is ``_derived_row``'s taps laid out densely, c_j in column
+    j; the rows below it shift the window by one step.
     """
     rows = [[0] * n for _ in range(n)]
-    rows[0] = list(_derived_row(n, p))
+    for j, c in _derived_row(n, p):
+        rows[0][j - 1] = c
     for i in range(1, n):
         rows[i][i - 1] = 1
     return FpMatrix(p, rows)
@@ -291,17 +293,15 @@ def derive_recurrence(n: int, p: Prime) -> FpMatrix:
 
 def _alpha_walk(n: int, p: Prime, k: int | FpScalar, stop: int) -> list[LinearForm]:
     """[alpha_0, ..., alpha_stop] by the definitional route: one ``alpha_init``
-    window, then the derived recurrence row past n (read only if stop >= n)."""
+    window, then the derived recurrence taps past n (read only if stop >= n)."""
     init = alpha_init(n, p, k)
     alphas = [init.alpha(m) for m in range(min(n, stop + 1))]
     if stop >= n:
-        row = _derived_row(n, p)
+        taps = _derived_row(n, p)
         for i in range(n, stop + 1):
             nxt = LinearForm(p)
-            for j in range(1, n + 1):
-                c = row[j - 1]
-                if c:
-                    nxt = nxt + alphas[i - j].scale(c)
+            for j, c in taps:
+                nxt = nxt + alphas[i - j].scale(c)
             alphas.append(nxt)
     return alphas
 
@@ -316,20 +316,21 @@ def alpha_at(i: int, n: int, p: Prime, k: int | FpScalar) -> LinearForm:
 
 
 @lru_cache(maxsize=None)
-def _symbolic_alphas(n: int, p: Prime) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The order mod p of the recurrence matrix, and the alpha rows at the
+def _symbolic_alphas(n: int, p: Prime) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """The order mod p of the recurrence matrix, and the alpha levels at the
     p-power indices up to p_power_ceil(n, p), the one at p^level in place
     ``level``; requires p dividing n.
 
-    ``_derived_row`` is compared with the companion matrix's exact first row
-    mod p before any tap runs. Only the Leibniz family phi(cj) * Dk(S_(m-j))
-    is run, the other carrying the restricted power sums checked to vanish.
-    That recurrence is linear and time-invariant, and slot s of a row (slot j
-    the coefficient of gj, slot 1 a symbolic k, slot 0 always 0) is driven
-    by one impulse, (-1)^(s+1) s at step s. So one scalar pass runs the
-    impulse response h of the taps, and slot s of alpha_e is
-    (-1)^(s+1) s h[e + 1 - s]. The definitional ``alpha_init``/``alpha_at``
-    route is its test oracle.
+    A level is alpha_e's nonzero (slot, value) pairs, ascending in slot: slot
+    j holds the coefficient of gj and slot 1 that of a symbolic k, and the
+    constant, always 0, has no slot. The taps of ``_derived_row`` are compared
+    with the nonzero residues mod p of the companion matrix's exact first row
+    before any tap runs. Only the Leibniz family phi(cj) * Dk(S_(m-j)) is
+    run, the other carrying the restricted power sums checked to vanish.
+    That recurrence is linear and time-invariant, and slot s is driven by one
+    impulse, (-1)^(s+1) s at step s. So one scalar pass runs the impulse
+    response h of the taps, and slot s of alpha_e is (-1)^(s+1) s h[e + 1 - s].
+    The definitional ``alpha_init``/``alpha_at`` route is its test oracle.
 
     The impulse is a cyclic vector of the companion matrix M, so M^e = I
     exactly when the window of h at step e is its starting window. The first
@@ -337,12 +338,11 @@ def _symbolic_alphas(n: int, p: Prime) -> tuple[int, tuple[tuple[int, ...], ...]
     does, the pass raises. The matrix route (``order_mod_p``) is its oracle.
     """
     q = p.value
-    row = _derived_row(n, p)
-    if row != tuple(c % q for c in _companion_row(n)):
+    taps = _derived_row(n, p)
+    if taps != tuple((j, r) for j, c in enumerate(_companion_row(n), 1) if (r := c % q)):
         raise MechanizationError(
             f"derived recurrence disagrees with the companion matrix at n={n}, p={p}"
         )
-    taps = [(j, c) for j, c in enumerate(row, 1) if c]
     top = p_power_ceil(n, p)
     h = [0] * (n - 1) + [1]  # h[n - 1 + t] is the response at step t, 0 before step 0
     for _ in range(top):
@@ -356,7 +356,8 @@ def _symbolic_alphas(n: int, p: Prime) -> tuple[int, tuple[tuple[int, ...], ...]
     while e <= top:
         if order is None and h[e : e + n] == h[:n]:
             order = e
-        alphas.append((0, *((s if s % 2 else -s) * h[n + e - s] % q for s in range(1, n + 1))))
+        signed = ((s, s if s % 2 else -s) for s in range(1, n + 1))
+        alphas.append(tuple((s, r) for s, c in signed if (r := c * h[n + e - s] % q)))
         e *= q
     if order is None:
         raise MechanizationError(
@@ -403,7 +404,7 @@ def _resolve_alpha(n: int, p: Prime, k_res: int) -> AlphaSolution:
     top_index = q**m
     trace: list[TraceRecord] = []
 
-    if alphas[m] != (0, 1) + (0,) * (n - 1):
+    if alphas[m] != ((1, 1),):
         raise MechanizationError(
             f"alpha at index {top_index} has row {list(alphas[m])} "
             "(slot 1 k, slot j gj), not the bare symbol k"
@@ -429,8 +430,9 @@ def _resolve_alpha(n: int, p: Prime, k_res: int) -> AlphaSolution:
 
     for level in range(1, m + 1):
         row = alphas[level]
-        residual = (row[1] * k_res + g2_value) % q
-        free = [j for j in range(2, n + 1) if row[j]]
+        k_coeff = row[0][1] if row and row[0][0] == 1 else 0  # slot 1 leads when present
+        residual = (k_coeff * k_res + g2_value) % q
+        free = [j for j, _ in row if j > 1]
         if not free and residual:
             raise MechanizationError(
                 f"relation g2 = -alpha_{q**level} is inconsistent: "

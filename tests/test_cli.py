@@ -469,6 +469,13 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
             ("verify", "newton", "--primes", "2,3,5,7"),
             "error: --primes is capped at 3, got 4\n",
         ),
+        (None, ("verify", "order", "--primes", ","), "error: need --primes >= 1, got 0\n"),
+        (None, ("verify", "newton", "--primes", ""), "error: need --primes >= 1, got 0\n"),
+        (
+            None,
+            ("verify", "recurrence", "--primes", " , "),
+            "error: need --primes >= 1, got 0\n",
+        ),
         (
             None,
             ("verify", "order", "--primes", "3,1000000000000000003"),
@@ -492,6 +499,9 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
         "samples-above-cap",
         "samples-below-floor",
         "primes-above-cap",
+        "primes-empty-commas",
+        "primes-empty",
+        "primes-blank",
         "prime-size-above-cap",
         "prime-bits-above-cap",
     ],

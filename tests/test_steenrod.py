@@ -22,8 +22,7 @@ from gaugetorsion import (
     reduced_power,
 )
 from gaugetorsion import steenrod
-from gaugetorsion.fp import _lucas
-from gaugetorsion.steenrod import _lucas_row
+from gaugetorsion.fp import _lucas, _lucas_row
 from tests.conftest import PRIMES_235, random_multipoly
 from tests.test_polyring import st_poly
 

@@ -281,7 +281,7 @@ def test_top_form_other_than_k_raises(monkeypatch):
 
     def corrupted(n, p):
         order, alphas = symbolic_alphas(n, p)
-        return order, alphas[:-1] + ((1,) + (0,) * n,)  # the constant 1
+        return order, alphas[:-1] + (((0, 1),),)  # the constant 1
 
     monkeypatch.setattr(suspension_mod, "_symbolic_alphas", corrupted)
     with pytest.raises(MechanizationError, match="not the bare symbol k"):
@@ -349,7 +349,7 @@ def test_alpha_p_is_k_in_every_model():
 def test_chain_agrees_with_definitional_route():
     """The cached symbolic engine must reproduce the definitional route, one
     ``_alpha_walk`` per (n, p, k) as ``alpha_at`` takes it, at every p-power.
-    An engine row holds the constant in slot 0, k in slot 1 and gj in slot j."""
+    An engine level holds its nonzero slots, k in slot 1 and gj in slot j."""
     from gaugetorsion.suspension import _alpha_walk, _symbolic_alphas
 
     cases = (
@@ -362,12 +362,13 @@ def test_chain_agrees_with_definitional_route():
         for k in range(n):
             walk = _alpha_walk(n, p, k, p_power_ceil(n, p))
             for level, row in enumerate(alphas):
-                form = LinearForm(p, row[0] + row[1] * k, dict(enumerate(row[2:], 2)))
+                slots = dict(row)
+                form = LinearForm(p, slots.pop(1, 0) * k, slots)
                 assert walk[p.value**level] == form
 
 
 def test_symbolic_engine_builds_no_intermediate_forms(monkeypatch):
-    """The recurrence runs on int rows and returns them; it builds no form."""
+    """The recurrence runs on ints and returns int levels; it builds no form."""
     from gaugetorsion.suspension import _symbolic_alphas
 
     calls = {"add": 0, "scale": 0}
@@ -390,7 +391,7 @@ def test_symbolic_engine_builds_no_intermediate_forms(monkeypatch):
 
 def test_memo_tables_fill_in_one_pass(monkeypatch):
     """A cold alpha_init builds each lift once, and _derived_row checks every
-    forcing term in the one pass over the taps that lays out its row."""
+    forcing term in the one pass over the taps that it returns."""
     from gaugetorsion import chern, suspension
 
     chern._lift.cache_clear()
@@ -426,7 +427,8 @@ def test_alpha_rows_match_the_lucas_closed_form(ns, p):
     """The taps satisfy 1 - sum_j c_j x^j = (1 - x)^n, so their impulse
     response is h[t] = C(n + t - 1, t) and slot s of alpha_e is
     (-1)^(s+1) s C(n + e - s, e + 1 - s) mod p; no tap enters this oracle.
-    The order the pass returns is the p-power the paper names."""
+    Each level's pairs are spread out, so every slot is checked, zero slots
+    included. The order the pass returns is the p-power the paper names."""
     from gaugetorsion.fp import _lucas
     from gaugetorsion.suspension import _symbolic_alphas
 
@@ -439,7 +441,12 @@ def test_alpha_rows_match_the_lucas_closed_form(ns, p):
             expected = [0] * (n + 1)
             for s in range(1, min(n, e + 1) + 1):
                 expected[s] = (-1) ** (s + 1) * s * _lucas(n + e - s, e + 1 - s, q) % q
-            assert list(row) == expected, (n, q, e)
+            dense = [0] * (n + 1)
+            for s, c in row:
+                dense[s] = c
+            assert dense == expected, (n, q, e)
+            # ascending in slot, each slot once, no zero value
+            assert [s for s, c in row if c] == sorted(dict(row)), (n, q, e)
 
 
 def test_planted_forcing_term_raises(monkeypatch):
