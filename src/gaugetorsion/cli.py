@@ -15,9 +15,9 @@ exits 0 or 1, so a failed run leaves no file behind.
 Each size flag, and each count flag a verify target reads (--i-max,
 --degree-cap, --samples), has a floor and a cap; README.md tables the caps
 and the runs they bound; --primes takes at least one prime and at most as
-many as the target's default list, and verify order caps each prime's size
-and the sum of their bit lengths. Primes given with --p or --primes must lie
-below 3.317e24, where primality is decided exactly.
+many as the target's default list, no prime twice, and verify order caps
+each prime's size and the sum of their bit lengths. Primes given with --p
+or --primes must lie below 3.317e24, where primality is decided exactly.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
 alpha_p to stderr as JSON lines, one object per step with keys p, relation,
@@ -347,7 +347,7 @@ def _check_args(args: argparse.Namespace) -> str | None:
     """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
     the size, the counts (the length of --primes one, at least 1), then --p
     or --primes, whose entries meet the target's ceiling before any
-    primality test and its bit budget after.
+    primality test and its bit budget after, and then must be distinct.
     Returns the usage message for the first bad argument, or None."""
     formats, size_flag, cap = _COMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
@@ -384,6 +384,9 @@ def _check_args(args: argparse.Namespace) -> str | None:
         bits = sum(value.bit_length() for value in values)
         if bits_cap is not None and bits > bits_cap:
             return f"--primes entries are capped at {bits_cap} bits in all, got {bits}"
+        repeated = [value for k, value in enumerate(values) if value in values[:k]]
+        if repeated:  # a repeated prime would run, and count, its cases twice
+            return f"--primes repeats {repeated[0]}"
     return None
 
 

@@ -21,7 +21,11 @@ ring goes through ``_PackedSum`` instead: each exponent vector is packed
 into one integer, in slots wide enough for the sum's exponent bound, so a
 product of monomials is an integer addition that never carries between
 slots; the sum stays unreduced under packed keys until its one reduction
-mod p, and only the surviving terms are unpacked back into tuples.
+mod p, and only the surviving terms are unpacked back into tuples. The
+reduced powers of ``steenrod`` run on the same layout (``_slot_width``,
+``_pack_terms``, ``_slot_reader``, ``_unpack_terms``): a polynomial is
+packed once, every reduced power and difference of the Milnor recursion
+stays packed, and the result is unpacked once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .fp import Prime
 
@@ -228,6 +232,46 @@ class _ExpPoly(_FpTable):
         return f"{type(self).__name__}(n={self.n}, p={self.p}, {self.render()})"
 
 
+def _slot_width(bound: int) -> int:
+    """The width in bits of a slot that holds every exponent up to ``bound``:
+    the fewest whole bytes, at least one."""
+    return 8 * max(1, -(-bound.bit_length() // 8))
+
+
+@lru_cache(maxsize=None)
+def _slot_reader(n: int, width: int) -> Callable[[int], Sequence[int]]:
+    """The reader of packed keys of n slots: key -> its n exponents, which for
+    one-byte slots are the key's bytes."""
+    if width == 8:
+        return lambda key: key.to_bytes(n, "little")
+    size = width // 8
+
+    def read(key: int) -> list[int]:
+        raw = key.to_bytes(n * size, "little")
+        return [int.from_bytes(raw[s : s + size], "little") for s in range(0, n * size, size)]
+
+    return read
+
+
+def _pack_terms(terms: Mapping[Monomial, int], width: int) -> dict[int, int]:
+    """terms keyed by packed exponents instead, slot k holding the k-th exponent."""
+    if width == 8:
+        return {int.from_bytes(bytes(mono), "little"): c for mono, c in terms.items()}
+    size = width // 8
+    return {
+        int.from_bytes(b"".join(e.to_bytes(size, "little") for e in mono), "little"): c
+        for mono, c in terms.items()
+    }
+
+
+def _unpack_terms(terms: Mapping[int, int], n: int, width: int) -> dict[Monomial, int]:
+    """terms keyed by exponent tuples again, from packed keys of n slots."""
+    if width == 8:
+        return {tuple(key.to_bytes(n, "little")): c for key, c in terms.items()}
+    read = _slot_reader(n, width)
+    return {tuple(read(key)): c for key, c in terms.items()}
+
+
 @lru_cache(maxsize=None)
 def _slot_units(n: int, width: int) -> tuple[int, ...]:
     """Packed keys of t1, ..., tn in slots of ``width`` bits: t_k is 1 << width (k - 1)."""
@@ -261,7 +305,7 @@ class _PackedSum:
     product stays at most ``bound``, the product of two monomials is the sum of
     their keys, and no slot carries into the next. Products add into
     ``terms`` unreduced, and ``result`` reduces the whole sum mod p once and
-    unpacks, by shifts and masks, only the entries that survive.
+    unpacks (``_unpack_terms``) only the entries that survive.
     """
 
     __slots__ = ("n", "p", "_width", "_units", "terms")
@@ -269,7 +313,7 @@ class _PackedSum:
     def __init__(self, n: int, p: Prime, bound: int) -> None:
         """An empty sum in n generators over F_p, for exponents up to ``bound``."""
         self.n, self.p = n, p
-        self._width = 8 * max(1, -(-bound.bit_length() // 8))
+        self._width = _slot_width(bound)
         self._units = _slot_units(n, self._width)
         self.terms: dict[int, int] = {}
 
@@ -303,14 +347,9 @@ class _PackedSum:
 
     def result(self) -> "MultiPoly":
         """The sum reduced mod p, with its surviving keys unpacked."""
-        q, width = self.p.value, self._width
-        shifts, mask = range(0, self.n * width, width), (1 << width) - 1
-        live = {
-            tuple((k >> s) & mask for s in shifts): r
-            for k, c in self.terms.items()
-            if (r := c % q)
-        }
-        return MultiPoly._canonical(self.n, self.p, live)
+        q = self.p.value
+        live = {k: r for k, c in self.terms.items() if (r := c % q)}
+        return MultiPoly._canonical(self.n, self.p, _unpack_terms(live, self.n, self._width))
 
 
 class MultiPoly(_ExpPoly):

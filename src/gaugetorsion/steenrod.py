@@ -18,14 +18,32 @@ shares; the last support variable takes what is left of i by one lookup.
 At p = 2 the same formula realizes the even squares Sq^(2i) restricted to
 the subring generated by degree-2 classes, the only place this module is
 ever applied.
+
+Reduced powers run on packed monomial keys, in ``polyring``'s slot layout:
+the slots are sized once for every exponent the whole computation can
+reach, so a share a of slot k adds a (p-1) times t_k's key to the key and
+never carries. ``reduced_power`` packs f, walks it once and unpacks the
+result; ``milnor_q_recursive`` packs f once, keeps every reduced power and
+difference of its recursion packed and reduced mod p, and unpacks once.
+``milnor_q_closed``, the independent route, keeps tuple keys.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from typing import Callable, Mapping
 
 from .fp import Prime, _lucas_row
-from .polyring import Monomial, MultiPoly, elementary_sym, power_sum
+from .polyring import (
+    Monomial,
+    MultiPoly,
+    _pack_terms,
+    _slot_reader,
+    _slot_units,
+    _slot_width,
+    _unpack_terms,
+    elementary_sym,
+    power_sum,
+)
 
 __all__ = [
     "reduced_power",
@@ -34,60 +52,89 @@ __all__ = [
     "check_milnor_on_c2",
 ]
 
+_Packed = Mapping[int, int]  # packed exponent key -> residue mod p
+_TAKES_NOTHING = (((0, 1),), None, 0)  # a walk's Lucas entry for a slot whose share is 0
 
-@lru_cache(maxsize=None)
-def _lucas_share(e: int, top: int, p: int) -> dict[int, int]:
-    """The Lucas row of e cut at top as a lookup, a -> binom(e, a) mod p; read only."""
-    return dict(_lucas_row(e, top, p))
+
+def _reduced_powers(n: int, p: int, width: int) -> Callable[[int, _Packed], dict[int, int]]:
+    """The walk (i, terms) -> R^i(terms), reduced mod p, for i >= 1, on packed
+    keys of n slots of ``width`` bits that hold every exponent it reaches.
+
+    Each monomial walks only its support. Every support slot but the last two
+    runs over its Lucas row cut at i, keeping the nonzero shares it takes; it
+    stops once the running sum s passes i and skips what the slots still to
+    run cannot make up. The slot before the last runs its row up to i - s, and
+    the last slot takes what is left, read from its row as a lookup. Each
+    surviving split's target is the monomial's key plus a (p-1) times t_k's
+    key for each share a of slot k. The Lucas rows come from a table that
+    lives as long as the walk, keyed by i and then e.
+    """
+    units, read = _slot_units(n, width), _slot_reader(n, width)
+    table: dict[int, dict] = {}
+
+    def power(i: int, terms: _Packed) -> dict[int, int]:
+        cut = table.setdefault(i, {})  # e -> (row, row as a lookup, its largest share)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key, c in terms.items():
+            walk = []
+            rest = 0  # the most the slots still to run can hold, the last two included
+            for k, e in enumerate(read(key)):
+                if e:
+                    entry = cut.get(e)
+                    if entry is None:
+                        row = _lucas_row(e, i, p)
+                        entry = cut[e] = (row, dict(row), row[-1][0])
+                    walk.append((units[k] * (p - 1), entry))
+                    rest += entry[2]
+            if not walk:
+                continue  # R^i of a constant is 0
+            last_step, (_, last, _) = walk.pop()
+            # the slot before the last, or with one support slot a slot that takes nothing
+            prev_step, (prev_row, _, _) = walk.pop() if walk else (0, _TAKES_NOTHING)
+            partial = [(0, c, key)]  # (running sum, coefficient, target key so far)
+            for step, (row, _, most) in walk:
+                rest -= most
+                grown = []
+                for s, coeff, target in partial:
+                    low, high = i - rest - s, i - s  # the shares this slot may take
+                    for a, b in row:
+                        if a > high:
+                            break
+                        if a >= low:
+                            grown.append((s + a, coeff * b, target + a * step))
+                partial = grown
+            for s, coeff, target in partial:
+                high = i - s
+                for a, b in prev_row:
+                    if a > high:
+                        break
+                    if b_last := last.get(high - a):
+                        target_here = target + a * prev_step + (high - a) * last_step
+                        acc[target_here] = get(target_here, 0) + coeff * b * b_last
+        return {key: r for key, c in acc.items() if (r := c % p)}
+
+    return power
+
+
+def _top_exponent(f: MultiPoly) -> int:
+    return max(map(max, f.terms), default=0)
 
 
 def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
     """The i-th reduced power R^i of f; R^0 is the identity.
 
-    Each monomial walks only its support, the slots with a nonzero exponent.
-    Every support slot but the last runs over its Lucas row cut at i, keeping
-    the nonzero shares it takes; it stops once the running sum s passes i and
-    skips what the slots still to run cannot make up. The last slot's share is
-    then i - s, read from its row as a lookup. Each split that survives
-    patches its shares into one copy of the monomial.
+    No exponent of R^i(f) passes f's largest exponent plus i(p-1), which sizes
+    the slots of the one packed walk.
     """
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
     if i == 0:
         return f
     p = f.p.value
-    acc: dict[Monomial, int] = {}
-    for mono, c in f.terms.items():
-        support = [k for k, e in enumerate(mono) if e]
-        if not support:
-            continue  # R^i of a constant is 0
-        k_last = support.pop()
-        e_last = mono[k_last]
-        last = _lucas_share(e_last, i, p)
-        rows = [_lucas_row(mono[k], i, p) for k in support]
-        # the most the slots still to run can hold, the last slot's included
-        rest = _lucas_row(e_last, i, p)[-1][0] + sum(row[-1][0] for row in rows)
-        partial = [(0, c, ())]  # (running sum, coefficient, nonzero shares as (slot, share))
-        for k, row in zip(support, rows):
-            rest -= row[-1][0]
-            grown = []
-            for s, coeff, shares in partial:
-                for a, b in row:
-                    if s + a > i:
-                        break
-                    if s + a + rest >= i:
-                        grown.append((s + a, coeff * b, (*shares, (k, a)) if a else shares))
-            partial = grown
-        for s, coeff, shares in partial:
-            b = last.get(i - s)
-            if b:
-                target = list(mono)
-                target[k_last] = e_last + (i - s) * (p - 1)
-                for k, a in shares:
-                    target[k] += a * (p - 1)
-                target = tuple(target)
-                acc[target] = acc.get(target, 0) + coeff * b
-    return f._like(acc)
+    width = _slot_width(_top_exponent(f) + i * (p - 1))
+    power = _reduced_powers(f.n, p, width)
+    return f._like(_unpack_terms(power(i, _pack_terms(f.terms, width)), f.n, width))
 
 
 def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
@@ -105,14 +152,30 @@ def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
 
 
 def milnor_q_recursive(level: int, f: MultiPoly) -> MultiPoly:
-    """Q_level(f) by the commutator recursion through reduced powers."""
+    """Q_level(f) by the commutator recursion through reduced powers.
+
+    Every term of the recursion tree has total degree at most p^level - 1
+    above its source term, so no exponent passes f's largest exponent plus
+    p^level - 1: that bound sizes the slots, f is packed once, and the result
+    is unpacked once.
+    """
     if level < 1:
         raise ValueError(f"need level >= 1, got {level}")
-    if level == 1:
-        return reduced_power(1, f)
-    i = f.p.value ** (level - 1)
-    lower = milnor_q_recursive(level - 1, f)
-    return reduced_power(i, lower) - milnor_q_recursive(level - 1, reduced_power(i, f))
+    p = f.p.value
+    width = _slot_width(_top_exponent(f) + p**level - 1)
+    power = _reduced_powers(f.n, p, width)
+
+    def q(level: int, terms: _Packed) -> dict[int, int]:
+        if level == 1:
+            return power(1, terms)
+        i = p ** (level - 1)
+        acc = power(i, q(level - 1, terms))
+        get = acc.get
+        for key, c in q(level - 1, power(i, terms)).items():
+            acc[key] = get(key, 0) - c
+        return {key: r for key, c in acc.items() if (r := c % p)}
+
+    return f._like(_unpack_terms(q(level, _pack_terms(f.terms, width)), f.n, width))
 
 
 def check_milnor_on_c2(

@@ -476,6 +476,13 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
             ("verify", "recurrence", "--primes", " , "),
             "error: need --primes >= 1, got 0\n",
         ),
+        (None, ("verify", "order", "--primes", "3,5,03"), "error: --primes repeats 3\n"),
+        (
+            None,
+            ("verify", "recurrence", "--n-max", "6", "--primes", "2,2"),
+            "error: --primes repeats 2\n",
+        ),
+        (None, ("verify", "milnor", "--primes", "2,3,2"), "error: --primes repeats 2\n"),
         (
             None,
             ("verify", "order", "--primes", "3,1000000000000000003"),
@@ -502,6 +509,9 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
         "primes-empty-commas",
         "primes-empty",
         "primes-blank",
+        "primes-repeated-order",
+        "primes-repeated-recurrence",
+        "primes-repeated-milnor",
         "prime-size-above-cap",
         "prime-bits-above-cap",
     ],

@@ -238,6 +238,70 @@ def test_primitive_square_counterexample_at_odd_primes():
         assert twice == (t(1, p) ** (2 * p.value)).scale(2)
 
 
+# -- the packed walk ---------------------------------------------------------
+
+# Exponent bounds on each side of a change of slot width (one byte to two, two
+# to three). In each test the top term of f reaches the bound exactly, with a
+# unit coefficient; a slot one byte too narrow would carry t1's exponent into t2.
+SLOT_EDGE_BOUNDS = [255, 256, 65535, 65536]
+
+
+@pytest.mark.parametrize("bound", SLOT_EDGE_BOUNDS)
+def test_reduced_power_at_slot_width_edges(bound):
+    # R^1's slots hold the largest exponent e plus p - 1; a prime just below
+    # the edge keeps e small, so the brute-force Cartan sum stays cheap
+    p = Prime(251 if bound <= 256 else 65521)
+    e = bound - (p.value - 1)  # R^1(t1^e) = e t1^bound
+    f = MultiPoly(3, p, {(e, 0, 0): 1, (0, 2, 1): 2, (1, 0, e): 3, (0, 0, 0): 2})
+    assert reduced_power(1, f) == cartan_by_brute_force(f)[1]
+    assert reduced_power(1, f).terms[(bound, 0, 0)] == e
+
+
+@pytest.mark.parametrize("bound", SLOT_EDGE_BOUNDS)
+def test_milnor_routes_agree_at_slot_width_edges(bound):
+    p = Prime(3)
+    e = bound - 8  # Q_2's slots hold the largest exponent e plus 3^2 - 1
+    assert e % 3  # Q_2(t1^e) = e t1^bound
+    f = MultiPoly(3, p, {(e, 0, 0): 1, (0, 2, 1): 2, (e - 1, 1, 0): 1, (0, 0, 0): 2})
+    recursive = milnor_q_recursive(2, f)
+    assert recursive == milnor_q_closed(2, f)
+    assert recursive.terms[(bound, 0, 0)] == e % 3
+
+
+@pytest.mark.parametrize("p", [Prime(2), Prime(3), Prime(5)])
+def test_packed_walk_on_zero_constants_and_one_variable(p):
+    q = p.value
+    for n in (1, 2):
+        zero, constant = MultiPoly.zero(n, p), MultiPoly.constant(n, p, q - 1)
+        for level in (1, 2, 3):
+            for f in (zero, constant):
+                assert milnor_q_recursive(level, f).is_zero()
+                assert milnor_q_closed(level, f).is_zero()
+        for i in (1, 2, q):
+            assert reduced_power(i, zero).is_zero() and reduced_power(i, constant).is_zero()
+    for e in range(1, 12):
+        f = t(1, p) ** e
+        for level in (1, 2, 3):
+            # Q_level(t^e) = e t^(e - 1 + p^level)
+            expected = (t(1, p) ** (e - 1 + q**level)).scale(e)
+            assert milnor_q_recursive(level, f) == expected == milnor_q_closed(level, f)
+        for i in range(e + 2):
+            assert reduced_power(i, f) == (t(1, p) ** (e + i * (q - 1))).scale(comb(e, i))
+
+
+# (p, level) with p^level <= 125, the levels the recursion is checked at
+MILNOR_LEVELS = [(q, level) for q in (2, 3, 5, 7) for level in range(1, 7) if q**level <= 125]
+
+
+@given(data=st.data())
+def test_recursion_matches_closed_form_up_to_degree_125(data):
+    q, level = data.draw(st.sampled_from(MILNOR_LEVELS))
+    p = Prime(q)
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    f = data.draw(st_poly(n, p, max_exp=4, max_terms=3))
+    assert milnor_q_recursive(level, f) == milnor_q_closed(level, f)
+
+
 # -- the second-Chern identity -------------------------------------------------
 
 
