@@ -14,10 +14,12 @@ exits 0 or 1, so a failed run leaves no file behind.
 
 Each size flag, and each count flag a verify target reads (--i-max,
 --degree-cap, --samples), has a floor and a cap; README.md tables the caps
-and the runs they bound; --primes takes at least one prime and at most as
-many as the target's default list, no prime twice, and verify order caps
-each prime's size and the sum of their bit lengths. Primes given with --p
-or --primes must lie below 3.317e24, where primality is decided exactly.
+and the runs they bound. verify milnor's --l-max has the floor 0 and no cap,
+since its levels stop at --degree-cap. --primes takes at least one prime
+and at most as many as the target's default list, no prime twice, and
+verify order caps each prime's size and the sum of their bit lengths.
+Primes given with --p or --primes must lie below 3.317e24, where primality
+is decided exactly. An empty --output is a usage error.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
 alpha_p to stderr as JSON lines, one object per step with keys p, relation,
@@ -345,10 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> str | None:
     """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
-    the size, the counts (the length of --primes one, at least 1), then --p
-    or --primes, whose entries meet the target's ceiling before any
-    primality test and its bit budget after, and then must be distinct.
-    Returns the usage message for the first bad argument, or None."""
+    the size, the counts (the length of --primes one, at least 1; verify
+    milnor's --l-max, at least 0 and uncapped), then --p or --primes, whose
+    entries meet the target's ceiling before any primality test and its bit
+    budget after, and then must be distinct, and last --output, which must
+    not be empty. Returns the usage message for the first bad argument, or
+    None."""
     formats, size_flag, cap = _COMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
     if args.format not in formats:
@@ -359,6 +363,8 @@ def _check_args(args: argparse.Namespace) -> str | None:
         args.primes = primes if args.primes is None else args.primes
         args.n_max = n_max if args.n_max is None else args.n_max
         counts = {**counts, "--primes": len(primes.split(","))}  # the default list's length
+        if args.target == "milnor":
+            counts["--l-max"] = None  # uncapped: the levels stop at --degree-cap
     for flag, ceiling in ((size_flag, cap), *counts.items()):
         floor = {size_flag: 2, "--primes": 1}.get(flag, 0)  # no run passes on no prime
         value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest
@@ -366,7 +372,7 @@ def _check_args(args: argparse.Namespace) -> str | None:
             value = sum(1 for tok in value.split(",") if tok.strip())
         if value < floor:
             return f"need {flag} >= {floor}, got {value}"
-        if value > ceiling:
+        if ceiling is not None and value > ceiling:
             return f"{flag} is capped at {ceiling}, got {value}"
     if getattr(args, "p", None) is not None:
         try:
@@ -387,6 +393,8 @@ def _check_args(args: argparse.Namespace) -> str | None:
         repeated = [value for k, value in enumerate(values) if value in values[:k]]
         if repeated:  # a repeated prime would run, and count, its cases twice
             return f"--primes repeats {repeated[0]}"
+    if args.output == "":  # else the report would go to stdout, and no file be written
+        return "need a file path for --output, got ''"
     return None
 
 

@@ -22,10 +22,10 @@ into one integer, in slots wide enough for the sum's exponent bound, so a
 product of monomials is an integer addition that never carries between
 slots; the sum stays unreduced under packed keys until its one reduction
 mod p, and only the surviving terms are unpacked back into tuples. The
-reduced powers of ``steenrod`` run on the same layout (``_slot_width``,
-``_pack_terms``, ``_slot_reader``, ``_unpack_terms``): a polynomial is
-packed once, every reduced power and difference of the Milnor recursion
-stays packed, and the result is unpacked once.
+reduced powers of ``steenrod`` run on the same layout through a
+``_PackedSum`` of their own, the only way into it: a polynomial is packed
+once (``pack``), every reduced power and difference of the Milnor recursion
+stays packed, and the result is unpacked once (``result``).
 """
 
 from __future__ import annotations
@@ -232,56 +232,38 @@ class _ExpPoly(_FpTable):
         return f"{type(self).__name__}(n={self.n}, p={self.p}, {self.render()})"
 
 
-def _slot_width(bound: int) -> int:
-    """The width in bits of a slot that holds every exponent up to ``bound``:
-    the fewest whole bytes, at least one."""
-    return 8 * max(1, -(-bound.bit_length() // 8))
-
-
 @lru_cache(maxsize=None)
-def _slot_reader(n: int, width: int) -> Callable[[int], Sequence[int]]:
-    """The reader of packed keys of n slots: key -> its n exponents, which for
-    one-byte slots are the key's bytes."""
+def _slot_layout(
+    n: int, width: int
+) -> tuple[tuple[int, ...], Callable[[Sequence[int]], int], Callable[[int], Sequence[int]]]:
+    """The layout of n slots of ``width`` bits: the packed keys of t1, ..., tn
+    (t_k is 1 << width (k - 1)), the packer of one exponent tuple and the
+    reader of one key back into its n exponents. One-byte slots are the key's
+    bytes."""
+    units = tuple(1 << shift for shift in range(0, n * width, width))
     if width == 8:
-        return lambda key: key.to_bytes(n, "little")
+        return (
+            units,
+            lambda mono: int.from_bytes(mono, "little"),
+            lambda key: key.to_bytes(n, "little"),
+        )
     size = width // 8
+
+    def pack(mono: Sequence[int]) -> int:
+        return int.from_bytes(b"".join(e.to_bytes(size, "little") for e in mono), "little")
 
     def read(key: int) -> list[int]:
         raw = key.to_bytes(n * size, "little")
         return [int.from_bytes(raw[s : s + size], "little") for s in range(0, n * size, size)]
 
-    return read
-
-
-def _pack_terms(terms: Mapping[Monomial, int], width: int) -> dict[int, int]:
-    """terms keyed by packed exponents instead, slot k holding the k-th exponent."""
-    if width == 8:
-        return {int.from_bytes(bytes(mono), "little"): c for mono, c in terms.items()}
-    size = width // 8
-    return {
-        int.from_bytes(b"".join(e.to_bytes(size, "little") for e in mono), "little"): c
-        for mono, c in terms.items()
-    }
-
-
-def _unpack_terms(terms: Mapping[int, int], n: int, width: int) -> dict[Monomial, int]:
-    """terms keyed by exponent tuples again, from packed keys of n slots."""
-    if width == 8:
-        return {tuple(key.to_bytes(n, "little")): c for key, c in terms.items()}
-    read = _slot_reader(n, width)
-    return {tuple(read(key)): c for key, c in terms.items()}
-
-
-@lru_cache(maxsize=None)
-def _slot_units(n: int, width: int) -> tuple[int, ...]:
-    """Packed keys of t1, ..., tn in slots of ``width`` bits: t_k is 1 << width (k - 1)."""
-    return tuple(1 << shift for shift in range(0, n * width, width))
+    return units, pack, read
 
 
 @lru_cache(maxsize=None)
 def _packed_elementary(n: int, j: int, width: int) -> Mapping[int, int]:
     """e_j in n variables under packed keys, as a read-only view."""
-    return MappingProxyType(dict.fromkeys(map(sum, combinations(_slot_units(n, width), j)), 1))
+    units = _slot_layout(n, width)[0]
+    return MappingProxyType(dict.fromkeys(map(sum, combinations(units, j)), 1))
 
 
 def _mac(acc: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], scale: int) -> dict:
@@ -298,32 +280,39 @@ def _mac(acc: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], scale:
 class _PackedSum:
     """A sum of products in F_p[t1, ..., tn], under packed-integer keys.
 
-    An exponent vector is one integer whose slot k, W bits wide, holds the k-th
-    exponent (Monagan and Pearce's packed monomials); a monomial packs as its
-    exponents times the generators' keys ``_units``. W is the narrowest whole
-    number of bytes that holds ``bound``. While every exponent of every
-    product stays at most ``bound``, the product of two monomials is the sum of
-    their keys, and no slot carries into the next. Products add into
-    ``terms`` unreduced, and ``result`` reduces the whole sum mod p once and
-    unpacks (``_unpack_terms``) only the entries that survive.
+    An exponent vector is one integer whose slot k, ``width`` bits wide, holds
+    the k-th exponent (Monagan and Pearce's packed monomials); a monomial packs
+    as its exponents times the generators' keys ``units``, and ``read`` turns a
+    key back into its exponents. ``width`` is the narrowest whole number of
+    bytes that holds ``bound``. While every exponent of every product stays at
+    most ``bound``, the product of two monomials is the sum of their keys, and
+    no slot carries into the next. Products add into ``terms`` unreduced, and
+    ``result`` reduces the whole sum mod p once and unpacks only the entries
+    that survive. This class is the only way into the layout: ``steenrod``'s
+    reduced powers pack, walk and unpack through it too.
     """
 
-    __slots__ = ("n", "p", "_width", "_units", "terms")
+    __slots__ = ("n", "p", "width", "units", "read", "_pack", "terms")
 
     def __init__(self, n: int, p: Prime, bound: int) -> None:
         """An empty sum in n generators over F_p, for exponents up to ``bound``."""
         self.n, self.p = n, p
-        self._width = _slot_width(bound)
-        self._units = _slot_units(n, self._width)
+        self.width = width = 8 * (-(-bound.bit_length() // 8) or 1)  # the fewest whole bytes
+        self.units, self._pack, self.read = _slot_layout(n, width)
         self.terms: dict[int, int] = {}
+
+    def pack(self, terms: Mapping[Monomial, int]) -> dict[int, int]:
+        """terms keyed by packed exponents instead; every exponent at most the bound."""
+        pack = self._pack
+        return {pack(mono): c for mono, c in terms.items()}
 
     def elementary(self, j: int) -> Mapping[int, int]:
         """e_j under packed keys, for 0 <= j <= n."""
-        return _packed_elementary(self.n, j, self._width)
+        return _packed_elementary(self.n, j, self.width)
 
     def power_sum(self, e: int) -> dict[int, int]:
         """t1^e + ... + tn^e under packed keys."""
-        return {u * e: 1 for u in self._units}
+        return {u * e: 1 for u in self.units}
 
     def mac(self, a: Mapping[int, int], b: Mapping[int, int], scale: int = 1) -> None:
         """Add scale * a * b, two packed term tables, into the sum, unreduced."""
@@ -347,9 +336,9 @@ class _PackedSum:
 
     def result(self) -> "MultiPoly":
         """The sum reduced mod p, with its surviving keys unpacked."""
-        q = self.p.value
-        live = {k: r for k, c in self.terms.items() if (r := c % q)}
-        return MultiPoly._canonical(self.n, self.p, _unpack_terms(live, self.n, self._width))
+        q, read = self.p.value, self.read
+        live = {tuple(read(k)): r for k, c in self.terms.items() if (r := c % q)}
+        return MultiPoly._canonical(self.n, self.p, live)
 
 
 class MultiPoly(_ExpPoly):

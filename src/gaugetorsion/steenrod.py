@@ -19,11 +19,12 @@ At p = 2 the same formula realizes the even squares Sq^(2i) restricted to
 the subring generated by degree-2 classes, the only place this module is
 ever applied.
 
-Reduced powers run on packed monomial keys, in ``polyring``'s slot layout:
-the slots are sized once for every exponent the whole computation can
-reach, so a share a of slot k adds a (p-1) times t_k's key to the key and
-never carries. ``reduced_power`` packs f, walks it once and unpacks the
-result; ``milnor_q_recursive`` packs f once, keeps every reduced power and
+Reduced powers run on packed monomial keys, through one ``polyring._PackedSum``
+per call, which alone knows the slot layout: its slots are sized once for
+every exponent the whole computation can reach, so a share a of slot k adds
+a (p-1) times t_k's key (``units[k]``) to the key and never carries.
+``reduced_power`` packs f, walks it once and unpacks the result;
+``milnor_q_recursive`` packs f once, keeps every reduced power and
 difference of its recursion packed and reduced mod p, and unpacks once.
 ``milnor_q_closed``, the independent route, keeps tuple keys.
 """
@@ -33,17 +34,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from .fp import Prime, _lucas_row
-from .polyring import (
-    Monomial,
-    MultiPoly,
-    _pack_terms,
-    _slot_reader,
-    _slot_units,
-    _slot_width,
-    _unpack_terms,
-    elementary_sym,
-    power_sum,
-)
+from .polyring import Monomial, MultiPoly, _PackedSum, elementary_sym, power_sum
 
 __all__ = [
     "reduced_power",
@@ -56,9 +47,9 @@ _Packed = Mapping[int, int]  # packed exponent key -> residue mod p
 _TAKES_NOTHING = (((0, 1),), None, 0)  # a walk's Lucas entry for a slot whose share is 0
 
 
-def _reduced_powers(n: int, p: int, width: int) -> Callable[[int, _Packed], dict[int, int]]:
-    """The walk (i, terms) -> R^i(terms), reduced mod p, for i >= 1, on packed
-    keys of n slots of ``width`` bits that hold every exponent it reaches.
+def _reduced_powers(acc: _PackedSum) -> Callable[[int, _Packed], dict[int, int]]:
+    """The walk (i, terms) -> R^i(terms), reduced mod p, for i >= 1, on acc's
+    packed keys, whose slots hold every exponent the walk reaches.
 
     Each monomial walks only its support. Every support slot but the last two
     runs over its Lucas row cut at i, keeping the nonzero shares it takes; it
@@ -69,7 +60,7 @@ def _reduced_powers(n: int, p: int, width: int) -> Callable[[int, _Packed], dict
     key for each share a of slot k. The Lucas rows come from a table that
     lives as long as the walk, keyed by i and then e.
     """
-    units, read = _slot_units(n, width), _slot_reader(n, width)
+    p, units, read = acc.p.value, acc.units, acc.read
     table: dict[int, dict] = {}
 
     def power(i: int, terms: _Packed) -> dict[int, int]:
@@ -131,10 +122,9 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
         raise ValueError(f"need i >= 0, got {i}")
     if i == 0:
         return f
-    p = f.p.value
-    width = _slot_width(_top_exponent(f) + i * (p - 1))
-    power = _reduced_powers(f.n, p, width)
-    return f._like(_unpack_terms(power(i, _pack_terms(f.terms, width)), f.n, width))
+    acc = _PackedSum(f.n, f.p, _top_exponent(f) + i * (f.p.value - 1))
+    acc.terms = _reduced_powers(acc)(i, acc.pack(f.terms))
+    return acc.result()
 
 
 def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
@@ -162,20 +152,21 @@ def milnor_q_recursive(level: int, f: MultiPoly) -> MultiPoly:
     if level < 1:
         raise ValueError(f"need level >= 1, got {level}")
     p = f.p.value
-    width = _slot_width(_top_exponent(f) + p**level - 1)
-    power = _reduced_powers(f.n, p, width)
+    acc = _PackedSum(f.n, f.p, _top_exponent(f) + p**level - 1)
+    power = _reduced_powers(acc)
 
     def q(level: int, terms: _Packed) -> dict[int, int]:
         if level == 1:
             return power(1, terms)
         i = p ** (level - 1)
-        acc = power(i, q(level - 1, terms))
-        get = acc.get
+        diff = power(i, q(level - 1, terms))
+        get = diff.get
         for key, c in q(level - 1, power(i, terms)).items():
-            acc[key] = get(key, 0) - c
-        return {key: r for key, c in acc.items() if (r := c % p)}
+            diff[key] = get(key, 0) - c
+        return {key: r for key, c in diff.items() if (r := c % p)}
 
-    return f._like(_unpack_terms(q(level, _pack_terms(f.terms, width)), f.n, width))
+    acc.terms = q(level, acc.pack(f.terms))
+    return acc.result()
 
 
 def check_milnor_on_c2(

@@ -380,6 +380,13 @@ def test_output_left_absent_on_usage_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_output_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "decide", "--n", "6", "--k", "2", "--output", "")
+    assert (code, out, err) == (2, "", "error: need a file path for --output, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_written_on_success(capsys, tmp_path):
     target = tmp_path / "f"
     code, out, _ = run(
@@ -464,6 +471,7 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
             "error: --samples is capped at 20000, got 20001\n",
         ),
         (None, ("verify", "milnor", "--samples", "-1"), "error: need --samples >= 0, got -1\n"),
+        (None, ("verify", "milnor", "--l-max", "-3"), "error: need --l-max >= 0, got -3\n"),
         (
             None,
             ("verify", "newton", "--primes", "2,3,5,7"),
@@ -505,6 +513,7 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
         "degree-cap-below-floor",
         "samples-above-cap",
         "samples-below-floor",
+        "l-max-below-floor",
         "primes-above-cap",
         "primes-empty-commas",
         "primes-empty",

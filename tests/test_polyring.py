@@ -23,9 +23,10 @@ from tests.conftest import PRIMES_235, random_multipoly
 
 
 def pack(acc: _PackedSum, f: MultiPoly) -> dict[int, int]:
-    """The terms of f under acc's packed keys; production code packs no operand."""
+    """The terms of f under acc's packed keys, as exponents times ``units``:
+    independent of ``_PackedSum.pack``, which it checks."""
     assert (f.n, f.p) == (acc.n, acc.p)
-    return {sum(map(mul, mono, acc._units)): c for mono, c in f.terms.items()}
+    return {sum(map(mul, mono, acc.units)): c for mono, c in f.terms.items()}
 
 
 def st_poly(n: int, p: Prime, max_exp: int = 3, max_terms: int = 4):
@@ -171,7 +172,9 @@ def test_packed_sum_slots_hold_exponents_up_to_the_bound(bound, width):
     g = MultiPoly(3, p, {(1, 0, 0): 4, (0, bound - 1, 1): 1, (0, 0, bound - 2): 2})
     h = MultiPoly(3, p, {(bound, bound, bound): 1, (1, 0, 0): 1})
     acc = _PackedSum(3, p, bound)
-    assert acc._width == width
+    assert acc.width == width
+    for poly in (f, g, h):
+        assert acc.pack(poly.terms) == pack(acc, poly)
     acc.mac(pack(acc, f), pack(acc, g), 3)
     acc.mac(pack(acc, h), pack(acc, MultiPoly.one(3, p)), -1)
     assert acc.result() == (f * g).scale(3) - h
