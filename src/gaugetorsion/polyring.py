@@ -25,7 +25,8 @@ mod p, and only the surviving terms are unpacked back into tuples. The
 reduced powers of ``steenrod`` run on the same layout through a
 ``_PackedSum`` of their own, the only way into it: a polynomial is packed
 once (``pack``), every reduced power and difference of the Milnor recursion
-stays packed, and the result is unpacked once (``result``).
+stays packed, each key's class of exponents mod q is read in one call
+(``residues``), and the result is unpacked once (``result``).
 """
 
 from __future__ import annotations
@@ -233,19 +234,36 @@ class _ExpPoly(_FpTable):
 
 
 @lru_cache(maxsize=None)
-def _slot_layout(
-    n: int, width: int
-) -> tuple[tuple[int, ...], Callable[[Sequence[int]], int], Callable[[int], Sequence[int]]]:
+def _byte_residues(q: int) -> bytes:
+    """The 256-byte table of b mod q for every byte b, for 1 <= q <= 256."""
+    return bytes(b % q for b in range(256))
+
+
+@lru_cache(maxsize=None)
+def _slot_layout(n: int, width: int) -> tuple[
+    tuple[int, ...],
+    Callable[[Sequence[int]], int],
+    Callable[[int], Sequence[int]],
+    Callable[[int], Callable[[int], Sequence[int]]],
+]:
     """The layout of n slots of ``width`` bits: the packed keys of t1, ..., tn
-    (t_k is 1 << width (k - 1)), the packer of one exponent tuple and the
-    reader of one key back into its n exponents. One-byte slots are the key's
-    bytes."""
+    (t_k is 1 << width (k - 1)), the packer of one exponent tuple, the reader
+    of one key back into its n exponents, and, for a modulus q, the reader of
+    one key's n exponents mod q as a hashable sequence. One-byte slots are the
+    key's bytes, and their residues mod q are those bytes translated through
+    one 256-byte table, in one C call."""
     units = tuple(1 << shift for shift in range(0, n * width, width))
     if width == 8:
+
+        def residues(q: int) -> Callable[[int], bytes]:
+            table = _byte_residues(min(q, 256))  # for q >= 256 every byte is its residue
+            return lambda key: key.to_bytes(n, "little").translate(table)
+
         return (
             units,
             lambda mono: int.from_bytes(mono, "little"),
             lambda key: key.to_bytes(n, "little"),
+            residues,
         )
     size = width // 8
 
@@ -256,7 +274,10 @@ def _slot_layout(
         raw = key.to_bytes(n * size, "little")
         return [int.from_bytes(raw[s : s + size], "little") for s in range(0, n * size, size)]
 
-    return units, pack, read
+    def residues(q: int) -> Callable[[int], tuple[int, ...]]:
+        return lambda key: tuple([e % q for e in read(key)])
+
+    return units, pack, read, residues
 
 
 @lru_cache(maxsize=None)
@@ -282,23 +303,25 @@ class _PackedSum:
 
     An exponent vector is one integer whose slot k, ``width`` bits wide, holds
     the k-th exponent (Monagan and Pearce's packed monomials); a monomial packs
-    as its exponents times the generators' keys ``units``, and ``read`` turns a
-    key back into its exponents. ``width`` is the narrowest whole number of
-    bytes that holds ``bound``. While every exponent of every product stays at
-    most ``bound``, the product of two monomials is the sum of their keys, and
-    no slot carries into the next. Products add into ``terms`` unreduced, and
-    ``result`` reduces the whole sum mod p once and unpacks only the entries
-    that survive. This class is the only way into the layout: ``steenrod``'s
-    reduced powers pack, walk and unpack through it too.
+    as its exponents times the generators' keys ``units``, ``read`` turns a
+    key back into its exponents, and ``residues(q)`` gives the reader of a
+    key's exponents mod q, as a hashable sequence. ``width`` is the narrowest
+    whole number of bytes that holds ``bound``. While every exponent of every
+    product stays at most ``bound``, the product of two monomials is the sum
+    of their keys, and no slot carries into the next. Products add into
+    ``terms`` unreduced, and ``result`` reduces the whole sum mod p once and
+    unpacks only the entries that survive. This class is the only way into
+    the layout: ``steenrod``'s reduced powers pack, classify, walk and unpack
+    through it too.
     """
 
-    __slots__ = ("n", "p", "width", "units", "read", "_pack", "terms")
+    __slots__ = ("n", "p", "width", "units", "read", "residues", "_pack", "terms")
 
     def __init__(self, n: int, p: Prime, bound: int) -> None:
         """An empty sum in n generators over F_p, for exponents up to ``bound``."""
         self.n, self.p = n, p
         self.width = width = 8 * (-(-bound.bit_length() // 8) or 1)  # the fewest whole bytes
-        self.units, self._pack, self.read = _slot_layout(n, width)
+        self.units, self._pack, self.read, self.residues = _slot_layout(n, width)
         self.terms: dict[int, int] = {}
 
     def pack(self, terms: Mapping[Monomial, int]) -> dict[int, int]:
@@ -335,10 +358,15 @@ class _PackedSum:
             a = self.product(a, a)
 
     def result(self) -> "MultiPoly":
-        """The sum reduced mod p, with its surviving keys unpacked."""
+        """The sum reduced mod p, with its surviving keys unpacked.
+
+        The terms are reduced here, once, so the result is filled in directly
+        rather than reduced a second time by ``_canonical``."""
         q, read = self.p.value, self.read
-        live = {tuple(read(k)): r for k, c in self.terms.items() if (r := c % q)}
-        return MultiPoly._canonical(self.n, self.p, live)
+        out = object.__new__(MultiPoly)
+        out.n, out.p = self.n, self.p
+        out.terms = {tuple(read(k)): r for k, c in self.terms.items() if (r := c % q)}
+        return out
 
 
 class MultiPoly(_ExpPoly):

@@ -2,6 +2,7 @@ import os
 import random
 import resource
 import subprocess
+import threading
 import sys
 from itertools import product
 from math import comb
@@ -22,6 +23,7 @@ from gaugetorsion import (
     reduced_power,
 )
 from gaugetorsion import steenrod
+from gaugetorsion.cli import _random_poly
 from gaugetorsion.fp import _lucas, _lucas_row
 from tests.conftest import PRIMES_235, random_multipoly
 from tests.test_polyring import st_poly
@@ -329,3 +331,156 @@ def test_identity_lhs_matches_direct_expansion():
     q = p.value**level
     direct = power_sum(n, 1, p) * power_sum(n, q, p) - power_sum(n, q + 1, p)
     assert milnor_q_closed(level, elementary_sym(n, 2, p)) == direct
+
+
+# -- plans by residue class ----------------------------------------------------
+
+
+def some_poly(rng: random.Random, n: int, p: Prime, max_exp: int, terms: int) -> MultiPoly:
+    """A seeded polynomial of `terms` draws, so never zero."""
+    return _random_poly(rng, n, p, max_exp, terms, min_terms=terms)
+
+
+def plans_held() -> int:
+    """The plans in the table, counted from the table itself."""
+    return sum(len(kept[1]) for kept in steenrod._plans.values())
+
+
+def test_terms_of_one_residue_class_share_a_plan():
+    # at p = 2 and i = 4, q = 8: t1^3 t2^9 and t1^11 t2 both have residues (3, 1)
+    p = Prime(2)
+    f = MultiPoly(2, p, {(3, 9): 1, (11, 1): 1})
+    expected = cartan_by_brute_force(f)
+    steenrod._plan_clear()
+    assert reduced_power(4, f) == expected[4]
+    assert steenrod._plan_info()[:2] == (1, 1)  # one class walked, its plan reused once
+    for i in range(1, 16):
+        assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(2, p)), i
+    for level in (1, 2, 3, 4):
+        assert milnor_q_recursive(level, f) == milnor_q_closed(level, f), level
+
+
+def shifted(f: MultiPoly, q: int, by: int) -> MultiPoly:
+    """f with `by` q added to every exponent: each term stays in its class mod q."""
+    return MultiPoly(f.n, f.p, {tuple(e + by * q for e in mono): c for mono, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("p", PRIMES_235)
+def test_cold_and_warm_tables_give_the_same_powers(p):
+    rng = random.Random(40 + p.value)
+    f = some_poly(rng, 3, p, 9, 6)
+    q = p.value**2  # the q of every i from p to p^2 - 1, and of level 2's R^p
+    expected = cartan_by_brute_force(f)
+    steenrod._plan_clear()
+    cold = {i: reduced_power(i, f) for i in range(p.value, q)}
+    cold_q = milnor_q_recursive(2, f)
+    assert steenrod._plan_info().misses > 0
+    for by in (1, 2, 3):  # other polynomials of the same classes fill the table
+        g = shifted(f, q, by)
+        assert milnor_q_recursive(2, g) == milnor_q_closed(2, g)
+        for i in range(p.value, q):
+            reduced_power(i, g)
+    misses = steenrod._plan_info().misses
+    warm = {i: reduced_power(i, f) for i in range(p.value, q)}
+    assert milnor_q_recursive(2, f) == cold_q == milnor_q_closed(2, f)
+    assert steenrod._plan_info().misses == misses  # every class was met already
+    for i in range(p.value, q):
+        assert warm[i] == cold[i] == expected.get(i, MultiPoly.zero(3, p)), i
+
+
+def test_two_byte_slots_share_a_plan_across_the_byte_edge():
+    # 259 and 3 are both 3 mod 8, the q of i = 4 at p = 2; 259 + 4 needs two-byte slots
+    p = Prime(2)
+    f = MultiPoly(2, p, {(259, 1): 1, (3, 9): 1, (0, 0): 1})
+    steenrod._plan_clear()
+    expected = cartan_by_brute_force(f)
+    assert reduced_power(4, f) == expected[4]
+    assert steenrod._plan_info()[:2] == (1, 2)  # the constant's class and (3, 1)
+    (signature,) = steenrod._plans
+    assert signature == (2, 4, 2, 16)  # (p, i, n, slot width in bits)
+    for i in range(9):
+        assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(2, p)), i
+    # the recursion at level 3 runs R^4; at p = 3 its q = 27 splits 283 = 27 * 10 + 13
+    assert milnor_q_recursive(3, f) == milnor_q_closed(3, f)
+    g = MultiPoly(2, Prime(3), {(283, 2): 1, (13, 29): 2, (1, 1): 1})
+    assert milnor_q_recursive(3, g) == milnor_q_closed(3, g)
+
+
+def test_plan_table_stays_within_its_cap(monkeypatch):
+    cap = 8
+    monkeypatch.setattr(steenrod, "_PLAN_CAP", cap)
+    steenrod._plan_clear()
+    p = Prime(3)
+    rng = random.Random(7)
+    sizes = []
+    for _ in range(30):
+        f = some_poly(rng, 3, p, 8, 6)
+        expected = cartan_by_brute_force(f)
+        for i in (1, 2, 3, 5):
+            assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(3, p)), (f, i)
+            sizes.append(plans_held())
+            assert plans_held() == steenrod._plan_info().currsize <= cap
+        assert milnor_q_recursive(2, f) == milnor_q_closed(2, f)
+        assert plans_held() <= cap
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))  # emptied when full
+    # a call with more new classes than there is room keeps what fits, and the
+    # next call finds the table full and empties it first
+    steenrod._plan_clear()
+    wide = MultiPoly(3, p, {(a, b, c): 1 for a in range(3) for b in range(3) for c in range(2)})
+    assert reduced_power(1, wide) == cartan_by_brute_force(wide)[1]
+    info = steenrod._plan_info()
+    assert (info.misses, info.currsize, plans_held(), info.maxsize) == (18, cap, cap, cap)
+    assert reduced_power(1, t(3, p)) == t(3, p) ** 3
+    assert steenrod._plan_info().currsize == plans_held() == 1
+
+
+def test_threads_share_a_cold_plan_table():
+    inputs = [
+        (level, some_poly(random.Random(seed), 3, p, 6, 5))
+        for seed, p in enumerate(PRIMES_235 * 2)
+        for level in (1, 2, 3)
+    ]
+    expected = [milnor_q_closed(level, f) for level, f in inputs]
+    steenrod._plan_clear()
+    assert [milnor_q_recursive(level, f) for level, f in inputs] == expected
+    lookups = sum(steenrod._plan_info()[:2])  # the same in every run, cold or warm
+    results: list = [None] * 4
+
+    def run(k: int) -> None:
+        start.wait()
+        results[k] = [milnor_q_recursive(level, f) for level, f in inputs]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(10):  # each round races four threads on a cold table
+            steenrod._plan_clear()
+            results[:] = [None] * 4
+            start = threading.Barrier(4)
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(result == expected for result in results)
+            # a lost update of the counts would show here; a class that two
+            # threads build at once is counted by both, so never too few plans
+            info = steenrod._plan_info()
+            assert info.hits + info.misses == 4 * lookups
+            assert plans_held() <= info.currsize <= steenrod._PLAN_CAP
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_repeated_call_reads_only_hits():
+    p = Prime(3)
+    f = some_poly(random.Random(3), 3, p, 9, 6)
+    steenrod._plan_clear()
+    milnor_q_recursive(2, f)
+    hits, misses, maxsize, currsize = steenrod._plan_info()
+    assert misses == currsize > 0 and maxsize == steenrod._PLAN_CAP
+    milnor_q_recursive(2, f)
+    again = steenrod._plan_info()
+    assert (again.misses, again.currsize) == (misses, currsize)
+    assert again.hits - hits == hits + misses  # the same lookups, every one a hit
