@@ -19,7 +19,10 @@ since its levels stop at --degree-cap. --primes takes at least one prime
 and at most as many as the target's default list, no prime twice, and
 verify order caps each prime's size and the sum of their bit lengths.
 Primes given with --p or --primes must lie below 3.317e24, where primality
-is decided exactly. An empty --output is a usage error.
+is decided exactly. A verify run that would check no case (verify recurrence
+with every prime above --n-max; verify milnor with --samples 0 and no level
+whose p^level + 1 fits under --degree-cap) and an empty --output are usage
+errors.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
 alpha_p to stderr as JSON lines, one object per step with keys p, relation,
@@ -350,9 +353,9 @@ def _check_args(args: argparse.Namespace) -> str | None:
     the size, the counts (the length of --primes one, at least 1; verify
     milnor's --l-max, at least 0 and uncapped), then --p or --primes, whose
     entries meet the target's ceiling before any primality test and its bit
-    budget after, and then must be distinct, and last --output, which must
-    not be empty. Returns the usage message for the first bad argument, or
-    None."""
+    budget after, and then must be distinct, then whether a verify run checks
+    any case at all, and last --output, which must not be empty. Returns the
+    usage message for the first bad argument, or None."""
     formats, size_flag, cap = _COMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
     if args.format not in formats:
@@ -393,6 +396,18 @@ def _check_args(args: argparse.Namespace) -> str | None:
         repeated = [value for k, value in enumerate(values) if value in values[:k]]
         if repeated:  # a repeated prime would run, and count, its cases twice
             return f"--primes repeats {repeated[0]}"
+        # a run of no case would report 0/0 and exit 0, as if it had checked something
+        if args.target == "recurrence" and min(values) > args.n_max:
+            return (
+                f"verify recurrence checks nothing: no prime of --primes is <= --n-max {args.n_max}"
+            )
+        if args.target == "milnor" and not args.samples and (
+            not args.l_max or min(values) + 1 > args.degree_cap
+        ):
+            return (
+                "verify milnor checks nothing: --samples is 0 and no level up to --l-max "
+                f"has p^level + 1 <= --degree-cap {args.degree_cap}"
+            )
     if args.output == "":  # else the report would go to stdout, and no file be written
         return "need a file path for --output, got ''"
     return None

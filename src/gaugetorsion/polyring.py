@@ -249,12 +249,13 @@ def _slot_layout(n: int, width: int) -> tuple[
     """The layout of n slots of ``width`` bits: the packed keys of t1, ..., tn
     (t_k is 1 << width (k - 1)), the packer of one exponent tuple, the reader
     of one key back into its n exponents, and, for a modulus q, the reader of
-    one key's n exponents mod q as a hashable sequence. One-byte slots are the
-    key's bytes, and their residues mod q are those bytes translated through
-    one 256-byte table, in one C call."""
+    one key's n exponents mod q as a hashable sequence, built once per q.
+    One-byte slots are the key's bytes, and their residues mod q are those
+    bytes translated through one 256-byte table, in one C call."""
     units = tuple(1 << shift for shift in range(0, n * width, width))
     if width == 8:
 
+        @lru_cache(maxsize=None)
         def residues(q: int) -> Callable[[int], bytes]:
             table = _byte_residues(min(q, 256))  # for q >= 256 every byte is its residue
             return lambda key: key.to_bytes(n, "little").translate(table)
@@ -274,6 +275,7 @@ def _slot_layout(n: int, width: int) -> tuple[
         raw = key.to_bytes(n * size, "little")
         return [int.from_bytes(raw[s : s + size], "little") for s in range(0, n * size, size)]
 
+    @lru_cache(maxsize=None)
     def residues(q: int) -> Callable[[int], tuple[int, ...]]:
         return lambda key: tuple([e % q for e in read(key)])
 

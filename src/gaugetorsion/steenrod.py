@@ -16,12 +16,11 @@ below q, the least power of p above i, and by Lucas' theorem
 binom(e, a) = binom(e mod q, a) mod p for a < q, so R^i(t^e) = t^(e - r) R^i(t^r)
 with r the exponents mod q: the splits of a monomial depend only on its
 residue class r. R^i runs once per class, not once per monomial: the plan of
-a class, the key offsets and coefficients of R^i(t^r), is worked out the first
-time the class is met and kept in a module-level table, keyed by
-(p, i, n, slot width) and then by class, across calls; the table is cleared
-when it holds ``_PLAN_CAP`` plans, and ``_plan_info()`` reads its hits,
-misses and size like ``cache_info()``. A plan is built by walking only the
-class's support, the variables with a nonzero residue, over the Lucas rows of
+a class, the key offsets and coefficients of R^i(t^r), is a pure function of
+(p, i, slot width, r), ``_class_plan``, kept in one ``functools.lru_cache`` of
+8192 plans across calls and read like any other memo, through
+``_class_plan.cache_info()``. A plan is built by walking only the class's
+support, the variables with a nonzero residue, over the Lucas rows of
 ``fp._lucas_row`` cut at i, which list only the nonvanishing shares; the last
 support variable takes what is left of i by one lookup.
 At p = 2 the same formula realizes the even squares Sq^(2i) restricted to
@@ -31,7 +30,7 @@ ever applied.
 Reduced powers run on packed monomial keys, through one ``polyring._PackedSum``
 per call, which alone knows the slot layout: its slots are sized once for
 every exponent the whole computation can reach, so a share a of slot k adds
-a (p-1) times t_k's key (``units[k]``) to the key and never carries.
+a (p-1) times t_k's key, 1 << (k - 1) width, to the key and never carries.
 ``reduced_power`` packs f, walks it once and unpacks the result;
 ``milnor_q_recursive`` packs f once, keeps every reduced power and
 difference of its recursion packed and reduced mod p, and unpacks once.
@@ -40,9 +39,10 @@ difference of its recursion packed and reduced mod p, and unpacks once.
 
 from __future__ import annotations
 
-import threading
-from collections import namedtuple
-from typing import Callable, Mapping
+from functools import lru_cache
+from itertools import compress, count
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .fp import Prime, _lucas_row
 from .polyring import Monomial, MultiPoly, _PackedSum, elementary_sym, power_sum
@@ -55,34 +55,65 @@ __all__ = [
 ]
 
 _Packed = Mapping[int, int]  # packed exponent key -> residue mod p
-_TAKES_NOTHING = (((0, 1),), None, 0)  # a walk's Lucas entry for a slot whose share is 0
-
-# The split plans of every residue class met so far. For each (p, i, n, width)
-# it keeps the reader of a key's class, the plans by class (each a tuple of
-# (key offset, coefficient) pairs), the Lucas rows their walks read, by
-# residue, and the key offset of a share of 1 in each slot. A call stores the
-# plans it builds while the table has room; a call that finds _PLAN_CAP plans
-# held empties the table first. _plan_counts holds the lookups, the misses and
-# the plans held; the lock guards its updates and the emptying.
-_PLAN_CAP = 1 << 13
-_plans: dict[tuple[int, int, int, int], tuple[Callable, dict, dict, tuple]] = {}
-_plan_counts = [0, 0, 0]
-_plan_lock = threading.Lock()
-_PlanInfo = namedtuple("_PlanInfo", "hits misses maxsize currsize")
+_TAKES_NOTHING = (0, ((0, 1),))  # a walk's (step, Lucas row) for a slot whose share is 0
 
 
-def _plan_info() -> _PlanInfo:
-    """The plan table's hits, misses, cap and size, shaped like ``cache_info()``."""
-    with _plan_lock:
-        lookups, misses, held = _plan_counts
-    return _PlanInfo(lookups - misses, misses, _PLAN_CAP, held)
+@lru_cache(maxsize=None)
+def _lucas_lookup(e: int, top: int, p: int) -> Mapping[int, int]:
+    """``fp._lucas_row(e, top, p)`` as a read-only lookup from a to binom(e, a) mod p."""
+    return MappingProxyType(dict(_lucas_row(e, top, p)))
 
 
-def _plan_clear() -> None:
-    """Empty the plan table and zero its counts, like ``cache_clear()``."""
-    with _plan_lock:
-        _plans.clear()
-        _plan_counts[:] = [0, 0, 0]
+@lru_cache(maxsize=1 << 13)
+def _class_plan(p: int, i: int, width: int, res: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The splits of R^i(t^r) for the class r = res, in slots of ``width`` bits:
+    each a (sum of a (p-1) times t_k's key over its shares a, product of
+    binom(r_k, a) mod p) pair, the products that vanish mod p left out.
+
+    The walk runs only over the support, the slots with a nonzero residue.
+    Every support slot but the last two runs over its Lucas row cut at i,
+    keeping the nonzero shares it takes; it stops once the running sum s
+    passes i and skips what the slots still to run cannot make up. The slot
+    before the last runs its row up to i - s, and the last slot takes what is
+    left, read from its row as a lookup. A class of residues all 0, constants
+    included, has no split.
+    """
+    walk = [((p - 1) << (k * width), res[k]) for k in compress(count(), res)]
+    if not walk:
+        return ()
+    last_step, e = walk.pop()
+    last = _lucas_lookup(e, i, p)
+    if walk:  # the slot before the last
+        prev_step, e = walk.pop()
+        prev_row = _lucas_row(e, i, p)
+    else:  # one support slot: the slot before it takes nothing
+        prev_step, prev_row = _TAKES_NOTHING
+    partial = [(0, 1, 0)]  # (running sum, coefficient, offset so far)
+    if walk:
+        walk = [(step, _lucas_row(e, i, p)) for step, e in walk]
+        # the most the slots still to run can hold, the last two included
+        rest = sum(row[-1][0] for _, row in walk) + max(last) + prev_row[-1][0]
+        for step, row in walk:
+            rest -= row[-1][0]
+            grown = []
+            for s, coeff, off in partial:
+                low, high = i - rest - s, i - s  # the shares this slot may take
+                for a, b in row:
+                    if a > high:
+                        break
+                    if a >= low:
+                        grown.append((s + a, coeff * b, off + a * step))
+            partial = grown
+    plan = []
+    for s, coeff, off in partial:
+        high = i - s
+        for a, b in prev_row:
+            if a > high:
+                break
+            if b_last := last.get(high - a):
+                # a product of units mod p, never 0
+                plan.append((off + a * prev_step + (high - a) * last_step, coeff * b * b_last % p))
+    return tuple(plan)
 
 
 def _packed_power(acc: _PackedSum, i: int, terms: _Packed) -> dict[int, int]:
@@ -91,95 +122,20 @@ def _packed_power(acc: _PackedSum, i: int, terms: _Packed) -> dict[int, int]:
 
     Let q be the least power of p above i, and r a monomial's exponents mod q.
     By Lucas, binom(e, a) = binom(e mod q, a) mod p for every a < q, so
-    R^i(t^e) = t^(e - r) R^i(t^r): a monomial's splits depend only on its class
-    r. The plan of a class, its splits as (sum of a (p-1) times t_k's key over
-    its shares a, product of binom(r_k, a) mod p) pairs, is kept in the module's
-    table across calls, and R^i of a term is its key plus each offset. A class
-    met for the first time is walked on r, and each split the walk finds goes
-    into the result as well as into the plan. It walks only its support. Every
-    support slot but the last two runs over its Lucas row cut at i, keeping the
-    nonzero shares it takes; it stops once the running sum s passes i and skips
-    what the slots still to run cannot make up. The slot before the last runs
-    its row up to i - s, and the last slot takes what is left, read from its
-    row as a lookup.
+    R^i(t^e) = t^(e - r) R^i(t^r): R^i of a term is its key plus each offset
+    of its class's plan.
     """
-    p, n, width = acc.p.value, acc.n, acc.width
-    if _plan_counts[2] >= _PLAN_CAP:
-        with _plan_lock:
-            if _plan_counts[2] >= _PLAN_CAP:
-                _plans.clear()
-                _plan_counts[2] = 0
-    room = max(_PLAN_CAP - _plan_counts[2], 0)  # the plans this call may add
-    signature = (p, i, n, width)
-    kept = _plans.get(signature)
-    if kept is None:
-        q = p  # the least power of p above i
-        while q <= i:
-            q *= p
-        steps = tuple(unit * (p - 1) for unit in acc.units)  # a share of 1 in each slot
-        kept = _plans.setdefault(signature, (acc.residues(q), {}, {}, steps))
-    classify, plans, cut, steps = kept  # cut: r -> (row, row as a lookup, its largest share)
-    misses = 0
+    p = acc.p.value
+    q = p  # the least power of p above i
+    while q <= i:
+        q *= p
+    classify, width, plan_of = acc.residues(q), acc.width, _class_plan
     out: dict[int, int] = {}
     get = out.get
     for key, c in terms.items():
-        res = classify(key)
-        plan = plans.get(res)
-        if plan is not None:
-            for off, b in plan:
-                target = key + off
-                out[target] = get(target, 0) + c * b
-            continue
-        # a new class: walk it, adding each split to out as it is found
-        walk = []
-        rest = 0  # the most the slots still to run can hold, the last two included
-        # only the slots from the key's lowest nonzero one to its highest can
-        # hold a nonzero residue
-        first = ((key & -key).bit_length() - 1) // width
-        for k, e in enumerate(res[first : -(-key.bit_length() // width)], first):
-            if e:
-                entry = cut.get(e)
-                if entry is None:
-                    row = _lucas_row(e, i, p)
-                    entry = cut[e] = (row, dict(row), row[-1][0])
-                walk.append((steps[k], entry))
-                rest += entry[2]
-        splits = []
-        if walk:  # R^i of a class of residues all 0, constants included, is 0
-            last_step, (_, last, _) = walk.pop()
-            # the slot before the last, or with one support slot a slot that takes nothing
-            prev_step, (prev_row, _, _) = walk.pop() if walk else (0, _TAKES_NOTHING)
-            partial = [(0, 1, 0)]  # (running sum, coefficient, offset so far)
-            for step, (row, _, most) in walk:
-                rest -= most
-                grown = []
-                for s, coeff, off in partial:
-                    low, high = i - rest - s, i - s  # the shares this slot may take
-                    for a, b in row:
-                        if a > high:
-                            break
-                        if a >= low:
-                            grown.append((s + a, coeff * b, off + a * step))
-                partial = grown
-            for s, coeff, off in partial:
-                high = i - s
-                for a, b in prev_row:
-                    if a > high:
-                        break
-                    if b_last := last.get(high - a):
-                        off_here = off + a * prev_step + (high - a) * last_step
-                        b_here = coeff * b * b_last % p  # a product of units mod p, never 0
-                        splits.append((off_here, b_here))
-                        target = key + off_here
-                        out[target] = get(target, 0) + c * b_here
-        misses += 1
-        if misses <= room:
-            plans[res] = tuple(splits)
-    with _plan_lock:
-        _plan_counts[0] += len(terms)
-        if misses:
-            _plan_counts[1] += misses
-            _plan_counts[2] += min(misses, room)
+        for off, b in plan_of(p, i, width, classify(key)):
+            target = key + off
+            out[target] = get(target, 0) + c * b
     return {key: r for key, c in out.items() if (r := c % p)}
 
 

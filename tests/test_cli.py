@@ -441,6 +441,35 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
 
 # -- arguments are checked before --output is opened -------------------------------------
 
+# The messages of the two verify runs that would check no case and print 0/0.
+CHECKS_NOTHING = (
+    "error: verify recurrence checks nothing: no prime of --primes is <= --n-max 6\n",
+    "error: verify milnor checks nothing: --samples is 0 and no level up to --l-max "
+    "has p^level + 1 <= --degree-cap 2\n",
+)
+ZERO_CASE_RUNS = (
+    ("verify", "recurrence", "--primes", "7", "--n-max", "6"),
+    ("verify", "milnor", "--samples", "0", "--degree-cap", "2"),
+)
+
+
+@pytest.mark.parametrize("argv, message", zip(ZERO_CASE_RUNS, CHECKS_NOTHING))
+def test_a_verify_run_of_no_case_is_a_usage_error(capsys, tmp_path, argv, message):
+    # without --output the message goes to stderr and nothing to stdout
+    assert run(capsys, *argv) == (2, "", message)
+    # with --output it is refused before the file is opened, so none is left
+    target = tmp_path / "report.txt"
+    assert run(capsys, *argv, "--output", str(target)) == (2, "", message)
+    assert list(tmp_path.iterdir()) == []
+    # one case more is a run: a prime at --n-max, or the lowest level's degree
+    if argv[1] == "recurrence":
+        code, out, _ = run(capsys, "verify", "recurrence", "--primes", "7", "--n-max", "7")
+    else:
+        code, out, _ = run(
+            capsys, "verify", "milnor", "--samples", "0", "--degree-cap", "3", "--n-max", "2"
+        )
+    assert (code, out) == (0, f"{argv[1]}: 1/1 cases passed\n")
+
 
 @pytest.mark.parametrize(
     "env, argv, message",
@@ -501,6 +530,8 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
             ("verify", "order", "--primes", "999983,999979,999961,999959,999953"),
             "error: --primes entries are capped at 22 bits in all, got 100\n",
         ),
+        (None, ("verify", "recurrence", "--primes", "7", "--n-max", "6"), CHECKS_NOTHING[0]),
+        (None, ("verify", "milnor", "--samples", "0", "--degree-cap", "2"), CHECKS_NOTHING[1]),
     ],
     ids=[
         "n",
@@ -523,6 +554,8 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
         "primes-repeated-milnor",
         "prime-size-above-cap",
         "prime-bits-above-cap",
+        "recurrence-checks-nothing",
+        "milnor-checks-nothing",
     ],
 )
 def test_usage_errors_open_no_output(capsys, monkeypatch, tmp_path, env, argv, message):

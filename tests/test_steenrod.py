@@ -4,6 +4,7 @@ import resource
 import subprocess
 import threading
 import sys
+from functools import lru_cache
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -25,6 +26,7 @@ from gaugetorsion import (
 from gaugetorsion import steenrod
 from gaugetorsion.cli import _random_poly
 from gaugetorsion.fp import _lucas, _lucas_row
+from gaugetorsion.polyring import _PackedSum
 from tests.conftest import PRIMES_235, random_multipoly
 from tests.test_polyring import st_poly
 
@@ -341,19 +343,15 @@ def some_poly(rng: random.Random, n: int, p: Prime, max_exp: int, terms: int) ->
     return _random_poly(rng, n, p, max_exp, terms, min_terms=terms)
 
 
-def plans_held() -> int:
-    """The plans in the table, counted from the table itself."""
-    return sum(len(kept[1]) for kept in steenrod._plans.values())
-
-
 def test_terms_of_one_residue_class_share_a_plan():
     # at p = 2 and i = 4, q = 8: t1^3 t2^9 and t1^11 t2 both have residues (3, 1)
     p = Prime(2)
     f = MultiPoly(2, p, {(3, 9): 1, (11, 1): 1})
     expected = cartan_by_brute_force(f)
-    steenrod._plan_clear()
+    steenrod._class_plan.cache_clear()
     assert reduced_power(4, f) == expected[4]
-    assert steenrod._plan_info()[:2] == (1, 1)  # one class walked, its plan reused once
+    # one class walked, its plan reused once
+    assert steenrod._class_plan.cache_info()[:2] == (1, 1)
     for i in range(1, 16):
         assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(2, p)), i
     for level in (1, 2, 3, 4):
@@ -371,19 +369,19 @@ def test_cold_and_warm_tables_give_the_same_powers(p):
     f = some_poly(rng, 3, p, 9, 6)
     q = p.value**2  # the q of every i from p to p^2 - 1, and of level 2's R^p
     expected = cartan_by_brute_force(f)
-    steenrod._plan_clear()
+    steenrod._class_plan.cache_clear()
     cold = {i: reduced_power(i, f) for i in range(p.value, q)}
     cold_q = milnor_q_recursive(2, f)
-    assert steenrod._plan_info().misses > 0
-    for by in (1, 2, 3):  # other polynomials of the same classes fill the table
+    assert steenrod._class_plan.cache_info().misses > 0
+    for by in (1, 2, 3):  # other polynomials of the same classes fill the cache
         g = shifted(f, q, by)
         assert milnor_q_recursive(2, g) == milnor_q_closed(2, g)
         for i in range(p.value, q):
             reduced_power(i, g)
-    misses = steenrod._plan_info().misses
+    misses = steenrod._class_plan.cache_info().misses
     warm = {i: reduced_power(i, f) for i in range(p.value, q)}
     assert milnor_q_recursive(2, f) == cold_q == milnor_q_closed(2, f)
-    assert steenrod._plan_info().misses == misses  # every class was met already
+    assert steenrod._class_plan.cache_info().misses == misses  # every class was met already
     for i in range(p.value, q):
         assert warm[i] == cold[i] == expected.get(i, MultiPoly.zero(3, p)), i
 
@@ -392,12 +390,14 @@ def test_two_byte_slots_share_a_plan_across_the_byte_edge():
     # 259 and 3 are both 3 mod 8, the q of i = 4 at p = 2; 259 + 4 needs two-byte slots
     p = Prime(2)
     f = MultiPoly(2, p, {(259, 1): 1, (3, 9): 1, (0, 0): 1})
-    steenrod._plan_clear()
+    steenrod._class_plan.cache_clear()
     expected = cartan_by_brute_force(f)
     assert reduced_power(4, f) == expected[4]
-    assert steenrod._plan_info()[:2] == (1, 2)  # the constant's class and (3, 1)
-    (signature,) = steenrod._plans
-    assert signature == (2, 4, 2, 16)  # (p, i, n, slot width in bits)
+    assert steenrod._class_plan.cache_info()[:2] == (1, 2)  # the constant's class and (3, 1)
+    # the plan is keyed by (p, i, slot width in bits, residues): asking for it is a hit
+    plan = steenrod._class_plan(2, 4, 16, (3, 1))
+    assert steenrod._class_plan.cache_info()[:2] == (2, 2)
+    assert dict(plan) == class_splits_by_brute_force(2, 16, (3, 1))[4]
     for i in range(9):
         assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(2, p)), i
     # the recursion at level 3 runs R^4; at p = 3 its q = 27 splits 283 = 27 * 10 + 13
@@ -408,30 +408,26 @@ def test_two_byte_slots_share_a_plan_across_the_byte_edge():
 
 def test_plan_table_stays_within_its_cap(monkeypatch):
     cap = 8
-    monkeypatch.setattr(steenrod, "_PLAN_CAP", cap)
-    steenrod._plan_clear()
+    small = lru_cache(maxsize=cap)(steenrod._class_plan.__wrapped__)
+    monkeypatch.setattr(steenrod, "_class_plan", small)
     p = Prime(3)
     rng = random.Random(7)
-    sizes = []
     for _ in range(30):
         f = some_poly(rng, 3, p, 8, 6)
         expected = cartan_by_brute_force(f)
         for i in (1, 2, 3, 5):
             assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(3, p)), (f, i)
-            sizes.append(plans_held())
-            assert plans_held() == steenrod._plan_info().currsize <= cap
+            assert small.cache_info().currsize <= cap
         assert milnor_q_recursive(2, f) == milnor_q_closed(2, f)
-        assert plans_held() <= cap
-    assert any(after < before for before, after in zip(sizes, sizes[1:]))  # emptied when full
-    # a call with more new classes than there is room keeps what fits, and the
-    # next call finds the table full and empties it first
-    steenrod._plan_clear()
+        assert small.cache_info().currsize <= cap
+    # a call with more new classes than the cache holds keeps the newest
+    small.cache_clear()
     wide = MultiPoly(3, p, {(a, b, c): 1 for a in range(3) for b in range(3) for c in range(2)})
     assert reduced_power(1, wide) == cartan_by_brute_force(wide)[1]
-    info = steenrod._plan_info()
-    assert (info.misses, info.currsize, plans_held(), info.maxsize) == (18, cap, cap, cap)
+    info = small.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (18, cap, cap)
     assert reduced_power(1, t(3, p)) == t(3, p) ** 3
-    assert steenrod._plan_info().currsize == plans_held() == 1
+    assert small.cache_info().currsize == cap
 
 
 def test_threads_share_a_cold_plan_table():
@@ -441,9 +437,9 @@ def test_threads_share_a_cold_plan_table():
         for level in (1, 2, 3)
     ]
     expected = [milnor_q_closed(level, f) for level, f in inputs]
-    steenrod._plan_clear()
+    steenrod._class_plan.cache_clear()
     assert [milnor_q_recursive(level, f) for level, f in inputs] == expected
-    lookups = sum(steenrod._plan_info()[:2])  # the same in every run, cold or warm
+    lookups = sum(steenrod._class_plan.cache_info()[:2])  # the same in every run, cold or warm
     results: list = [None] * 4
 
     def run(k: int) -> None:
@@ -453,8 +449,8 @@ def test_threads_share_a_cold_plan_table():
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
-        for _ in range(10):  # each round races four threads on a cold table
-            steenrod._plan_clear()
+        for _ in range(10):  # each round races four threads on a cold cache
+            steenrod._class_plan.cache_clear()
             results[:] = [None] * 4
             start = threading.Barrier(4)
             threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
@@ -464,11 +460,12 @@ def test_threads_share_a_cold_plan_table():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert all(result == expected for result in results)
-            # a lost update of the counts would show here; a class that two
-            # threads build at once is counted by both, so never too few plans
-            info = steenrod._plan_info()
+            # lru_cache counts each call once, as a hit or a miss, so a lost
+            # update would show here; a class two threads build at once is
+            # counted as a miss by both
+            info = steenrod._class_plan.cache_info()
             assert info.hits + info.misses == 4 * lookups
-            assert plans_held() <= info.currsize <= steenrod._PLAN_CAP
+            assert info.currsize <= info.maxsize
     finally:
         sys.setswitchinterval(switch)
 
@@ -476,11 +473,59 @@ def test_threads_share_a_cold_plan_table():
 def test_repeated_call_reads_only_hits():
     p = Prime(3)
     f = some_poly(random.Random(3), 3, p, 9, 6)
-    steenrod._plan_clear()
+    steenrod._class_plan.cache_clear()
     milnor_q_recursive(2, f)
-    hits, misses, maxsize, currsize = steenrod._plan_info()
-    assert misses == currsize > 0 and maxsize == steenrod._PLAN_CAP
+    hits, misses, maxsize, currsize = steenrod._class_plan.cache_info()
+    assert misses == currsize > 0 and maxsize == 1 << 13
     milnor_q_recursive(2, f)
-    again = steenrod._plan_info()
+    again = steenrod._class_plan.cache_info()
     assert (again.misses, again.currsize) == (misses, currsize)
     assert again.hits - hits == hits + misses  # the same lookups, every one a hit
+
+
+def class_splits_by_brute_force(p: int, width: int, r) -> dict[int, dict[int, int]]:
+    """The splits of R^i(t^r) with a nonzero product, for every i, by every
+    split of the exponents r: {i: {key offset: product of binom(r_k, a_k) mod p}}."""
+    by_i: dict[int, dict[int, int]] = {}
+    for shares in product(*(range(e + 1) for e in r)):
+        coeff = 1
+        for e, a in zip(r, shares):
+            coeff = coeff * comb(e, a) % p
+        if coeff:
+            off = sum(a * (p - 1) << (k * width) for k, a in enumerate(shares))
+            by_i.setdefault(sum(shares), {})[off] = coeff
+    return by_i
+
+
+def check_class_plans(p: int, width: int, r, top: int) -> None:
+    """Check the plan of class r for every i from 1 to top."""
+    res = bytes(r) if width == 8 else tuple(r)
+    expected = class_splits_by_brute_force(p, width, r)
+    for i in range(1, top + 1):
+        plan = steenrod._class_plan.__wrapped__(p, i, width, res)
+        assert len({off for off, _ in plan}) == len(plan)  # each split once
+        assert all(0 < b < p for _, b in plan)
+        assert dict(plan) == expected.get(i, {}), (p, i, width, r)
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_class_plan_matches_the_brute_force_splits(width):
+    # every class r in the box [0, q)^n, for every i < q, with q <= 9: the
+    # all-zero class and the single-support classes among them
+    for p in (2, 3):
+        q = p * p if p == 3 else p**3  # the largest power of p up to 9
+        for n in (1, 2, 3):
+            for r in product(range(q), repeat=n):
+                check_class_plans(p, width, r, q - 1)
+    # a seeded sample at p = 5, where q = 25 for i from 5 to 24
+    rng = random.Random(5)
+    for _ in range(60):
+        r = [rng.randrange(25) for _ in range(rng.randint(1, 3))]
+        check_class_plans(5, width, r, 24)
+    # the class the residues of a packed key read, through the layout
+    acc = _PackedSum(3, Prime(3), 255 if width == 8 else 256)
+    key = next(iter(acc.pack({(13, 0, 5): 1})))
+    res = acc.residues(9)(key)
+    assert list(res) == [4, 0, 5]
+    plan = steenrod._class_plan(3, 4, width, res)
+    assert dict(plan) == class_splits_by_brute_force(3, width, (4, 0, 5))[4]
