@@ -173,6 +173,15 @@ def _lucas_row(e: int, top: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(row)
 
 
+@lru_cache(maxsize=None)
+def _byte_residues(q: int) -> bytes:
+    """The 256-byte table of b mod q for every byte b, for 1 <= q <= 256: one
+    ``bytes.translate`` through it reduces every one-byte slot of an integer's
+    bytes at once (the packed keys of ``polyring``, the products of
+    ``matrices``)."""
+    return bytes(b % q for b in range(256))
+
+
 def binom_mod(n: int, j: int, p: Prime) -> FpScalar:
     """binom(n, j) mod p by Lucas' theorem; agrees with binom_int reduced mod p."""
     if n < 0:

@@ -19,7 +19,20 @@ alpha engine's impulse response (``suspension._symbolic_alphas``), and these
 matrix searches are its oracles.
 
 Everything is pure Python on unbounded integers. Reductions mod p are
-derived views; construction always happens in the exact layer first.
+derived views; construction always happens in the exact layer first. The
+public constructors take every entry through ``operator.index``, so a float
+or a string is refused, not truncated; ``companion_matrix`` and the products
+wrap the rows they made themselves unchecked.
+
+Products do only the work their operands need. An exact product is
+Gustavson's row-by-row product over the nonzeros of both factors, so a
+product with the companion matrix or the Jordan transpose costs O(n^2)
+multiply-adds, not n^3. A product mod p packs each row of its right factor
+into one integer (Kronecker substitution) and reduces every slot of a row
+sum at once: through a 256-byte residue table while a slot's largest sum,
+n (p-1)^2, fits one byte (p = 2 up to n = 255, p = 3 up to 63, p = 5 up to
+15); past that by multiplication with a magic quotient in 32- or 64-bit
+slots; and slot by slot when even 64 bits are too narrow.
 """
 
 from __future__ import annotations
@@ -28,10 +41,10 @@ import json
 import sys
 from array import array
 from functools import lru_cache
-from operator import mul
-from typing import Sequence
+from operator import index, mul
+from typing import Callable, Sequence
 
-from .fp import Prime, binom_int, p_power_ceil, padic_val
+from .fp import Prime, _byte_residues, binom_int, p_power_ceil, padic_val
 
 __all__ = [
     "IntMatrix",
@@ -58,33 +71,76 @@ def _render(m: "IntMatrix | FpMatrix") -> str:
     return "\n".join("[" + " ".join(str(x).rjust(width) for x in row) + "]" for row in m.rows)
 
 
+def _square_rows(
+    rows: Sequence[Sequence[int]], residue: Callable[[int], int] | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Validated rows of a public constructor: square, of dimension >= 2, and
+    every entry an int by ``operator.index``, so a float or a numeric string
+    is refused rather than truncated or parsed. ``residue``, if given, maps
+    each int in the same pass, so no unreduced copy of the rows is made."""
+    n = len(rows)
+    if n < 2:
+        raise ValueError(f"need dimension >= 2, got {n}")
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    try:
+        if residue is None:
+            return tuple(tuple(map(index, r)) for r in rows)
+        return tuple(tuple(map(residue, map(index, r))) for r in rows)
+    except TypeError:
+        for i, r in enumerate(rows, 1):
+            for j, x in enumerate(r, 1):
+                try:
+                    index(x)
+                except TypeError:
+                    raise TypeError(f"matrix entry ({i}, {j}) is not an integer: {x!r}") from None
+        raise
+
+
 class IntMatrix:
     """Square matrix with unbounded integer entries, immutable by convention."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        n = len(rows)
-        if n < 2:
-            raise ValueError(f"need dimension >= 2, got {n}")
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix is not square")
-        self.n = n
-        self.rows = tuple(tuple(map(int, r)) for r in rows)
+        self.rows = _square_rows(rows)
+        self.n = len(self.rows)
+
+    @classmethod
+    def _canonical(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap rows that are already a square tuple of int tuples, unchecked."""
+        m = object.__new__(cls)
+        m.n = len(rows)
+        m.rows = rows
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Gustavson's row-by-row product over the nonzeros of both factors.
+
+        Row i of the product is the sum, over the nonzero a_ik of row i, of
+        a_ik times row k of ``other``; each row of ``other`` is listed once
+        as its nonzero (j, b_kj) pairs, so a product costs one
+        multiply-add per pair of nonzeros that meet, not n^3.
+        """
         if not isinstance(other, IntMatrix):
             raise TypeError(f"expected IntMatrix, got {type(other).__name__}")
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        n = self.n
+        if n != other.n:
+            raise ValueError(f"dimension mismatch: {n} vs {other.n}")
+        nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * n
+            for a, pairs in zip(row, nonzeros):
+                if a:
+                    for j, b in pairs:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return IntMatrix._canonical(tuple(out))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -98,8 +154,8 @@ class IntMatrix:
         return self.rows[i - 1][j - 1]
 
     def reduce(self, p: Prime) -> "FpMatrix":
-        q = p.value
-        return FpMatrix._canonical(p, tuple(tuple([x % q for x in row]) for row in self.rows))
+        rmod = p.value.__rmod__
+        return FpMatrix._canonical(p, tuple(tuple(map(rmod, row)) for row in self.rows))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -151,12 +207,28 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 # Slot width in bits -> the array/memoryview typecode of that unsigned width,
-# the word slots a packed row can use.
-_SLOT_CODES = {8 * array(code).itemsize: code for code in "BHIQ"}
+# the word slots a packed row can use. A product that needs them holds slot
+# sums of 9 bits or more, as smaller ones take the one-byte layout, so its
+# slots are 32 or 64 bits wide.
+_SLOT_CODES = {8 * array(code).itemsize: code for code in "IQ"}
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int, q: int) -> tuple[str, int, int, int, int] | None:
+def _layout(n: int, q: int) -> bytes | tuple[str, int, int, int, int] | None:
+    """Layout of the packed rows of n x n products mod q: the one-byte
+    layout, the word layout, or None for the wide layout.
+
+    A product slot holds at most n (q-1)^2. Below 256 that fits one byte,
+    and the layout is the 256-byte table of residues mod q
+    (``fp._byte_residues``): the bytes of a row's sum, translated through
+    it, are every slot reduced at once. Otherwise it is ``_word_layout``.
+    """
+    if n * (q - 1) ** 2 < 256:
+        return _byte_residues(q)
+    return _word_layout(n, q)
+
+
+def _word_layout(n: int, q: int) -> tuple[str, int, int, int, int] | None:
     """Word layout of the packed rows of n x n products mod q, or None.
 
     A product slot holds at most n (q-1)^2 < 2^w. It is reduced mod q as
@@ -183,15 +255,9 @@ class FpMatrix:
     __slots__ = ("n", "p", "rows", "_packed")
 
     def __init__(self, p: Prime, rows: Sequence[Sequence[int]]):
-        n = len(rows)
-        if n < 2:
-            raise ValueError(f"need dimension >= 2, got {n}")
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix is not square")
-        q = p.value
-        self.n = n
+        self.rows = _square_rows(rows, p.value.__rmod__)
+        self.n = len(self.rows)
         self.p = p
-        self.rows = tuple(tuple(int(x) % q for x in r) for r in rows)
         self._packed = None
 
     @classmethod
@@ -200,7 +266,8 @@ class FpMatrix:
     ) -> "FpMatrix":
         """Wrap rows that are already a square tuple of residues mod p, unchecked.
 
-        ``packed``, if given, is the rows in their word layout (``_layout``).
+        ``packed``, if given, is the rows in their one-byte or word layout
+        (``_layout``).
         """
         m = object.__new__(cls)
         m.n = len(rows)
@@ -225,11 +292,11 @@ class FpMatrix:
         Each row of ``other`` is packed into one integer, one slot per entry.
         Row i of the product is then the single integer sum of a_ik *
         packed_k, whose slots each hold at most n (p-1)^2 and never carry.
-        In the word layout of ``_layout`` every slot of that sum is reduced
-        mod p at once; the reduced sums are the product's own packed rows,
-        kept for any product that takes it as its right factor. A layout
-        wider than 64 bits packs w = bitlen(n (p-1)^2) bits a slot and reads
-        each slot back mod p.
+        In the one-byte and word layouts of ``_layout`` every slot of that
+        sum is reduced mod p at once; the reduced sums are the product's own
+        packed rows, kept for any product that takes it as its right factor.
+        A layout wider than 64 bits packs w = bitlen(n (p-1)^2) bits a slot
+        and reads each slot back mod p.
         """
         self._match(other)
         n, q = self.n, self.p.value
@@ -246,8 +313,20 @@ class FpMatrix:
                     for acc in [sum(map(mul, row, packed)) for row in self.rows]
                 ),
             )
-        code, size, s, magic, low = layout
         packed = other._packed
+        if type(layout) is bytes:
+            if packed is None:
+                packed = other._packed = [
+                    int.from_bytes(bytes(row), "little") for row in other.rows
+                ]
+            raw = [
+                sum(map(mul, row, packed)).to_bytes(n, "little").translate(layout)
+                for row in self.rows
+            ]
+            return FpMatrix._canonical(
+                self.p, tuple(map(tuple, raw)), [int.from_bytes(r, "little") for r in raw]
+            )
+        code, size, s, magic, low = layout
         if packed is None:
             packed = other._packed = [
                 int.from_bytes(array(code, row).tobytes(), sys.byteorder) for row in other.rows
@@ -334,13 +413,18 @@ def _companion_row(n: int) -> tuple[int, ...]:
 
 
 def companion_matrix(n: int) -> IntMatrix:
-    """Companion matrix of (x - 1)^n: binomial first row, subdiagonal ones."""
+    """Companion matrix of (x - 1)^n: binomial first row, subdiagonal ones.
+
+    Row i >= 2 is the slice of one template, n - 1 zeros, a one and n - 1
+    zeros, that puts its one in column i - 1; the rows are built as int
+    tuples and wrapped unchecked.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rows = [list(_companion_row(n))] + [[0] * n for _ in range(n - 1)]
-    for i in range(2, n + 1):
-        rows[i - 1][i - 2] = 1
-    return IntMatrix(rows)
+    zeros = (0,) * (n - 1)
+    template = zeros + (1,) + zeros
+    units = tuple(template[n - i : 2 * n - i] for i in range(1, n))
+    return IntMatrix._canonical((_companion_row(n),) + units)
 
 
 def pascal_matrix(n: int) -> IntMatrix:

@@ -37,7 +37,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .fp import Prime
+from .fp import Prime, _byte_residues
 
 __all__ = [
     "Monomial",
@@ -231,12 +231,6 @@ class _ExpPoly(_FpTable):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, p={self.p}, {self.render()})"
-
-
-@lru_cache(maxsize=None)
-def _byte_residues(q: int) -> bytes:
-    """The 256-byte table of b mod q for every byte b, for 1 <= q <= 256."""
-    return bytes(b % q for b in range(256))
 
 
 @lru_cache(maxsize=None)

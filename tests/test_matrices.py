@@ -24,7 +24,7 @@ from gaugetorsion import (
     verify_conjugation,
     verify_p_power_order,
 )
-from gaugetorsion.matrices import _companion_row, _layout
+from gaugetorsion.matrices import _companion_row, _layout, _word_layout
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -106,12 +106,17 @@ def test_determinant_edge_cases():
 # -- products, reduction, inverse ------------------------------------------------
 
 
-def triple_loop_product(a_rows, b_rows, q):
+def exact_triple_loop(a_rows, b_rows):
+    """The definitional product over the integers: the oracle of both classes."""
     n = len(a_rows)
     return tuple(
-        tuple(sum(a_rows[i][k] * b_rows[k][j] for k in range(n)) % q for j in range(n))
+        tuple(sum(a_rows[i][k] * b_rows[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
+
+
+def triple_loop_product(a_rows, b_rows, q):
+    return tuple(tuple(x % q for x in row) for row in exact_triple_loop(a_rows, b_rows))
 
 
 # p = 2147483647 needs slots wider than 64 bits.
@@ -141,16 +146,21 @@ def power_by_triple_loop(rows, e, q):
 
 
 def slot_code(n, q):
-    """Typecode of the word layout for n x n products mod q; None when wide."""
+    """Typecode of the slots of n x n products mod q: "B" for the one-byte
+    layout, the word layout's typecode, None when wide."""
     layout = _layout(n, q)
+    if isinstance(layout, bytes):
+        return "B"
     return layout[0] if layout else None
 
 
 LAYOUT_PRIMES = (2, 3, 5, 7, 11, 251, 257, 2039, 8191, 65521, 65537, 1000003)
 # one prime just below 2^64 and one just above
 HUGE_PRIMES = (18446744073709551557, 18446744073709551629)
+# (n, q) on both sides of n (q-1)^2 = 255/256, where the one-byte layout ends
+BYTE_EDGES = ((63, 3), (64, 3), (15, 5), (16, 5), (7, 7), (8, 7), (2, 11), (3, 11))
 # (n, p) on both sides of every change of slot width for n <= 40, the wide
-# layout included, found by the layout rule itself
+# layout included, found by the layout rule itself, and the one-byte edges
 LAYOUT_EDGES = sorted(
     {
         (m, q)
@@ -159,13 +169,14 @@ LAYOUT_EDGES = sorted(
         if slot_code(n - 1, q) != slot_code(n, q)
         for m in (n - 1, n)
     }
+    | set(BYTE_EDGES)
 )
 
 
 def test_layout_edges_cross_into_the_wide_layout():
     assert slot_code(32, 8191) == "Q" and slot_code(33, 8191) is None
     assert {(32, 8191), (33, 8191)} <= set(LAYOUT_EDGES)
-    assert {slot_code(n, q) for n, q in LAYOUT_EDGES} == {"B", "H", "I", "Q", None}
+    assert {slot_code(n, q) for n, q in LAYOUT_EDGES} == {"B", "I", "Q", None}
     assert all(slot_code(n, q) is None for n in (2, 40) for q in HUGE_PRIMES)
 
 
@@ -174,13 +185,38 @@ def test_layout_edges_cross_into_the_wide_layout():
 def test_word_layout_reduces_every_slot_value(n, q):
     """acc - q ((acc magic >> s) & low) is x mod q in every slot, for each
     slot value x <= n (q-1)^2 a product can reach, n values at a time."""
-    code, size, s, magic, low = _layout(n, q)
+    code, size, s, magic, low = _word_layout(n, q)
     width, top = 8 * size // n, n * (q - 1) ** 2
     for start in range(0, top + 1, n):
         xs = [min(x, top) for x in range(start, start + n)]
         acc = sum(x << k for x, k in zip(xs, range(0, n * width, width)))
         reduced = acc - q * ((acc * magic >> s) & low)
         assert reduced.to_bytes(size, sys.byteorder) == array(code, [x % q for x in xs]).tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_byte_layout_reduces_every_slot_value(q):
+    """The one-byte layout is the table of residues mod q of every byte."""
+    table = _layout(2, q)
+    assert table == bytes(x % q for x in range(256))
+    assert _layout(255 // (q - 1) ** 2, q) is table
+
+
+@pytest.mark.parametrize("n, q", BYTE_EDGES)
+def test_byte_layout_edges_match_triple_loop(n, q):
+    """Both sides of n (q-1)^2 = 255/256, on random operands and on the
+    all-(q-1) operands that put every slot of a product at its largest sum."""
+    assert (slot_code(n, q) == "B") == (n * (q - 1) ** 2 < 256)
+    rng = random.Random(n * 7919 + q)
+    prime = Prime(q)
+    rand = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)) for _ in range(2)]
+    full = tuple(tuple([q - 1] * n) for _ in range(n))
+    for a_rows, b_rows in (rand, (full, full), (rand[0], full)):
+        a, b = FpMatrix(prime, a_rows), FpMatrix(prime, b_rows)
+        ab = triple_loop_product(a_rows, b_rows, q)
+        assert (a * b).rows == ab
+        # a product's own packed rows, as the right factor of the next product
+        assert (a * (a * b)).rows == triple_loop_product(a_rows, ab, q)
 
 
 @given(
@@ -209,9 +245,9 @@ def test_products_and_powers_match_triple_loop_on_both_layouts(case, seed, full,
     assert a.rows == a_rows and b.rows == b_rows
 
 
-def test_packed_rows_fill_safely_from_threads():
+def race_to_pack(n, q):
     """Threads racing to pack one fresh right factor all get the same products."""
-    n, q, threads = 24, 251, 4
+    threads = 4
     rng = random.Random(q)
     a_rows, b_rows = (
         tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)) for _ in range(2)
@@ -239,6 +275,16 @@ def test_packed_rows_fill_safely_from_threads():
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in workers)
         assert results == [expected] * threads
+
+
+def test_packed_rows_fill_safely_from_threads():
+    assert slot_code(24, 251) == "Q"
+    race_to_pack(24, 251)
+
+
+def test_byte_packed_rows_fill_safely_from_threads():
+    assert slot_code(24, 3) == "B"
+    race_to_pack(24, 3)
 
 
 def test_power_zero_and_one():
@@ -302,6 +348,103 @@ def test_unitriangular_inverse_round_trip():
 def test_unitriangular_inverse_rejects_general_matrix():
     with pytest.raises(ValueError):
         unitriangular_inverse(companion_matrix(3))
+
+
+# -- exact products ---------------------------------------------------------------
+
+
+def random_int_rows(rng, n, density, bound):
+    """Signed entries in [-bound, bound], each nonzero with chance ``density``."""
+    return [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def assert_exact_rows(m):
+    assert type(m.rows) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in m.rows)
+
+
+@pytest.mark.parametrize("bound", [1, 10**6, 2**70], ids=["units", "small", "past-2^64"])
+@pytest.mark.parametrize("density", [0.05, 0.3, 1.0], ids=["sparse", "mixed", "dense"])
+@pytest.mark.parametrize("n", [2, 3, 17, 40])
+def test_int_product_matches_triple_loop(n, density, bound):
+    rng = random.Random(f"{n}-{density}-{bound}")
+    for _ in range(3):
+        a_rows = random_int_rows(rng, n, density, bound)
+        b_rows = random_int_rows(rng, n, density, bound)
+        ab = IntMatrix(a_rows) * IntMatrix(b_rows)
+        assert ab.rows == exact_triple_loop(a_rows, b_rows)
+        assert_exact_rows(ab)
+
+
+def test_int_product_with_zero_rows_and_columns():
+    rng = random.Random(17)
+    n = 9
+    a_rows = random_int_rows(rng, n, 1.0, 2**65)
+    b_rows = random_int_rows(rng, n, 1.0, 2**65)
+    for i in (0, 4, 8):
+        a_rows[i] = [0] * n  # zero rows of the left factor
+        for row in b_rows:
+            row[i] = 0  # zero columns of the right factor
+    b_rows[2] = [0] * n  # a zero row of the right factor meets a nonzero column
+    a, b = IntMatrix(a_rows), IntMatrix(b_rows)
+    zero = IntMatrix([[0] * n for _ in range(n)])
+    for x, y in ((a, b), (b, a), (a, zero), (zero, b), (zero, zero)):
+        assert (x * y).rows == exact_triple_loop(x.rows, y.rows)
+    assert (a * b).rows[4] == (0,) * n
+    assert all(row[8] == 0 for row in (a * b).rows)
+
+
+def test_builder_products_match_triple_loop():
+    for n in range(2, 41):
+        b, a, d = companion_matrix(n), pascal_matrix(n), jordan_transpose(n)
+        a_inv = unitriangular_inverse(a)
+        a_inv_b = a_inv * b
+        for x, y, xy in (
+            (b, a, b * a),
+            (a, d, a * d),
+            (a_inv, b, a_inv_b),
+            (a_inv_b, a, a_inv_b * a),
+            (b, b, b * b),
+            (d, b, d * b),
+        ):
+            assert xy.rows == exact_triple_loop(x.rows, y.rows), n
+            assert_exact_rows(xy)
+
+
+def test_int_product_errors_keep_their_texts():
+    with pytest.raises(TypeError, match="^expected IntMatrix, got FpMatrix$"):
+        companion_matrix(3) * companion_matrix(3).reduce(P2)
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+        companion_matrix(2) * companion_matrix(3)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_companion_matrix_equals_validated_rows(n):
+    """The unchecked build equals the validating constructor on the same rows."""
+    rows = [list(_companion_row(n))] + [[int(j == i - 1) for j in range(n)] for i in range(1, n)]
+    b = companion_matrix(n)
+    assert b == IntMatrix(rows) == IntMatrix(b.rows)
+    assert b.n == n
+    assert_exact_rows(b)
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, "7", None], ids=["float", "whole-float", "str", "none"])
+def test_constructors_refuse_non_integer_entries(bad):
+    for make in (IntMatrix, lambda rows: FpMatrix(P5, rows)):
+        with pytest.raises(TypeError, match=r"^matrix entry \(2, 1\) is not an integer: "):
+            make([[1, 2], [bad, 4]])
+
+
+def test_constructors_keep_ints_and_bools():
+    m = IntMatrix([[True, False], [-3, 2**70]])
+    assert m.rows == ((1, 0), (-3, 2**70))
+    assert_exact_rows(m)
+    f = FpMatrix(P5, [[True, 7], [-1, False]])
+    assert f.rows == ((1, 2), (4, 0))
+    assert all(type(x) is int for row in f.rows for x in row)
 
 
 # -- conjugation -----------------------------------------------------------------
