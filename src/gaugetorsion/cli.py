@@ -42,6 +42,7 @@ from .chern import verify_newton
 from .fp import Prime
 from .matrices import (
     OrderBoundExceeded,
+    _render,
     companion_matrix,
     jordan_transpose,
     pascal_matrix,
@@ -281,9 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    b = companion_matrix(args.n)
-    a = pascal_matrix(args.n)
-    d = jordan_transpose(args.n)
+    b, a, d = companion_matrix(args.n), pascal_matrix(args.n), jordan_transpose(args.n)
     blocks = {"B": b, "A": a, "D": d, "BA": b * a, "AD": a * d}
     if args.p is not None:
         blocks = {name: m.reduce(args.p) for name, m in blocks.items()}
@@ -296,7 +295,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         suffix = "" if args.p is None else f" mod {args.p}"
         for name, m in blocks.items():
             print(f"{name}{suffix}:")
-            print(m.render())
+            for line in _render(m):
+                print(line)
             print()
     return 0
 

@@ -21,8 +21,8 @@ matrix searches are its oracles.
 Everything is pure Python on unbounded integers. Reductions mod p are
 derived views; construction always happens in the exact layer first. The
 public constructors take every entry through ``operator.index``, so a float
-or a string is refused, not truncated; ``companion_matrix`` and the products
-wrap the rows they made themselves unchecked.
+or a string is refused, not truncated; the builders, the products and the
+inverse wrap the rows they made themselves unchecked.
 
 Products do only the work their operands need. An exact product is
 Gustavson's row-by-row product over the nonzeros of both factors, so a
@@ -41,8 +41,8 @@ import json
 import sys
 from array import array
 from functools import lru_cache
-from operator import index, mul
-from typing import Callable, Sequence
+from operator import index, mul, neg
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .fp import Prime, _byte_residues, binom_int, p_power_ceil, padic_val
 
@@ -65,10 +65,16 @@ class OrderBoundExceeded(RuntimeError):
     """No p-power at or below the bound gave the identity."""
 
 
-def _render(m: "IntMatrix | FpMatrix") -> str:
-    """Aligned text rows; the render of both matrix classes."""
-    width = max(len(str(x)) for row in m.rows for x in row)
-    return "\n".join("[" + " ".join(str(x).rjust(width) for x in row) + "]" for row in m.rows)
+def _render(m: "IntMatrix | FpMatrix") -> Iterator[str]:
+    """Aligned text rows of both matrix classes, one at a time. The widest
+    entry is the least or the greatest, and each entry's ``str`` is made once."""
+    width = max(len(str(min(map(min, m.rows)))), len(str(max(map(max, m.rows)))))
+    for row in m.rows:
+        yield "[" + " ".join([s.rjust(width) for s in map(str, row)]) + "]"
+
+
+def _text(m: "IntMatrix | FpMatrix") -> str:
+    return "\n".join(_render(m))
 
 
 def _square_rows(
@@ -97,6 +103,16 @@ def _square_rows(
         raise
 
 
+def _accumulate(acc: list[int], coefficients: Iterable[int], nonzeros: Sequence) -> list[int]:
+    """Gustavson's row accumulator: add to ``acc``, in place, a times row k for each
+    nonzero a of ``coefficients``, row k listed as its nonzero (j, b) pairs."""
+    for a, pairs in zip(coefficients, nonzeros):
+        if a:
+            for j, b in pairs:
+                acc[j] += a * b
+    return acc
+
+
 class IntMatrix:
     """Square matrix with unbounded integer entries, immutable by convention."""
 
@@ -122,8 +138,7 @@ class IntMatrix:
         """Gustavson's row-by-row product over the nonzeros of both factors.
 
         Row i of the product is the sum, over the nonzero a_ik of row i, of
-        a_ik times row k of ``other``; each row of ``other`` is listed once
-        as its nonzero (j, b_kj) pairs, so a product costs one
+        a_ik times row k of ``other``, listed once as its nonzero pairs: one
         multiply-add per pair of nonzeros that meet, not n^3.
         """
         if not isinstance(other, IntMatrix):
@@ -132,15 +147,9 @@ class IntMatrix:
         if n != other.n:
             raise ValueError(f"dimension mismatch: {n} vs {other.n}")
         nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [0] * n
-            for a, pairs in zip(row, nonzeros):
-                if a:
-                    for j, b in pairs:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return IntMatrix._canonical(tuple(out))
+        return IntMatrix._canonical(
+            tuple([tuple(_accumulate([0] * n, row, nonzeros)) for row in self.rows])
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -178,20 +187,12 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def is_upper_unitriangular(self) -> bool:
-        return all(
-            self.rows[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(i + 1)
-        )
+        return all(row[i] == 1 and not any(row[:i]) for i, row in enumerate(self.rows))
 
     def is_lower_unitriangular(self) -> bool:
-        return all(
-            self.rows[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(i, self.n)
-        )
+        return all(row[i] == 1 and not any(row[i + 1 :]) for i, row in enumerate(self.rows))
 
-    render = __str__ = _render
+    render = __str__ = _text
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]})"
@@ -388,7 +389,7 @@ class FpMatrix:
                     m[i] = [(a - factor * b) % q for a, b in zip(m[i], m[k])]
         return det % q
 
-    render = __str__ = _render
+    render = __str__ = _text
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {[list(r) for r in self.rows]})"
@@ -427,44 +428,49 @@ def companion_matrix(n: int) -> IntMatrix:
     return IntMatrix._canonical((_companion_row(n),) + units)
 
 
+def _binomial_rows(n: int, top: int) -> IntMatrix:
+    """The n x n matrix of binom(top - i, n - j), built as int tuples."""
+    span = range(1, n + 1)
+    return IntMatrix._canonical(
+        tuple([tuple([binom_int(top - i, n - j) for j in span]) for i in span])
+    )
+
+
 def pascal_matrix(n: int) -> IntMatrix:
     """Upper triangular conjugator with entries binom(n-i, n-j)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return IntMatrix(
-        [[binom_int(n - i, n - j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
+    return _binomial_rows(n, n)
 
 
 def jordan_transpose(n: int) -> IntMatrix:
     """Unipotent lower bidiagonal matrix: ones on the diagonal and subdiagonal."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return IntMatrix(
-        [[1 if i == j or i == j + 1 else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
+    template = (0,) * (n - 1) + (1, 1) + (0,) * (n - 1)
+    return IntMatrix._canonical(tuple([template[n - i : 2 * n - i] for i in range(n)]))
 
 
 def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a unitriangular matrix, by substitution."""
+    """Exact integer inverse of a unitriangular matrix, by row substitution.
+
+    Row i of the inverse is e_i minus the sum, over the nonzero off-diagonal
+    a_ik, of a_ik times row k of the inverse, k below i in an upper triangle
+    and above it in a lower one. Rows are solved in that order through the
+    product's row accumulator; a row not yet solved has no nonzeros listed.
+    """
     upper = m.is_upper_unitriangular()
-    lower = m.is_lower_unitriangular()
-    if not (upper or lower):
+    if not (upper or m.is_lower_unitriangular()):
         raise ValueError("matrix is not unitriangular")
     n = m.n
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if upper:
-        # Solve m X = I column by column, bottom row upward.
-        for col in range(n):
-            for i in range(n - 2, -1, -1):
-                s = sum(m.rows[i][k] * inv[k][col] for k in range(i + 1, n))
-                inv[i][col] = (1 if i == col else 0) - s
-    else:
-        for col in range(n):
-            for i in range(1, n):
-                s = sum(m.rows[i][k] * inv[k][col] for k in range(i))
-                inv[i][col] = (1 if i == col else 0) - s
-    return IntMatrix(inv)
+    inv: list[tuple[int, ...]] = [()] * n
+    nonzeros: list[list[tuple[int, int]]] = [[]] * n
+    for i in range(n - 1, -1, -1) if upper else range(n):
+        acc = [0] * n
+        acc[i] = 1
+        inv[i] = tuple(_accumulate(acc, map(neg, m.rows[i]), nonzeros))
+        nonzeros[i] = [(j, x) for j, x in enumerate(inv[i]) if x]
+    return IntMatrix._canonical(tuple(inv))
 
 
 def order_mod_p(m: FpMatrix, bound: int) -> int:
@@ -511,16 +517,10 @@ def verify_conjugation(n: int) -> tuple[bool, dict]:
     every product entry equals binom(n-i+1, n-j), and the conjugate equals
     the Jordan transpose. The witness carries all intermediate matrices.
     """
-    b = companion_matrix(n)
-    a = pascal_matrix(n)
-    d = jordan_transpose(n)
-    ba = b * a
-    ad = a * d
-    closed = IntMatrix(
-        [[binom_int(n - i + 1, n - j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
-    a_inv = unitriangular_inverse(a)
-    conj = a_inv * b * a
+    b, a, d = companion_matrix(n), pascal_matrix(n), jordan_transpose(n)
+    ba, ad = b * a, a * d
+    closed = _binomial_rows(n, n + 1)
+    conj = unitriangular_inverse(a) * b * a
     ok = ba == ad and ba == closed and conj == d
     witness = {
         "B": b,

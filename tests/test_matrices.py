@@ -24,7 +24,8 @@ from gaugetorsion import (
     verify_conjugation,
     verify_p_power_order,
 )
-from gaugetorsion.matrices import _companion_row, _layout, _word_layout
+from gaugetorsion.cli import main
+from gaugetorsion.matrices import _companion_row, _layout, _render, _word_layout
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -346,8 +347,64 @@ def test_unitriangular_inverse_round_trip():
 
 
 def test_unitriangular_inverse_rejects_general_matrix():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix is not unitriangular$"):
         unitriangular_inverse(companion_matrix(3))
+
+
+def column_substitution_inverse(rows):
+    """The inverse of a unitriangular matrix by solving m X = I column by
+    column, one entry at a time: the oracle of the row substitution."""
+    n = len(rows)
+    upper = all(rows[i][j] == (i == j) for i in range(n) for j in range(i + 1))
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        for i in range(n - 2, -1, -1) if upper else range(1, n):
+            ks = range(i + 1, n) if upper else range(i)
+            inv[i][col] = int(i == col) - sum(rows[i][k] * inv[k][col] for k in ks)
+    return tuple(map(tuple, inv))
+
+
+def random_unitriangular_rows(rng, n, density, bound, upper):
+    """Unit diagonal, the other triangle zero, and each off-diagonal entry of
+    the triangle in [-bound, bound], nonzero with chance ``density``; the
+    last row of an upper triangle and the first of a lower one have none."""
+    rows = random_int_rows(rng, n, density, bound)
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if i == j:
+                row[j] = 1
+            elif (j < i) == upper:
+                row[j] = 0
+    empty = rng.randrange(n)  # one more row with no off-diagonal nonzero
+    rows[empty] = [int(j == empty) for j in range(n)]
+    return rows
+
+
+@pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+@pytest.mark.parametrize("bound", [1, 2**70], ids=["units", "past-2^64"])
+@pytest.mark.parametrize("density", [0.1, 1.0], ids=["sparse", "dense"])
+@pytest.mark.parametrize("n", [2, 3, 17, 40])
+def test_unitriangular_inverse_matches_column_substitution(n, density, bound, upper):
+    rng = random.Random(f"{n}-{density}-{bound}-{upper}")
+    identity = IntMatrix.identity(n)
+    for _ in range(3):
+        rows = random_unitriangular_rows(rng, n, density, bound, upper)
+        m = IntMatrix(rows)
+        assert m.is_upper_unitriangular() if upper else m.is_lower_unitriangular()
+        inv = unitriangular_inverse(m)
+        assert inv.rows == column_substitution_inverse(rows)
+        assert m * inv == inv * m == identity
+        assert_exact_rows(inv)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 40])
+def test_unitriangular_inverse_rejects_unit_diagonal_off_both_triangles(n):
+    rng = random.Random(n)
+    rows = random_unitriangular_rows(rng, n, 1.0, 2**70, True)
+    rows[0][-1] = rows[-1][0] = 1  # a corner nonzero on each side of the diagonal
+    for m in (IntMatrix(rows), IntMatrix([list(r) for r in zip(*rows)])):
+        with pytest.raises(ValueError, match="^matrix is not unitriangular$"):
+            unitriangular_inverse(m)
 
 
 # -- exact products ---------------------------------------------------------------
@@ -423,12 +480,34 @@ def test_int_product_errors_keep_their_texts():
 
 @pytest.mark.parametrize("n", range(2, 61))
 def test_companion_matrix_equals_validated_rows(n):
-    """The unchecked build equals the validating constructor on the same rows."""
-    rows = [list(_companion_row(n))] + [[int(j == i - 1) for j in range(n)] for i in range(1, n)]
-    b = companion_matrix(n)
-    assert b == IntMatrix(rows) == IntMatrix(b.rows)
-    assert b.n == n
-    assert_exact_rows(b)
+    """Each unchecked build (the three builders, the closed form of the
+    conjugation check and the inverses) equals the validating constructor on
+    the same rows, written out from their definitions."""
+    span = range(1, n + 1)
+    built_and_defined = [
+        (
+            companion_matrix(n),
+            [list(_companion_row(n))] + [[int(j == i - 1) for j in range(n)] for i in range(1, n)],
+        ),
+        (pascal_matrix(n), [[binom_int(n - i, n - j) for j in span] for i in span]),
+        (jordan_transpose(n), [[int(i == j or i == j + 1) for j in span] for i in span]),
+        (
+            verify_conjugation(n)[1]["binomial_form"],
+            [[binom_int(n - i + 1, n - j) for j in span] for i in span],
+        ),
+        (
+            unitriangular_inverse(pascal_matrix(n)),
+            [[(-1) ** (i + j) * binom_int(n - i, n - j) for j in span] for i in span],
+        ),
+        (
+            unitriangular_inverse(jordan_transpose(n)),
+            [[(-1) ** (i + j) * (i >= j) for j in span] for i in span],
+        ),
+    ]
+    for m, rows in built_and_defined:
+        assert m == IntMatrix(rows) == IntMatrix(m.rows)
+        assert m.n == n
+        assert_exact_rows(m)
 
 
 @pytest.mark.parametrize("bad", [1.9, 2.0, "7", None], ids=["float", "whole-float", "str", "none"])
@@ -550,9 +629,48 @@ def test_order_is_exact():
 # -- rendering ----------------------------------------------------------------------
 
 
+def whole_block_render(m):
+    """The text of a matrix as one block, every entry measured and then
+    padded: the oracle of the row-at-a-time render."""
+    width = max(len(str(x)) for row in m.rows for x in row)
+    return "\n".join("[" + " ".join(str(x).rjust(width) for x in row) + "]" for row in m.rows)
+
+
 def test_text_rendering_aligns():
     text = companion_matrix(2).render()
     assert text == "[ 2 -1]\n[ 1  0]"
+
+
+@pytest.mark.parametrize(
+    "m, text",
+    [
+        (IntMatrix([[-1000, 5], [7, 999]]), "[-1000     5]\n[    7   999]"),
+        (IntMatrix([[-3, 12345], [0, 7]]), "[   -3 12345]\n[    0     7]"),
+        (IntMatrix([[0, 0], [0, 0]]), "[0 0]\n[0 0]"),
+        (FpMatrix(Prime(101), [[100, 1], [0, -1]]), "[100   1]\n[  0 100]"),
+    ],
+    ids=["negative-extreme", "positive-extreme", "all-zero", "fp"],
+)
+def test_render_width_is_that_of_an_extreme_entry(m, text):
+    assert m.render() == str(m) == text == whole_block_render(m)
+    assert list(_render(m)) == text.split("\n")
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_matrix_text_equals_whole_block_render(capsys, p):
+    """``matrix`` text, written a row at a time, is the text of each block
+    rendered whole, as the command wrote it before."""
+    for n in range(2, 41):
+        blocks = {"B": companion_matrix(n), "A": pascal_matrix(n), "D": jordan_transpose(n)}
+        blocks.update(BA=blocks["B"] * blocks["A"], AD=blocks["A"] * blocks["D"])
+        suffix = "" if p is None else f" mod {p}"
+        expected = "".join(
+            f"{name}{suffix}:\n{whole_block_render(m if p is None else m.reduce(Prime(p)))}\n\n"
+            for name, m in blocks.items()
+        )
+        argv = ["matrix", "--n", str(n)] + ([] if p is None else ["--p", str(p)])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected, n
 
 
 def test_json_uses_decimal_strings_for_integers():
