@@ -27,14 +27,25 @@ At p = 2 the same formula realizes the even squares Sq^(2i) restricted to
 the subring generated by degree-2 classes, the only place this module is
 ever applied.
 
-Reduced powers run on packed monomial keys, through one ``polyring._PackedSum``
-per call, which alone knows the slot layout: its slots are sized once for
+The recursion runs once per shape of a monomial mod q = p^level, not once
+per polynomial. Each R^i it runs has i <= q / p, and R^a(t^s) = 0 for
+0 < a < q when q divides every exponent of s, so t^s commutes with them
+and Q_level(t^e) = t^(e - r) Q_level(t^r), r the exponents mod q. A slot of
+residue 0 never moves, so Q_level(t^r) depends only on r's shape, r
+stripped of its leading and trailing zero slots. The plan of a shape, the
+key offsets and coefficients of Q_level(t^shape), is the pure function
+``_shape_plan`` of (p, level, slot width, shape), built by running the
+recursion on t^shape alone and kept in one ``functools.lru_cache`` of 8192
+plans; a monomial adds it, shifted to its shape's first slot, to its key.
+
+Both run on packed monomial keys, through one ``polyring._PackedSum`` per
+call, which alone knows the slot layout: its slots are sized once for
 every exponent the whole computation can reach, so a share a of slot k adds
 a (p-1) times t_k's key, 1 << (k - 1) width, to the key and never carries.
 ``reduced_power`` packs f, walks it once and unpacks the result;
-``milnor_q_recursive`` packs f once, keeps every reduced power and
-difference of its recursion packed and reduced mod p, and unpacks once.
-``milnor_q_closed``, the independent route, keeps tuple keys.
+``milnor_q_recursive`` packs f once, adds each term's shifted shape plan,
+and reduces mod p and unpacks once. ``milnor_q_closed``, the independent
+route, keeps tuple keys.
 """
 
 from __future__ import annotations
@@ -172,30 +183,65 @@ def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
     return f._like(acc)
 
 
+def _commutator(acc: _PackedSum, level: int, terms: _Packed) -> dict[int, int]:
+    """Q_level(terms), reduced mod p, on acc's packed keys by the commutator
+    recursion Q_level = R^i Q_(level-1) - Q_(level-1) R^i, i = p^(level-1)."""
+    if level == 1:
+        return _packed_power(acc, 1, terms)
+    p = acc.p.value
+    i = p ** (level - 1)
+    diff = _packed_power(acc, i, _commutator(acc, level - 1, terms))
+    get = diff.get
+    for key, c in _commutator(acc, level - 1, _packed_power(acc, i, terms)).items():
+        diff[key] = get(key, 0) - c
+    return {key: r for key, c in diff.items() if (r := c % p)}
+
+
+@lru_cache(maxsize=1 << 13)
+def _shape_plan(p: int, level: int, width: int, shape: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Q_level(t^shape) in len(shape) slots of ``width`` bits, by the
+    commutator recursion: its (key offset from t^shape's key, coefficient
+    mod p) pairs. The slots must hold every shape[k] + p^level - 1.
+
+    The recursion runs on the one monomial t^shape, through ``_packed_power``
+    and its class plans, in its own packed sum of len(shape) slots. The
+    empty shape, that of every t^s with p^level dividing s, has no term.
+    """
+    acc = _PackedSum(len(shape), Prime(p), (1 << width) - 1)
+    (source,) = terms = acc.pack({shape: 1})
+    return tuple((key - source, c) for key, c in _commutator(acc, level, terms).items())
+
+
 def milnor_q_recursive(level: int, f: MultiPoly) -> MultiPoly:
     """Q_level(f) by the commutator recursion through reduced powers.
 
     Every term of the recursion tree has total degree at most p^level - 1
     above its source term, so no exponent passes f's largest exponent plus
     p^level - 1: that bound sizes the slots, f is packed once, and the result
-    is unpacked once.
+    is reduced mod p and unpacked once. Each term adds the plan of its shape
+    mod p^level, shifted to the shape's first slot, to its own key.
     """
     if level < 1:
         raise ValueError(f"need level >= 1, got {level}")
     p = f.p.value
-    acc = _PackedSum(f.n, f.p, _top_exponent(f) + p**level - 1)
-
-    def q(level: int, terms: _Packed) -> dict[int, int]:
-        if level == 1:
-            return _packed_power(acc, 1, terms)
-        i = p ** (level - 1)
-        diff = _packed_power(acc, i, q(level - 1, terms))
-        get = diff.get
-        for key, c in q(level - 1, _packed_power(acc, i, terms)).items():
-            diff[key] = get(key, 0) - c
-        return {key: r for key, c in diff.items() if (r := c % p)}
-
-    acc.terms = q(level, acc.pack(f.terms))
+    q = p**level
+    acc = _PackedSum(f.n, f.p, _top_exponent(f) + q - 1)
+    classify, width, plan_of = acc.residues(q), acc.width, _shape_plan
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in acc.pack(f.terms).items():
+        res = classify(key)
+        if width == 8:  # the residues are the key's bytes, one per slot
+            shape = res.lstrip(b"\0")
+            shift = (len(res) - len(shape)) * 8
+            shape = shape.rstrip(b"\0")
+        else:
+            support = [k for k, r in enumerate(res) if r] or [0, -1]  # or the empty shape
+            shift, shape = support[0] * width, res[support[0] : support[-1] + 1]
+        for off, b in plan_of(p, level, width, shape):
+            target = key + (off << shift)
+            out[target] = get(target, 0) + c * b
+    acc.terms = out
     return acc.result()
 
 

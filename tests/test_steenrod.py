@@ -244,6 +244,34 @@ def test_primitive_square_counterexample_at_odd_primes():
 
 # -- the packed walk ---------------------------------------------------------
 
+def whole_walk_recursive(level: int, f: MultiPoly) -> MultiPoly:
+    """Q_level(f) by the commutator recursion over the whole packed polynomial,
+    every reduced power and difference of the tree kept packed and reduced mod
+    p: the oracle of the route by shapes."""
+    p = f.p.value
+    acc = _PackedSum(f.n, f.p, max(map(max, f.terms), default=0) + p**level - 1)
+
+    def q(level: int, terms):
+        if level == 1:
+            return steenrod._packed_power(acc, 1, terms)
+        i = p ** (level - 1)
+        diff = steenrod._packed_power(acc, i, q(level - 1, terms))
+        get = diff.get
+        for key, c in q(level - 1, steenrod._packed_power(acc, i, terms)).items():
+            diff[key] = get(key, 0) - c
+        return {key: r for key, c in diff.items() if (r := c % p)}
+
+    acc.terms = q(level, acc.pack(f.terms))
+    return acc.result()
+
+
+def assert_shape_route(level: int, f: MultiPoly) -> MultiPoly:
+    """The route by shapes equals the whole walk and the Leibniz closed form."""
+    out = milnor_q_recursive(level, f)
+    assert out == whole_walk_recursive(level, f) == milnor_q_closed(level, f), (level, f)
+    return out
+
+
 # Exponent bounds on each side of a change of slot width (one byte to two, two
 # to three). In each test the top term of f reaches the bound exactly, with a
 # unit coefficient; a slot one byte too narrow would carry t1's exponent into t2.
@@ -267,9 +295,7 @@ def test_milnor_routes_agree_at_slot_width_edges(bound):
     e = bound - 8  # Q_2's slots hold the largest exponent e plus 3^2 - 1
     assert e % 3  # Q_2(t1^e) = e t1^bound
     f = MultiPoly(3, p, {(e, 0, 0): 1, (0, 2, 1): 2, (e - 1, 1, 0): 1, (0, 0, 0): 2})
-    recursive = milnor_q_recursive(2, f)
-    assert recursive == milnor_q_closed(2, f)
-    assert recursive.terms[(bound, 0, 0)] == e % 3
+    assert assert_shape_route(2, f).terms[(bound, 0, 0)] == e % 3
 
 
 @pytest.mark.parametrize("p", [Prime(2), Prime(3), Prime(5)])
@@ -279,8 +305,7 @@ def test_packed_walk_on_zero_constants_and_one_variable(p):
         zero, constant = MultiPoly.zero(n, p), MultiPoly.constant(n, p, q - 1)
         for level in (1, 2, 3):
             for f in (zero, constant):
-                assert milnor_q_recursive(level, f).is_zero()
-                assert milnor_q_closed(level, f).is_zero()
+                assert assert_shape_route(level, f).is_zero()
         for i in (1, 2, q):
             assert reduced_power(i, zero).is_zero() and reduced_power(i, constant).is_zero()
     for e in range(1, 12):
@@ -288,7 +313,8 @@ def test_packed_walk_on_zero_constants_and_one_variable(p):
         for level in (1, 2, 3):
             # Q_level(t^e) = e t^(e - 1 + p^level)
             expected = (t(1, p) ** (e - 1 + q**level)).scale(e)
-            assert milnor_q_recursive(level, f) == expected == milnor_q_closed(level, f)
+            assert assert_shape_route(level, f) == expected
+            assert_shape_route(level, t(3, p, 2) ** e)  # the one variable in the middle
         for i in range(e + 2):
             assert reduced_power(i, f) == (t(1, p) ** (e + i * (q - 1))).scale(comb(e, i))
 
@@ -401,9 +427,10 @@ def test_two_byte_slots_share_a_plan_across_the_byte_edge():
     for i in range(9):
         assert reduced_power(i, f) == expected.get(i, MultiPoly.zero(2, p)), i
     # the recursion at level 3 runs R^4; at p = 3 its q = 27 splits 283 = 27 * 10 + 13
-    assert milnor_q_recursive(3, f) == milnor_q_closed(3, f)
     g = MultiPoly(2, Prime(3), {(283, 2): 1, (13, 29): 2, (1, 1): 1})
-    assert milnor_q_recursive(3, g) == milnor_q_closed(3, g)
+    for level in (1, 2, 3):
+        assert_shape_route(level, f)
+        assert_shape_route(level, g)
 
 
 def test_plan_table_stays_within_its_cap(monkeypatch):
@@ -430,6 +457,13 @@ def test_plan_table_stays_within_its_cap(monkeypatch):
     assert small.cache_info().currsize == cap
 
 
+def clear_plans() -> None:
+    """Empty both plan tables: the Milnor shapes' and the reduced-power classes'
+    they are built from."""
+    steenrod._shape_plan.cache_clear()
+    steenrod._class_plan.cache_clear()
+
+
 def test_threads_share_a_cold_plan_table():
     inputs = [
         (level, some_poly(random.Random(seed), 3, p, 6, 5))
@@ -437,9 +471,9 @@ def test_threads_share_a_cold_plan_table():
         for level in (1, 2, 3)
     ]
     expected = [milnor_q_closed(level, f) for level, f in inputs]
-    steenrod._class_plan.cache_clear()
+    clear_plans()
     assert [milnor_q_recursive(level, f) for level, f in inputs] == expected
-    lookups = sum(steenrod._class_plan.cache_info()[:2])  # the same in every run, cold or warm
+    lookups = sum(steenrod._shape_plan.cache_info()[:2])  # the same in every run, cold or warm
     results: list = [None] * 4
 
     def run(k: int) -> None:
@@ -449,8 +483,8 @@ def test_threads_share_a_cold_plan_table():
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
-        for _ in range(10):  # each round races four threads on a cold cache
-            steenrod._class_plan.cache_clear()
+        for _ in range(10):  # each round races four threads on cold caches
+            clear_plans()
             results[:] = [None] * 4
             start = threading.Barrier(4)
             threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
@@ -461,9 +495,9 @@ def test_threads_share_a_cold_plan_table():
             assert not any(thread.is_alive() for thread in threads)
             assert all(result == expected for result in results)
             # lru_cache counts each call once, as a hit or a miss, so a lost
-            # update would show here; a class two threads build at once is
+            # update would show here; a shape two threads build at once is
             # counted as a miss by both
-            info = steenrod._class_plan.cache_info()
+            info = steenrod._shape_plan.cache_info()
             assert info.hits + info.misses == 4 * lookups
             assert info.currsize <= info.maxsize
     finally:
@@ -473,12 +507,12 @@ def test_threads_share_a_cold_plan_table():
 def test_repeated_call_reads_only_hits():
     p = Prime(3)
     f = some_poly(random.Random(3), 3, p, 9, 6)
-    steenrod._class_plan.cache_clear()
+    clear_plans()
     milnor_q_recursive(2, f)
-    hits, misses, maxsize, currsize = steenrod._class_plan.cache_info()
+    hits, misses, maxsize, currsize = steenrod._shape_plan.cache_info()
     assert misses == currsize > 0 and maxsize == 1 << 13
     milnor_q_recursive(2, f)
-    again = steenrod._class_plan.cache_info()
+    again = steenrod._shape_plan.cache_info()
     assert (again.misses, again.currsize) == (misses, currsize)
     assert again.hits - hits == hits + misses  # the same lookups, every one a hit
 
@@ -529,3 +563,91 @@ def test_class_plan_matches_the_brute_force_splits(width):
     assert list(res) == [4, 0, 5]
     plan = steenrod._class_plan(3, 4, width, res)
     assert dict(plan) == class_splits_by_brute_force(3, width, (4, 0, 5))[4]
+
+
+# -- Milnor plans by residue shape ---------------------------------------------
+
+
+@pytest.mark.parametrize("p", [Prime(2), Prime(3), Prime(5), Prime(7)])
+def test_shape_route_matches_the_whole_walk(p):
+    rng = random.Random(100 + p.value)
+    for level in (level for level in (1, 2, 3) if p.value**level <= 27):
+        # eight slots of residues up to 26 make R^9's splits many: five at q = 27
+        for n in (1, 2, 3, 5, 8) if p.value**level < 27 else (1, 2, 3, 5):
+            for _ in range(4):
+                assert_shape_route(level, some_poly(rng, n, p, 2 * p.value**level, 6))
+    # wide sparse monomials, most slots zero, with a constant term
+    for n in (6, 9):
+        terms = {(0,) * n: 1}
+        while len(terms) < 7:
+            mono = [0] * n
+            for k in rng.sample(range(n), rng.randint(1, 3)):
+                mono[k] = rng.randint(1, 30)
+            terms[tuple(mono)] = rng.randrange(1, p.value) if p.value > 2 else 1
+        for level in (1, 2):
+            assert_shape_route(level, MultiPoly(n, p, terms))
+
+
+def leibniz_plan(p: int, level: int, width: int, r) -> dict[int, int]:
+    """Q_level(t^r) as a derivation, Q(t_k) = t_k^(p^level): each slot k with
+    r_k nonzero mod p adds p^level - 1 to it, with coefficient r_k mod p."""
+    q = p**level
+    return {(q - 1) << (k * width): e % p for k, e in enumerate(r) if e % p}
+
+
+def check_shape_plan(p: int, level: int, width: int, r) -> None:
+    shape = bytes(r) if width == 8 else tuple(r)
+    plan = steenrod._shape_plan.__wrapped__(p, level, width, shape)
+    assert len({off for off, _ in plan}) == len(plan)  # each offset once
+    assert all(0 < b < p for _, b in plan)
+    assert dict(plan) == leibniz_plan(p, level, width, r), (p, level, width, r)
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_shape_plan_matches_the_leibniz_offsets(width):
+    # every shape r in the box [0, p^level)^n, for n <= 3: the empty shape, the
+    # all-zero ones and the ones with zero slots at either end among them
+    for p, levels in ((2, (1, 2, 3)), (3, (1, 2))):
+        for level in levels:
+            for n in (0, 1, 2, 3):
+                for r in product(range(p**level), repeat=n):
+                    check_shape_plan(p, level, width, r)
+    # a seeded sample at p = 5, level 2
+    rng = random.Random(25)
+    for _ in range(80):
+        check_shape_plan(5, 2, width, [rng.randrange(25) for _ in range(rng.randint(1, 3))])
+
+
+def test_one_monomial_gives_shifted_plans_wherever_it_sits():
+    # r = (4, 0, 5) mod 9 at p = 3, level 2: one shape, one plan, at every
+    # slot of every n, with any multiple of 9 added to any exponent
+    p, level, q = Prime(3), 2, 9
+    r = (4, 0, 5)
+    clear_plans()
+    for n in (3, 4, 7):
+        for first in range(n - 2):
+            for lift in ((0, 0, 0), (1, 0, 2), (3, 1, 0)):
+                mono = [0] * n
+                mono[first : first + 3] = [e + q * k for e, k in zip(r, lift)]
+                if first + 3 < n:
+                    mono[-1] = q * sum(lift)  # a slot of residue 0 past the shape
+                f = MultiPoly(n, p, {tuple(mono): 1})
+                plan = steenrod._shape_plan(3, level, 8, bytes(r))
+                key = sum(e << (8 * k) for k, e in enumerate(mono))
+                shifted_plan = {key + (off << (8 * first)): c for off, c in plan}
+                out = assert_shape_route(level, f)
+                assert out.terms == {tuple((k >> (8 * j)) & 255 for j in range(n)): c
+                                     for k, c in shifted_plan.items()}, mono
+    info = steenrod._shape_plan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)  # every exponent here stays in one byte
+
+
+def test_e2_terms_share_one_plan_per_gap():
+    # t_i t_j of e_2 has shape 1 0..0 1, with j - i - 1 zero slots between: the
+    # 1330 terms of e_2 for n = 2..20 have 19 shapes, where keys by the whole
+    # residue vector would have 1330
+    clear_plans()
+    for n in range(2, 21):
+        assert check_milnor_on_c2(n, Prime(2), 2)[0]
+    info = steenrod._shape_plan.cache_info()
+    assert (info.hits, info.misses) == (1311, 19)
