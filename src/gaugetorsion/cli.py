@@ -37,6 +37,7 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 
 from .chern import verify_newton
 from .fp import Prime
@@ -288,8 +289,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         blocks = {name: m.reduce(args.p) for name, m in blocks.items()}
     if args.format == "json":
         payload: dict = {"n": args.n, "p": None if args.p is None else args.p.value}
+        entry = lru_cache(maxsize=None)(str)  # one shared string per value: most entries are 0
         for name, m in blocks.items():
-            payload[name] = json.loads(m.to_json())
+            payload[name] = [list(map(entry, row)) for row in m.rows] if args.p is None else m.rows
         print(json.dumps(payload, indent=2))
     else:
         suffix = "" if args.p is None else f" mod {args.p}"

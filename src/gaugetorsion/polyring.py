@@ -25,8 +25,8 @@ mod p, and only the surviving terms are unpacked back into tuples. The
 reduced powers of ``steenrod`` run on the same layout through a
 ``_PackedSum`` of their own, the only way into it: a polynomial is packed
 once (``pack``), every reduced power and difference of the Milnor recursion
-stays packed, each key's class of exponents mod q is read in one call
-(``residues``), and the result is unpacked once (``result``).
+stays packed, each key's shape mod q and its shift are read in one call
+(``shapes``), and the result is unpacked once (``result``).
 """
 
 from __future__ import annotations
@@ -238,27 +238,32 @@ def _slot_layout(n: int, width: int) -> tuple[
     tuple[int, ...],
     Callable[[Sequence[int]], int],
     Callable[[int], Sequence[int]],
-    Callable[[int], Callable[[int], Sequence[int]]],
+    Callable[[int], Callable[[int], tuple[int, Sequence[int]]]],
 ]:
     """The layout of n slots of ``width`` bits: the packed keys of t1, ..., tn
     (t_k is 1 << width (k - 1)), the packer of one exponent tuple, the reader
     of one key back into its n exponents, and, for a modulus q, the reader of
-    one key's n exponents mod q as a hashable sequence, built once per q.
+    one key's (shift, shape) mod q, built once per q: its exponents mod q with
+    the zero slots at both ends stripped, and the bits of those at the low end.
     One-byte slots are the key's bytes, and their residues mod q are those
     bytes translated through one 256-byte table, in one C call."""
     units = tuple(1 << shift for shift in range(0, n * width, width))
     if width == 8:
 
         @lru_cache(maxsize=None)
-        def residues(q: int) -> Callable[[int], bytes]:
+        def shapes(q: int) -> Callable[[int], tuple[int, bytes]]:
             table = _byte_residues(min(q, 256))  # for q >= 256 every byte is its residue
-            return lambda key: key.to_bytes(n, "little").translate(table)
+
+            def shape(key: int) -> tuple[int, bytes]:
+                tail = key.to_bytes(n, "little").translate(table).lstrip(b"\0")
+                return (n - len(tail)) * 8, tail.rstrip(b"\0")
+            return shape
 
         return (
             units,
             lambda mono: int.from_bytes(mono, "little"),
             lambda key: key.to_bytes(n, "little"),
-            residues,
+            shapes,
         )
     size = width // 8
 
@@ -270,10 +275,14 @@ def _slot_layout(n: int, width: int) -> tuple[
         return [int.from_bytes(raw[s : s + size], "little") for s in range(0, n * size, size)]
 
     @lru_cache(maxsize=None)
-    def residues(q: int) -> Callable[[int], tuple[int, ...]]:
-        return lambda key: tuple([e % q for e in read(key)])
+    def shapes(q: int) -> Callable[[int], tuple[int, tuple[int, ...]]]:
+        def shape(key: int) -> tuple[int, tuple[int, ...]]:
+            res = [e % q for e in read(key)]
+            support = [k for k, r in enumerate(res) if r] or [n, n - 1]  # or the empty shape
+            return support[0] * width, tuple(res[support[0] : support[-1] + 1])
+        return shape
 
-    return units, pack, read, residues
+    return units, pack, read, shapes
 
 
 @lru_cache(maxsize=None)
@@ -300,24 +309,25 @@ class _PackedSum:
     An exponent vector is one integer whose slot k, ``width`` bits wide, holds
     the k-th exponent (Monagan and Pearce's packed monomials); a monomial packs
     as its exponents times the generators' keys ``units``, ``read`` turns a
-    key back into its exponents, and ``residues(q)`` gives the reader of a
-    key's exponents mod q, as a hashable sequence. ``width`` is the narrowest
+    key back into its exponents, and ``shapes(q)`` gives the reader of a
+    key's shape mod q, its exponents mod q stripped of the zero slots at both
+    ends, with the bits of those at the low end. ``width`` is the narrowest
     whole number of bytes that holds ``bound``. While every exponent of every
     product stays at most ``bound``, the product of two monomials is the sum
     of their keys, and no slot carries into the next. Products add into
     ``terms`` unreduced, and ``result`` reduces the whole sum mod p once and
     unpacks only the entries that survive. This class is the only way into
-    the layout: ``steenrod``'s reduced powers pack, classify, walk and unpack
+    the layout: ``steenrod``'s reduced powers pack, read shapes, walk and unpack
     through it too.
     """
 
-    __slots__ = ("n", "p", "width", "units", "read", "residues", "_pack", "terms")
+    __slots__ = ("n", "p", "width", "units", "read", "shapes", "_pack", "terms")
 
     def __init__(self, n: int, p: Prime, bound: int) -> None:
         """An empty sum in n generators over F_p, for exponents up to ``bound``."""
         self.n, self.p = n, p
         self.width = width = 8 * (-(-bound.bit_length() // 8) or 1)  # the fewest whole bytes
-        self.units, self._pack, self.read, self.residues = _slot_layout(n, width)
+        self.units, self._pack, self.read, self.shapes = _slot_layout(n, width)
         self.terms: dict[int, int] = {}
 
     def pack(self, terms: Mapping[Monomial, int]) -> dict[int, int]:

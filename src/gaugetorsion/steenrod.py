@@ -14,15 +14,15 @@ handled by summing over all ways of distributing i across the variables,
 which is the Cartan formula pushed down to exponent vectors. Every share is
 below q, the least power of p above i, and by Lucas' theorem
 binom(e, a) = binom(e mod q, a) mod p for a < q, so R^i(t^e) = t^(e - r) R^i(t^r)
-with r the exponents mod q: the splits of a monomial depend only on its
-residue class r. R^i runs once per class, not once per monomial: the plan of
-a class, the key offsets and coefficients of R^i(t^r), is a pure function of
-(p, i, slot width, r), ``_class_plan``, kept in one ``functools.lru_cache`` of
-8192 plans across calls and read like any other memo, through
-``_class_plan.cache_info()``. A plan is built by walking only the class's
-support, the variables with a nonzero residue, over the Lucas rows of
-``fp._lucas_row`` cut at i, which list only the nonvanishing shares; the last
-support variable takes what is left of i by one lookup.
+with r the exponents mod q. A slot of residue 0 takes no share, so the splits
+of a monomial depend only on r's shape, r stripped of its leading and
+trailing zero slots: t1 t2 and t3 t4 share one. The plan of a shape, the key
+offsets and coefficients of R^i(t^shape), is the pure function
+``_class_plan`` of (p, i, slot width, shape), in an ``lru_cache`` of 8192
+plans. It walks only the shape's support, the slots with a nonzero residue,
+over the Lucas rows of ``fp._lucas_row`` cut at i, which list only the
+nonvanishing shares; the last support slot takes what is left of i by one
+lookup.
 At p = 2 the same formula realizes the even squares Sq^(2i) restricted to
 the subring generated by degree-2 classes, the only place this module is
 ever applied.
@@ -31,20 +31,20 @@ The recursion runs once per shape of a monomial mod q = p^level, not once
 per polynomial. Each R^i it runs has i <= q / p, and R^a(t^s) = 0 for
 0 < a < q when q divides every exponent of s, so t^s commutes with them
 and Q_level(t^e) = t^(e - r) Q_level(t^r), r the exponents mod q. A slot of
-residue 0 never moves, so Q_level(t^r) depends only on r's shape, r
-stripped of its leading and trailing zero slots. The plan of a shape, the
-key offsets and coefficients of Q_level(t^shape), is the pure function
-``_shape_plan`` of (p, level, slot width, shape), built by running the
-recursion on t^shape alone and kept in one ``functools.lru_cache`` of 8192
-plans; a monomial adds it, shifted to its shape's first slot, to its key.
+residue 0 never moves, so Q_level(t^r) depends only on r's shape. The plan
+of a shape, the key offsets and coefficients of Q_level(t^shape), is the
+pure function ``_shape_plan`` of (p, level, slot width, shape), built by
+running the recursion on t^shape alone, in an ``lru_cache`` of 8192 plans.
 
 Both run on packed monomial keys, through one ``polyring._PackedSum`` per
 call, which alone knows the slot layout: its slots are sized once for
 every exponent the whole computation can reach, so a share a of slot k adds
 a (p-1) times t_k's key, 1 << (k - 1) width, to the key and never carries.
-``reduced_power`` packs f, walks it once and unpacks the result;
-``milnor_q_recursive`` packs f once, adds each term's shifted shape plan,
-and reduces mod p and unpacks once. ``milnor_q_closed``, the independent
+The layout's ``shapes(q)`` reads a key's shape and the shift of its first
+slot, and one walk, ``_walk``, adds each term's plan, shifted to that slot,
+to the term's key. ``reduced_power`` and ``milnor_q_recursive`` pack f once,
+walk it with their plan table and unpack once; they differ only in their
+slot bound, their q and their table. ``milnor_q_closed``, the independent
 route, keeps tuple keys.
 """
 
@@ -53,7 +53,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, count
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .fp import Prime, _lucas_row
 from .polyring import Monomial, MultiPoly, _PackedSum, elementary_sym, power_sum
@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 _Packed = Mapping[int, int]  # packed exponent key -> residue mod p
+_PlanTable = Callable[[int, int, int, Sequence[int]], tuple[tuple[int, int], ...]]
 _TAKES_NOTHING = (0, ((0, 1),))  # a walk's (step, Lucas row) for a slot whose share is 0
 
 
@@ -77,7 +78,7 @@ def _lucas_lookup(e: int, top: int, p: int) -> Mapping[int, int]:
 
 @lru_cache(maxsize=1 << 13)
 def _class_plan(p: int, i: int, width: int, res: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """The splits of R^i(t^r) for the class r = res, in slots of ``width`` bits:
+    """The splits of R^i(t^r) for the shape r = res, in slots of ``width`` bits:
     each a (sum of a (p-1) times t_k's key over its shares a, product of
     binom(r_k, a) mod p) pair, the products that vanish mod p left out.
 
@@ -86,8 +87,8 @@ def _class_plan(p: int, i: int, width: int, res: Sequence[int]) -> tuple[tuple[i
     keeping the nonzero shares it takes; it stops once the running sum s
     passes i and skips what the slots still to run cannot make up. The slot
     before the last runs its row up to i - s, and the last slot takes what is
-    left, read from its row as a lookup. A class of residues all 0, constants
-    included, has no split.
+    left, read from its row as a lookup. The empty shape, that of constants
+    and of every t^s with q dividing s, has no split.
     """
     walk = [((p - 1) << (k * width), res[k]) for k in compress(count(), res)]
     if not walk:
@@ -127,26 +128,29 @@ def _class_plan(p: int, i: int, width: int, res: Sequence[int]) -> tuple[tuple[i
     return tuple(plan)
 
 
+def _walk(acc: _PackedSum, q: int, plan_of: _PlanTable, x: int, terms: _Packed) -> dict[int, int]:
+    """The sum, unreduced, over the terms c t^e of c times the plan
+    ``plan_of(p, x, width, shape)`` of e's shape mod q: each offset, shifted to
+    the shape's first slot, added to e's key."""
+    p, width, shape_of = acc.p.value, acc.width, acc.shapes(q)
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in terms.items():
+        shift, shape = shape_of(key)
+        for off, b in plan_of(p, x, width, shape):
+            target = key + (off << shift)
+            out[target] = get(target, 0) + c * b
+    return out
+
+
 def _packed_power(acc: _PackedSum, i: int, terms: _Packed) -> dict[int, int]:
     """R^i(terms), reduced mod p, for i >= 1, on acc's packed keys, whose slots
-    hold every exponent the walk reaches.
-
-    Let q be the least power of p above i, and r a monomial's exponents mod q.
-    By Lucas, binom(e, a) = binom(e mod q, a) mod p for every a < q, so
-    R^i(t^e) = t^(e - r) R^i(t^r): R^i of a term is its key plus each offset
-    of its class's plan.
-    """
+    hold every exponent the walk reaches; q is the least power of p above i."""
     p = acc.p.value
     q = p  # the least power of p above i
     while q <= i:
         q *= p
-    classify, width, plan_of = acc.residues(q), acc.width, _class_plan
-    out: dict[int, int] = {}
-    get = out.get
-    for key, c in terms.items():
-        for off, b in plan_of(p, i, width, classify(key)):
-            target = key + off
-            out[target] = get(target, 0) + c * b
+    out = _walk(acc, q, _class_plan, i, terms)
     return {key: r for key, c in out.items() if (r := c % p)}
 
 
@@ -223,25 +227,9 @@ def milnor_q_recursive(level: int, f: MultiPoly) -> MultiPoly:
     """
     if level < 1:
         raise ValueError(f"need level >= 1, got {level}")
-    p = f.p.value
-    q = p**level
+    q = f.p.value**level
     acc = _PackedSum(f.n, f.p, _top_exponent(f) + q - 1)
-    classify, width, plan_of = acc.residues(q), acc.width, _shape_plan
-    out: dict[int, int] = {}
-    get = out.get
-    for key, c in acc.pack(f.terms).items():
-        res = classify(key)
-        if width == 8:  # the residues are the key's bytes, one per slot
-            shape = res.lstrip(b"\0")
-            shift = (len(res) - len(shape)) * 8
-            shape = shape.rstrip(b"\0")
-        else:
-            support = [k for k, r in enumerate(res) if r] or [0, -1]  # or the empty shape
-            shift, shape = support[0] * width, res[support[0] : support[-1] + 1]
-        for off, b in plan_of(p, level, width, shape):
-            target = key + (off << shift)
-            out[target] = get(target, 0) + c * b
-    acc.terms = out
+    acc.terms = _walk(acc, q, _shape_plan, level, acc.pack(f.terms))
     return acc.result()
 
 

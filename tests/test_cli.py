@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gaugetorsion import cli
+from gaugetorsion import cli, companion_matrix, jordan_transpose, pascal_matrix
 from gaugetorsion.torsion import decide_p
 from gaugetorsion.fp import Prime
 from gaugetorsion.suspension import MechanizationError
@@ -326,6 +326,21 @@ def test_matrix_json_decimal_strings(capsys):
     assert payload["p"] is None
     code, out, _ = run(capsys, "matrix", "--n", "3", "--p", "3", "--format", "json")
     assert json.loads(out)["B"] == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("p", [None, 2, 5])
+def test_matrix_json_matches_each_blocks_own_json(capsys, p):
+    # the payload as each block's to_json() reads back, dumped the same way
+    for n in (5, 12):
+        b, a, d = companion_matrix(n), pascal_matrix(n), jordan_transpose(n)
+        blocks = {"B": b, "A": a, "D": d, "BA": b * a, "AD": a * d}
+        expected = {"n": n, "p": p}
+        for name, m in blocks.items():
+            expected[name] = json.loads((m if p is None else m.reduce(Prime(p))).to_json())
+        args = ("matrix", "--n", str(n), "--format", "json") + (() if p is None else ("--p", str(p)))
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_matrix_products_match(capsys):

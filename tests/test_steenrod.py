@@ -298,6 +298,29 @@ def test_milnor_routes_agree_at_slot_width_edges(bound):
     assert assert_shape_route(2, f).terms[(bound, 0, 0)] == e % 3
 
 
+@pytest.mark.parametrize("bound", SLOT_EDGE_BOUNDS)
+def test_shape_reader_matches_read_then_strip(bound):
+    # slots of 8, 16, 16 and 24 bits; exponents up to the bound, multiples of
+    # q among them, so a slot can read 0 mod q while its exponent is not 0
+    n = 6
+    acc = _PackedSum(n, Prime(2), bound)
+    assert acc.width == {255: 8, 256: 16, 65535: 16, 65536: 24}[bound]
+    rng = random.Random(bound)
+    for q in (2, 9, 256, 65536):
+        reader = acc.shapes(q)
+        assert acc.shapes(q) is reader  # built once per q
+        monos = [(0,) * n, (bound,) * n, (0, bound, 0, q, 0, 0), (q, 0, 1, 0, 0, 2 * q)]
+        for _ in range(40):
+            picks = [0, 0, rng.randrange(bound + 1), q * rng.randrange(bound // q + 1), bound]
+            monos.append(tuple(rng.choice(picks) for _ in range(n)))
+        for mono in (mono for mono in monos if max(mono) <= bound):
+            key = next(iter(acc.pack({mono: 1})))
+            first, shape = residue_shape(acc.read(key), q)
+            shift, got = reader(key)
+            hash(got)  # the shape keys a plan table
+            assert (shift, tuple(got)) == (first * acc.width, shape), (q, mono)
+
+
 @pytest.mark.parametrize("p", [Prime(2), Prime(3), Prime(5)])
 def test_packed_walk_on_zero_constants_and_one_variable(p):
     q = p.value
@@ -384,6 +407,15 @@ def test_terms_of_one_residue_class_share_a_plan():
         assert milnor_q_recursive(level, f) == milnor_q_closed(level, f), level
 
 
+def residue_shape(mono, q: int) -> tuple[int, tuple[int, ...]]:
+    """(leading zero slots, shape) of a monomial's exponents mod q: the
+    residues with the zero slots at both ends stripped."""
+    res = [e % q for e in mono]
+    first = next((k for k, r in enumerate(res) if r), len(res))
+    last = max((k for k, r in enumerate(res) if r), default=first - 1)
+    return first, tuple(res[first : last + 1])
+
+
 def shifted(f: MultiPoly, q: int, by: int) -> MultiPoly:
     """f with `by` q added to every exponent: each term stays in its class mod q."""
     return MultiPoly(f.n, f.p, {tuple(e + by * q for e in mono): c for mono, c in f.terms.items()})
@@ -420,7 +452,7 @@ def test_two_byte_slots_share_a_plan_across_the_byte_edge():
     expected = cartan_by_brute_force(f)
     assert reduced_power(4, f) == expected[4]
     assert steenrod._class_plan.cache_info()[:2] == (1, 2)  # the constant's class and (3, 1)
-    # the plan is keyed by (p, i, slot width in bits, residues): asking for it is a hit
+    # the plan is keyed by (p, i, slot width in bits, shape): asking for it is a hit
     plan = steenrod._class_plan(2, 4, 16, (3, 1))
     assert steenrod._class_plan.cache_info()[:2] == (2, 2)
     assert dict(plan) == class_splits_by_brute_force(2, 16, (3, 1))[4]
@@ -431,6 +463,47 @@ def test_two_byte_slots_share_a_plan_across_the_byte_edge():
     for level in (1, 2, 3):
         assert_shape_route(level, f)
         assert_shape_route(level, g)
+
+
+def test_e2_terms_share_one_class_plan_per_gap():
+    # t_i t_j of e_2 has shape 1 0..0 1 mod every q: cold R^1, R^2 and R^4 of
+    # e_2 for n = 2..20 at p = 2 meet 19 gaps each, where keys by the whole
+    # residue vector would miss on all 3 * 1330 terms
+    p = Prime(2)
+    steenrod._class_plan.cache_clear()
+    for n in range(2, 21):
+        e2 = elementary_sym(n, 2, p)
+        for i in (1, 2, 4):
+            out = reduced_power(i, e2)
+            if n <= 5:
+                assert out == cartan_by_brute_force(e2).get(i, MultiPoly.zero(n, p)), (n, i)
+    info = steenrod._class_plan.cache_info()
+    assert (info.hits, info.misses) == (3 * 1330 - 3 * 19, 3 * 19)
+
+
+def test_one_monomial_gives_one_class_plan_wherever_it_sits():
+    # r = (4, 0, 5) mod 9, the q of R^4 at p = 3: one shape, one plan, at
+    # every slot of every n, with any multiple of 9 added to any exponent
+    p, i, q = Prime(3), 4, 9
+    r = (4, 0, 5)
+    steenrod._class_plan.cache_clear()
+    for n in (3, 4, 7):
+        for first in range(n - 2):
+            for lift in ((0, 0, 0), (1, 0, 2), (3, 1, 0)):
+                mono = [0] * n
+                mono[first : first + 3] = [e + q * k for e, k in zip(r, lift)]
+                if first + 3 < n:
+                    mono[-1] = q * sum(lift)  # a slot of residue 0 past the shape
+                # R^i(t^e) = t^(e - r) R^i(t^r), r the whole residue vector
+                key = sum(e << (8 * k) for k, e in enumerate(mono))
+                splits = class_splits_by_brute_force(3, 8, [e % q for e in mono])[i]
+                expected = {
+                    tuple(((key + off) >> (8 * j)) & 255 for j in range(n)): c
+                    for off, c in splits.items()
+                }
+                assert reduced_power(i, MultiPoly(n, p, {tuple(mono): 1})).terms == expected, mono
+    info = steenrod._class_plan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)  # every exponent here stays in one byte
 
 
 def test_plan_table_stays_within_its_cap(monkeypatch):
@@ -447,12 +520,16 @@ def test_plan_table_stays_within_its_cap(monkeypatch):
             assert small.cache_info().currsize <= cap
         assert milnor_q_recursive(2, f) == milnor_q_closed(2, f)
         assert small.cache_info().currsize <= cap
-    # a call with more new classes than the cache holds keeps the newest
+    # a call with more new shapes than the cache holds keeps the newest; the
+    # ends of every term of `wide` are nonzero mod 3, so its 12 terms have 12
+    # shapes, each met once
     small.cache_clear()
-    wide = MultiPoly(3, p, {(a, b, c): 1 for a in range(3) for b in range(3) for c in range(2)})
+    wide = MultiPoly(3, p, {(a, b, c): 1 for a in (1, 2) for b in range(3) for c in (1, 5)})
+    shapes = {residue_shape(mono, 3)[1] for mono in wide.terms}
+    assert len(shapes) == 12 > cap
     assert reduced_power(1, wide) == cartan_by_brute_force(wide)[1]
     info = small.cache_info()
-    assert (info.misses, info.currsize, info.maxsize) == (18, cap, cap)
+    assert (info.misses, info.currsize, info.maxsize) == (len(shapes), cap, cap)
     assert reduced_power(1, t(3, p)) == t(3, p) ** 3
     assert small.cache_info().currsize == cap
 
@@ -556,13 +633,18 @@ def test_class_plan_matches_the_brute_force_splits(width):
     for _ in range(60):
         r = [rng.randrange(25) for _ in range(rng.randint(1, 3))]
         check_class_plans(5, width, r, 24)
-    # the class the residues of a packed key read, through the layout
-    acc = _PackedSum(3, Prime(3), 255 if width == 8 else 256)
-    key = next(iter(acc.pack({(13, 0, 5): 1})))
-    res = acc.residues(9)(key)
-    assert list(res) == [4, 0, 5]
-    plan = steenrod._class_plan(3, 4, width, res)
-    assert dict(plan) == class_splits_by_brute_force(3, width, (4, 0, 5))[4]
+    # the shape a packed key reads through the layout, and its plan shifted
+    # to the shape's first slot: at slot 0, and past a slot of residue 0
+    for mono, first in (((13, 0, 5, 0, 9), 0), ((9, 13, 0, 5, 18), 1)):
+        acc = _PackedSum(5, Prime(3), 255 if width == 8 else 256)
+        key = next(iter(acc.pack({mono: 1})))
+        shift, shape = acc.shapes(9)(key)
+        assert (shift, list(shape)) == (first * width, [4, 0, 5])
+        plan = steenrod._class_plan(3, 4, width, shape)
+        residues = tuple(e % 9 for e in mono)
+        assert {off << shift: b for off, b in plan} == class_splits_by_brute_force(
+            3, width, residues
+        )[4]
 
 
 # -- Milnor plans by residue shape ---------------------------------------------
