@@ -15,7 +15,9 @@ independent oracle in the tests.
 ``polyring._PackedSum`` each: every exponent vector is a packed integer,
 so a product of monomials is one integer addition, and the sum is reduced
 mod p once, at the end, with only its surviving terms unpacked (none for a
-vanishing Newton residual).
+vanishing Newton residual). The packed powers e_j^e that ``iota_star``
+multiplies come from one bounded memo of read-only views in ``polyring``,
+so a warm call builds none of them again.
 
 Power sums are lifted to this ring through the classical Newton identities
 below the variable count and through the companion recurrence above it.
@@ -78,14 +80,16 @@ def iota_star(poly: ChernPoly) -> MultiPoly:
 
     The expansion is one packed sum: no torus exponent passes the largest
     unweighted degree of a term, so that degree bounds the slots. Each term's
-    powers of the e_j are formed on packed keys, and its last factor is
-    multiplied straight into the sum, which is reduced mod p once at the end.
+    powers of the e_j are read, as packed and reduced views, from a memo
+    keyed by (n, j, slot width, p, e); all but the last are multiplied
+    together, and the last is multiplied straight into the sum, which is
+    reduced mod p once at the end.
     """
     n, p = poly.n, poly.p
     acc = _PackedSum(n, p, max(map(sum, poly.terms), default=0))
     one = {0: 1}  # key 0 is the monomial 1
     for mono, c in poly.terms.items():
-        *head, last = [acc.power(acc.elementary(j), e) for j, e in enumerate(mono, 1) if e] or [one]
+        *head, last = [acc.elementary_power(j, e) for j, e in enumerate(mono, 1) if e] or [one]
         acc.mac(reduce(acc.product, head) if head else one, last, c)
     return acc.result()
 
@@ -142,10 +146,12 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     Runs the same Newton recurrence as ``lift_power_sum`` but directly on the
     u^m coefficients, so it stays linear-time in m even where the full lift
     would have a huge term count. Agrees with phi_star(lift_power_sum(m))
-    everywhere, and equals (n mod p) u^m.
+    everywhere, and equals (n mod p) u^m; like the lift, it needs n >= 1.
     """
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
+    if n < 1:
+        raise ValueError(f"need at least one generator, got n={n}")
     q = p.value
     taps = _newton_taps(n, q)
     sums: list[int] = []

@@ -22,11 +22,14 @@ into one integer, in slots wide enough for the sum's exponent bound, so a
 product of monomials is an integer addition that never carries between
 slots; the sum stays unreduced under packed keys until its one reduction
 mod p, and only the surviving terms are unpacked back into tuples. The
-reduced powers of ``steenrod`` run on the same layout through a
-``_PackedSum`` of their own, the only way into it: a polynomial is packed
-once (``pack``), every reduced power and difference of the Milnor recursion
-stays packed, each key's shape mod q and its shift are read in one call
-(``shapes``), and the result is unpacked once (``result``).
+packed e_j and their powers e_j^e (``elementary``, ``elementary_power``)
+are read-only views kept in memos, the powers in one bounded by entries,
+so sums that share them build each once. The reduced powers of
+``steenrod`` run on the same layout through a ``_PackedSum`` of their own,
+the only way into it: a polynomial is packed once (``pack``), every
+reduced power and difference of the Milnor recursion stays packed, each
+key's shape mod q and its shift are read in one call (``shapes``), and the
+result is unpacked once (``result``).
 """
 
 from __future__ import annotations
@@ -292,6 +295,22 @@ def _packed_elementary(n: int, j: int, width: int) -> Mapping[int, int]:
     return MappingProxyType(dict.fromkeys(map(sum, combinations(units, j)), 1))
 
 
+@lru_cache(maxsize=1 << 10)
+def _packed_elementary_power(n: int, j: int, width: int, p: Prime, e: int) -> Mapping[int, int]:
+    """e_j^e in n variables under packed keys, reduced mod p, as a read-only view.
+
+    For e >= 1, by binary powering from the top: the square of e_j^(e // 2),
+    read from this same memo, times e_j when e is odd. So the powers of one
+    e_j share their halves, and e_j^1 is ``_packed_elementary``'s own view."""
+    base = _packed_elementary(n, j, width)
+    if e == 1:
+        return base
+    q = p.value
+    half = _packed_elementary_power(n, j, width, p, e >> 1)
+    out = _product(half, half, q)
+    return MappingProxyType(_product(out, base, q) if e & 1 else out)
+
+
 def _mac(acc: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], scale: int) -> dict:
     """Add scale * a * b into acc, all three keyed by packed exponents; returns acc."""
     get = acc.get
@@ -301,6 +320,11 @@ def _mac(acc: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], scale:
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
     return acc
+
+
+def _product(a: Mapping[int, int], b: Mapping[int, int], q: int) -> dict[int, int]:
+    """The packed product a * b, reduced mod q."""
+    return {k: r for k, c in _mac({}, a, b, 1).items() if (r := c % q)}
 
 
 class _PackedSum:
@@ -339,6 +363,11 @@ class _PackedSum:
         """e_j under packed keys, for 0 <= j <= n."""
         return _packed_elementary(self.n, j, self.width)
 
+    def elementary_power(self, j: int, e: int) -> Mapping[int, int]:
+        """e_j^e under packed keys, reduced mod p, for 1 <= j <= n and e >= 1:
+        a read-only view shared through a bounded memo."""
+        return _packed_elementary_power(self.n, j, self.width, self.p, e)
+
     def power_sum(self, e: int) -> dict[int, int]:
         """t1^e + ... + tn^e under packed keys."""
         return {u * e: 1 for u in self.units}
@@ -349,19 +378,7 @@ class _PackedSum:
 
     def product(self, a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
         """The packed product a * b, reduced mod p."""
-        q = self.p.value
-        return {k: r for k, c in _mac({}, a, b, 1).items() if (r := c % q)}
-
-    def power(self, a: Mapping[int, int], e: int) -> Mapping[int, int]:
-        """The packed power a^e for e >= 1 by binary powering, reduced mod p; a^1 is a."""
-        out = None
-        while True:
-            if e & 1:
-                out = a if out is None else self.product(out, a)
-            e >>= 1
-            if not e:
-                return out
-            a = self.product(a, a)
+        return _product(a, b, self.p.value)
 
     def result(self) -> "MultiPoly":
         """The sum reduced mod p, with its surviving keys unpacked.

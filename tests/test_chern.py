@@ -1,5 +1,6 @@
 import sys
 import threading
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -21,7 +22,7 @@ from gaugetorsion import (
     power_sum,
     verify_newton,
 )
-from gaugetorsion import chern
+from gaugetorsion import chern, polyring
 from tests.conftest import PRIMES_235
 
 
@@ -172,10 +173,21 @@ def test_newton_taps_match_exact_binomials(q):
         assert chern._newton_taps(n, q) == expected, n
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_restricted_power_sum_needs_a_generator(n):
+    p = Prime(3)
+    with pytest.raises(ValueError) as lifted:
+        lift_power_sum(4, n, p)
+    with pytest.raises(ValueError) as restricted:
+        phi_power_sum(4, n, p)
+    assert str(restricted.value) == str(lifted.value) == f"need at least one generator, got n={n}"
+
+
 def fill_cold(fill, threads):
     """Run fill() in each of `threads` threads on a cleared lift cache and
-    return the results."""
+    memo of packed powers, and return the results."""
     chern._lift.cache_clear()
+    polyring._packed_elementary_power.cache_clear()
     barrier = threading.Barrier(threads)
     results = [None] * threads
 
@@ -286,6 +298,52 @@ def test_iota_star_past_64_bit_slots(p):
     big = 2**70
     expected = {(big + 1, big, big): 1, (big, big + 1, big): 1, (big, big, big + 1): 1}
     assert iota_star(f) == MultiPoly(3, p, {**expected, (0, 0, 0): 1})
+
+
+# -- the memo of packed powers of e_j ---------------------------------------------
+
+
+def lift_set(n_max, m_max, p):
+    return [lift_power_sum(m, n, p) for n in range(1, n_max + 1) for m in range(1, m_max + 1)]
+
+
+def test_power_memo_is_bounded_and_read_only():
+    assert isinstance(polyring._packed_elementary_power.cache_info().maxsize, int)
+    for e in (1, 2, 3):
+        entry = polyring._packed_elementary_power(3, 1, 8, Prime(3), e)
+        with pytest.raises(TypeError):
+            entry[0] = 1
+        with pytest.raises(TypeError):
+            del entry[next(iter(entry))]
+
+
+@pytest.mark.parametrize("order", list(permutations(PRIMES_235)))
+def test_power_memo_keeps_primes_apart(order):
+    # e1^2 = sum ti^2 + 2 sum ti tj, whose cross terms vanish at p = 2 only,
+    # so a power shared across primes would show at the prime checked last
+    polyring._packed_elementary_power.cache_clear()
+    for p in order:
+        for lift in lift_set(4, 5, p):
+            assert iota_star(lift) == iota_term_by_term(lift)
+
+
+def test_power_memo_fills_safely_from_threads():
+    def fill():
+        return [iota_star(lift) for lift in lift_set(5, 5, Prime(3))]
+
+    single = fill_cold(fill, threads=1)
+    for _ in range(3):
+        assert fill_cold(fill, threads=4) == single * 4
+
+
+def test_power_memo_serves_a_repeat_pass():
+    polyring._packed_elementary_power.cache_clear()
+    lifts = [lift for p in PRIMES_235 for lift in lift_set(5, 5, p)]
+    cold = [iota_star(lift) for lift in lifts]
+    first = polyring._packed_elementary_power.cache_info()
+    assert [iota_star(lift) for lift in lifts] == cold
+    second = polyring._packed_elementary_power.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
 
 
 def test_newton_rejects_bad_arguments():
