@@ -19,10 +19,12 @@ since its levels stop at --degree-cap. --primes takes at least one prime
 and at most as many as the target's default list, no prime twice, and
 verify order caps each prime's size and the sum of their bit lengths.
 Primes given with --p or --primes must lie below 3.317e24, where primality
-is decided exactly. A verify run that would check no case (verify recurrence
-with every prime above --n-max; verify milnor with --samples 0 and no level
-whose p^level + 1 fits under --degree-cap) and an empty --output are usage
-errors.
+is decided exactly. A verify flag that the target does not read (--i-max
+but for newton; --l-max, --degree-cap, --seed and --samples but for milnor;
+--primes for conjugation), a verify run that would check no case (verify
+recurrence with every prime above --n-max; verify milnor with --samples 0 and
+no level whose p^level + 1 fits under --degree-cap) and an empty --output
+are usage errors.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
 alpha_p to stderr as JSON lines, one object per step with keys p, relation,
@@ -209,23 +211,29 @@ def _verify_recurrence_cases(args):
             yield label, f"alpha_p wrong for k in {bad_k}" if bad_k else None
 
 
-# verify target -> (its cases, default --primes, default --n-max, --n-max cap,
-# the cap on each --primes entry or None, the cap on the entries' summed
-# bit lengths or None, the cap on each count flag it reads; counts start at 0).
+# verify target -> (its cases, default --primes or None where it reads no
+# prime, default --n-max, --n-max cap, the cap on each --primes entry or None,
+# the cap on the entries' summed bit lengths or None, the (default, cap or
+# None for uncapped) of each count flag it reads; counts start at 0).
 # Only the matrix order search slows with the prime's size. Each of its m^p
 # is a binary power of bitlen(p) + popcount(p) - 2 products, and a product
 # costs far less while its packed slots fit a 64-bit word (matrices._layout;
 # at --n-max 120, p <= 4231) than past it. The bit budget admits one entry at
 # the ceiling beside 2 or 3.
 _VERIFY_TARGETS = {
-    "newton": (_verify_newton_cases, "2,3,5", 6, 12, None, None, {"--i-max": 20}),
+    "newton": (_verify_newton_cases, "2,3,5", 6, 12, None, None, {"--i-max": (6, 20)}),
     "milnor": (
-        _verify_milnor_cases, "2,3,5", 5, 35, None, None, {"--degree-cap": 26, "--samples": 20000}
+        _verify_milnor_cases, "2,3,5", 5, 35, None, None,
+        # --l-max is uncapped: the levels stop at --degree-cap
+        {"--degree-cap": (26, 26), "--samples": (200, 20000), "--l-max": (2, None)},
     ),
-    "conjugation": (_verify_conjugation_cases, "2,3,5", 40, 100, None, None, {}),
+    "conjugation": (_verify_conjugation_cases, None, 40, 100, None, None, {}),
     "order": (_verify_order_cases, "2,3,5,7,11", 50, 120, 1000003, 22, {}),
     "recurrence": (_verify_recurrence_cases, "2,3,5", 20, 250, None, None, {}),
 }
+# The verify flags only some targets read: their count flags, --primes, and
+# --seed, read beside the --samples whose cases it seeds.
+_TARGET_FLAGS = ("--i-max", "--l-max", "--degree-cap", "--primes", "--seed", "--samples")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -325,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an identity sweep")
     p_verify.add_argument("target", choices=sorted(_VERIFY_TARGETS))
     p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--i-max", type=int, default=6)
-    p_verify.add_argument("--l-max", type=int, default=2)
-    p_verify.add_argument("--degree-cap", type=int, default=26)
+    p_verify.add_argument("--i-max", type=int, default=None)
+    p_verify.add_argument("--l-max", type=int, default=None)
+    p_verify.add_argument("--degree-cap", type=int, default=None)
     p_verify.add_argument("--primes", type=str, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", type=int, default=200)
+    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--format", choices=_COMMANDS["verify"][0], default=None)
     p_verify.add_argument("--output", type=str, default=None, help="write report to a file")
     p_verify.set_defaults(func=cmd_verify)
@@ -350,29 +358,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a flag's value under."""
+    return flag.lstrip("-").replace("-", "_")
+
+
 def _check_args(args: argparse.Namespace) -> str | None:
     """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
-    the size, the counts (the length of --primes one, at least 1; verify
-    milnor's --l-max, at least 0 and uncapped), then --p or --primes, whose
-    entries meet the target's ceiling before any primality test and its bit
-    budget after, and then must be distinct, then whether a verify run checks
-    any case at all, and last --output, which must not be empty. Returns the
-    usage message for the first bad argument, or None."""
+    then no flag its verify target does not read, the size, the counts (the
+    length of --primes one, at least 1; verify milnor's --l-max, at least 0 and
+    uncapped), then --p or --primes, whose entries meet the target's ceiling
+    before any primality test and its bit budget after, and then must be
+    distinct, then whether a verify run checks any case at all, and last
+    --output, which must not be empty. Returns the usage message for the first
+    bad argument, or None."""
     formats, size_flag, cap = _COMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
     if args.format not in formats:
         return f"{args.command} supports --format {', '.join(formats)}; got {args.format!r}"
-    counts = {}
+    ceilings = {}
     if args.command == "verify":
         _, primes, n_max, cap, prime_cap, bits_cap, counts = _VERIFY_TARGETS[args.target]
+        reads = set(counts)
+        if "--samples" in counts:
+            reads.add("--seed")
+        if primes:
+            reads.add("--primes")
+        for flag in _TARGET_FLAGS:
+            if flag not in reads and getattr(args, _dest(flag)) is not None:
+                return f"verify {args.target} does not read {flag}"
+        for flag, (default, ceiling) in counts.items():
+            if getattr(args, _dest(flag)) is None:
+                setattr(args, _dest(flag), default)
+            ceilings[flag] = ceiling
+        args.seed = 0 if args.seed is None else args.seed
         args.primes = primes if args.primes is None else args.primes
         args.n_max = n_max if args.n_max is None else args.n_max
-        counts = {**counts, "--primes": len(primes.split(","))}  # the default list's length
-        if args.target == "milnor":
-            counts["--l-max"] = None  # uncapped: the levels stop at --degree-cap
-    for flag, ceiling in ((size_flag, cap), *counts.items()):
+        if primes:
+            ceilings["--primes"] = len(primes.split(","))  # the default list's length
+    for flag, ceiling in ((size_flag, cap), *ceilings.items()):
         floor = {size_flag: 2, "--primes": 1}.get(flag, 0)  # no run passes on no prime
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))  # argparse's dest
+        value = getattr(args, _dest(flag))
         if flag == "--primes":
             value = sum(1 for tok in value.split(",") if tok.strip())
         if value < floor:
@@ -384,7 +410,7 @@ def _check_args(args: argparse.Namespace) -> str | None:
             args.p = Prime(args.p)
         except ValueError as exc:
             return f"--p: {exc}"
-    if args.command == "verify":
+    if getattr(args, "primes", None) is not None:
         try:
             values = [int(tok) for tok in args.primes.split(",") if tok.strip()]
             if prime_cap is not None and max(values, default=0) > prime_cap:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import index
 
 __all__ = [
     "Prime",
@@ -90,7 +91,7 @@ class FpScalar:
     modulus: Prime
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residue", self.residue % self.modulus.value)
+        object.__setattr__(self, "residue", _integer(self.residue, "residue") % self.modulus.value)
 
     def _match(self, other: "FpScalar") -> None:
         if not isinstance(other, FpScalar):
@@ -121,6 +122,16 @@ class FpScalar:
 
     def __str__(self) -> str:
         return f"{self.residue} (mod {self.modulus})"
+
+
+def _integer(x: object, name: str) -> int:
+    """x as an int by ``operator.index``, the check of every integer argument
+    of the public API: a float or a numeric string is refused, never rounded
+    or parsed, by a ``TypeError`` that names the value."""
+    try:
+        return index(x)
+    except TypeError:
+        raise TypeError(f"{name} is not an integer: {x!r}") from None
 
 
 def fp_inv(a: FpScalar) -> FpScalar:

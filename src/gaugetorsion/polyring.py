@@ -40,7 +40,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .fp import Prime, _byte_residues
+from .fp import Prime, _byte_residues, _integer
 
 __all__ = [
     "Monomial",
@@ -145,16 +145,18 @@ class _ExpPoly(_FpTable):
     _WEIGHTED = False
 
     def __init__(self, n: int, p: Prime, terms: Mapping[Monomial, int] | None = None):
+        self.n = n = _integer(n, "n")
         if n < 1:
             raise ValueError(f"need at least one generator, got n={n}")
-        self.n = n
-        terms = terms or {}
-        for mono in terms:
+        checked: dict[Monomial, int] = {}
+        for mono, c in (terms or {}).items():
             if len(mono) != n:
                 raise ValueError(f"exponent vector {mono} has length {len(mono)}, expected {n}")
-            if any(e < 0 for e in mono):
+            key = tuple(_integer(e, "exponent") for e in mono)
+            if any(e < 0 for e in key):
                 raise ValueError(f"negative exponent in {mono}")
-        super().__init__(p, {tuple(mono): c for mono, c in terms.items()})
+            checked[key] = _integer(c, "coefficient")
+        super().__init__(p, checked)
 
     @classmethod
     def _canonical(cls, n: int, p: Prime, terms: Mapping[Monomial, int]):
@@ -414,11 +416,13 @@ class UniPoly(_FpTable):
     __slots__ = ()
 
     def __init__(self, p: Prime, coeffs: Mapping[int, int] | None = None):
-        coeffs = coeffs or {}
-        for e in coeffs:
+        checked: dict[int, int] = {}
+        for e, c in (coeffs or {}).items():
+            e = _integer(e, "exponent")
             if e < 0:
                 raise ValueError(f"negative exponent {e}")
-        super().__init__(p, coeffs)
+            checked[e] = _integer(c, "coefficient")
+        super().__init__(p, checked)
 
     @property
     def coeffs(self) -> dict[int, int]:
@@ -477,6 +481,7 @@ def power_sum(n: int, i: int, p: Prime) -> MultiPoly:
     """t1^i + ... + tn^i for i >= 1. The index 0 case is deliberately undefined."""
     if n < 1:
         raise ValueError(f"need at least one generator, got n={n}")
+    i = _integer(i, "i")
     if i < 1:
         raise ValueError(f"power sums start at index 1, got {i}")
     terms = {(0,) * j + (i,) + (0,) * (n - 1 - j): 1 for j in range(n)}

@@ -21,8 +21,9 @@ offsets and coefficients of R^i(t^shape), is the pure function
 ``_class_plan`` of (p, i, slot width, shape), in an ``lru_cache`` of 8192
 plans. It walks only the shape's support, the slots with a nonzero residue,
 over the Lucas rows of ``fp._lucas_row`` cut at i, which list only the
-nonvanishing shares; the last support slot takes what is left of i by one
-lookup.
+nonvanishing shares: each slot but the last keeps the shares that the slots
+after it can still make up to i, and the last takes what is left by one
+lookup, on one path for every shape.
 At p = 2 the same formula realizes the even squares Sq^(2i) restricted to
 the subring generated by degree-2 classes, the only place this module is
 ever applied.
@@ -52,10 +53,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, count
-from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .fp import Prime, _lucas_row
+from .fp import Prime, _integer, _lucas_row, p_power_ceil
 from .polyring import Monomial, MultiPoly, _PackedSum, elementary_sym, power_sum
 
 __all__ = [
@@ -67,13 +67,6 @@ __all__ = [
 
 _Packed = Mapping[int, int]  # packed exponent key -> residue mod p
 _PlanTable = Callable[[int, int, int, Sequence[int]], tuple[tuple[int, int], ...]]
-_TAKES_NOTHING = (0, ((0, 1),))  # a walk's (step, Lucas row) for a slot whose share is 0
-
-
-@lru_cache(maxsize=None)
-def _lucas_lookup(e: int, top: int, p: int) -> Mapping[int, int]:
-    """``fp._lucas_row(e, top, p)`` as a read-only lookup from a to binom(e, a) mod p."""
-    return MappingProxyType(dict(_lucas_row(e, top, p)))
 
 
 @lru_cache(maxsize=1 << 13)
@@ -83,49 +76,35 @@ def _class_plan(p: int, i: int, width: int, res: Sequence[int]) -> tuple[tuple[i
     binom(r_k, a) mod p) pair, the products that vanish mod p left out.
 
     The walk runs only over the support, the slots with a nonzero residue.
-    Every support slot but the last two runs over its Lucas row cut at i,
-    keeping the nonzero shares it takes; it stops once the running sum s
-    passes i and skips what the slots still to run cannot make up. The slot
-    before the last runs its row up to i - s, and the last slot takes what is
-    left, read from its row as a lookup. The empty shape, that of constants
-    and of every t^s with q dividing s, has no split.
+    Every support slot but the last runs over its Lucas row cut at i, keeping
+    the nonzero shares a with s + a <= i that the slots after it can still
+    make up to i, s the running sum. The last slot takes what is left, i - s,
+    by one lookup in its row. The empty shape, that of constants and of every
+    t^s with q dividing s, has no split.
     """
-    walk = [((p - 1) << (k * width), res[k]) for k in compress(count(), res)]
+    walk = [((p - 1) << (k * width), _lucas_row(res[k], i, p)) for k in compress(count(), res)]
     if not walk:
         return ()
-    last_step, e = walk.pop()
-    last = _lucas_lookup(e, i, p)
-    if walk:  # the slot before the last
-        prev_step, e = walk.pop()
-        prev_row = _lucas_row(e, i, p)
-    else:  # one support slot: the slot before it takes nothing
-        prev_step, prev_row = _TAKES_NOTHING
+    last_step, last_row = walk.pop()
+    last = dict(last_row)
+    rest = sum(row[-1][0] for _, row in walk) + last_row[-1][0]  # the most the slots still to run hold
     partial = [(0, 1, 0)]  # (running sum, coefficient, offset so far)
-    if walk:
-        walk = [(step, _lucas_row(e, i, p)) for step, e in walk]
-        # the most the slots still to run can hold, the last two included
-        rest = sum(row[-1][0] for _, row in walk) + max(last) + prev_row[-1][0]
-        for step, row in walk:
-            rest -= row[-1][0]
-            grown = []
-            for s, coeff, off in partial:
-                low, high = i - rest - s, i - s  # the shares this slot may take
-                for a, b in row:
-                    if a > high:
-                        break
-                    if a >= low:
-                        grown.append((s + a, coeff * b, off + a * step))
-            partial = grown
-    plan = []
-    for s, coeff, off in partial:
-        high = i - s
-        for a, b in prev_row:
-            if a > high:
-                break
-            if b_last := last.get(high - a):
-                # a product of units mod p, never 0
-                plan.append((off + a * prev_step + (high - a) * last_step, coeff * b * b_last % p))
-    return tuple(plan)
+    for step, row in walk:
+        rest -= row[-1][0]
+        grown = []
+        for s, coeff, off in partial:
+            low, high = i - rest - s, i - s  # the shares this slot may take
+            for a, b in row:
+                if a > high:
+                    break
+                if a >= low:
+                    grown.append((s + a, coeff * b, off + a * step))
+        partial = grown
+    return tuple(  # each a product of units mod p, never 0
+        (off + (i - s) * last_step, coeff * b % p)
+        for s, coeff, off in partial
+        if (b := last.get(i - s))
+    )
 
 
 def _walk(acc: _PackedSum, q: int, plan_of: _PlanTable, x: int, terms: _Packed) -> dict[int, int]:
@@ -146,12 +125,8 @@ def _walk(acc: _PackedSum, q: int, plan_of: _PlanTable, x: int, terms: _Packed) 
 def _packed_power(acc: _PackedSum, i: int, terms: _Packed) -> dict[int, int]:
     """R^i(terms), reduced mod p, for i >= 1, on acc's packed keys, whose slots
     hold every exponent the walk reaches; q is the least power of p above i."""
-    p = acc.p.value
-    q = p  # the least power of p above i
-    while q <= i:
-        q *= p
-    out = _walk(acc, q, _class_plan, i, terms)
-    return {key: r for key, c in out.items() if (r := c % p)}
+    out = _walk(acc, p_power_ceil(i + 1, acc.p), _class_plan, i, terms)
+    return {key: r for key, c in out.items() if (r := c % acc.p.value)}
 
 
 def _top_exponent(f: MultiPoly) -> int:
@@ -164,6 +139,7 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
     No exponent of R^i(f) passes f's largest exponent plus i(p-1), which sizes
     the slots of the one packed walk.
     """
+    i = _integer(i, "i")
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
     if i == 0:
@@ -175,6 +151,7 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
 
 def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
     """Q_level(f) as a derivation: Q(ti) = ti^(p^level), extended by Leibniz."""
+    level = _integer(level, "level")
     if level < 1:
         raise ValueError(f"need level >= 1, got {level}")
     q = f.p.value**level
@@ -225,6 +202,7 @@ def milnor_q_recursive(level: int, f: MultiPoly) -> MultiPoly:
     is reduced mod p and unpacked once. Each term adds the plan of its shape
     mod p^level, shifted to the shape's first slot, to its own key.
     """
+    level = _integer(level, "level")
     if level < 1:
         raise ValueError(f"need level >= 1, got {level}")
     q = f.p.value**level
@@ -243,6 +221,7 @@ def check_milnor_on_c2(
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    level = _integer(level, "level")
     if level < 1:
         raise ValueError(f"need level >= 1, got {level}")
     e2 = elementary_sym(n, 2, p)

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_star
-from .fp import FpScalar, Prime, p_power_ceil
+from .fp import FpScalar, Prime, _integer, p_power_ceil
 from .matrices import FpMatrix, _companion_row
 from .polyring import UniPoly, _FpTable
 
@@ -68,11 +68,13 @@ class LinearForm(_FpTable):
     __slots__ = ()
 
     def __init__(self, p: Prime, const: int = 0, coeffs: Mapping[int, int] | None = None):
-        coeffs = coeffs or {}
-        for j in coeffs:
+        checked = {0: _integer(const, "constant")}
+        for j, c in (coeffs or {}).items():
+            j = _integer(j, "unknown index")
             if j < 2:
                 raise ValueError(f"unknown index {j} out of range")
-        super().__init__(p, {0: const, **coeffs})
+            checked[j] = _integer(c, "coefficient")
+        super().__init__(p, checked)
 
     @property
     def const(self) -> int:
@@ -128,6 +130,7 @@ class GradedForm(_FpTable):
         like = LinearForm(p)
         terms: dict[tuple[int, int], int] = {}
         for e, f in (forms or {}).items():
+            e = _integer(e, "u-exponent")
             if e < 0:
                 raise ValueError(f"negative u-exponent {e}")
             like._match(f)

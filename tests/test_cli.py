@@ -101,12 +101,14 @@ _SIZED = {
     **{
         f"verify-{target}{flag}": ("verify", target, flag, "{n}")
         for target, (*_, counts) in cli._VERIFY_TARGETS.items()
-        for flag in counts
+        for flag, (_, cap) in counts.items()
+        if cap is not None
     },
     # {primes} stands for a list of that many primes
     **{
         f"verify-{target}--primes": ("verify", target, "--primes", "{primes}")
-        for target in cli._VERIFY_TARGETS
+        for target, (_, primes, *_) in cli._VERIFY_TARGETS.items()
+        if primes is not None
     },
     # a prime of that size beside a small one, at --n-max's cap
     "verify-order--primes-entries": ("verify", "order", "--n-max", "120", "--primes", "2,{n}"),
@@ -123,7 +125,7 @@ def _cap(argv):
     if "2,{n}" in argv:
         return "--primes entries", prime_cap
     flag = argv[argv.index("{n}") - 1]
-    return flag, counts.get(flag, n_max_cap)
+    return flag, counts[flag][1] if flag in counts else n_max_cap
 
 
 def _fill(argv, value):
@@ -583,6 +585,57 @@ def test_usage_errors_open_no_output(capsys, monkeypatch, tmp_path, env, argv, m
     code, out, err = run(capsys, *argv, "--output", str(tmp_path / "f"))
     assert (code, out, err) == (2, "", message)
     assert list(tmp_path.iterdir()) == []
+
+
+# The flags each verify target reads beyond --n-max, written out here apart
+# from cli._VERIFY_TARGETS, and a value for each flag: set where the target
+# does not read it, even a value that its floor would refuse is a usage error.
+VERIFY_READS = {
+    "newton": {"--i-max", "--primes"},
+    "milnor": {"--l-max", "--degree-cap", "--primes", "--seed", "--samples"},
+    "conjugation": set(),
+    "order": {"--primes"},
+    "recurrence": {"--primes"},
+}
+TARGET_FLAG_VALUES = {
+    "--i-max": "-5",
+    "--l-max": "-1",
+    "--degree-cap": "3",
+    "--primes": "4",
+    "--seed": "-1",
+    "--samples": "-3",
+}
+UNREAD = [
+    (target, flag)
+    for target, reads in VERIFY_READS.items()
+    for flag in TARGET_FLAG_VALUES
+    if flag not in reads
+]
+
+
+@pytest.mark.parametrize("target, flag", UNREAD, ids=[f"{t}{f}" for t, f in UNREAD])
+def test_verify_refuses_flags_its_target_does_not_read(capsys, monkeypatch, tmp_path, target, flag):
+    def refuse(args):
+        raise AssertionError("--output opened before the arguments were checked")
+
+    monkeypatch.setattr(cli, "_run_to_file", refuse)
+    argv = ("verify", target, flag, TARGET_FLAG_VALUES[flag], "--output", str(tmp_path / "f"))
+    assert run(capsys, *argv) == (2, "", f"error: verify {target} does not read {flag}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unread_flags_are_named_before_the_size_and_read_defaults_change_nothing(capsys):
+    assert set(cli._TARGET_FLAGS) == set(TARGET_FLAG_VALUES)
+    argv = ("verify", "conjugation", "--n-max", "101", "--samples", "-3", "--i-max", "-5")
+    assert run(capsys, *argv) == (2, "", "error: verify conjugation does not read --i-max\n")
+    # the flags a target reads, each set to its default, run as if left out
+    for target, defaults in (
+        ("newton", ("--i-max", "6", "--primes", "2,3,5")),
+        ("milnor", ("--l-max", "2", "--degree-cap", "26", "--seed", "0", "--samples", "200")),
+    ):
+        plain = run(capsys, "verify", target, "--n-max", "3", "--format", "json")
+        assert plain[0] == 0
+        assert run(capsys, "verify", target, "--n-max", "3", "--format", "json", *defaults) == plain
 
 
 def test_bad_argument_beats_unusable_output_dir(capsys, tmp_path):

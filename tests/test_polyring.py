@@ -1,4 +1,5 @@
 import random
+import re
 from operator import mul
 
 import pytest
@@ -7,16 +8,21 @@ from hypothesis import strategies as st
 
 from gaugetorsion import (
     ChernPoly,
+    FpScalar,
     GradedForm,
     LinearForm,
     MultiPoly,
     Prime,
     UniPoly,
     binom_mod,
+    check_milnor_on_c2,
     diagonal_eval,
     elementary_sym,
     is_symmetric,
+    milnor_q_closed,
+    milnor_q_recursive,
     power_sum,
+    reduced_power,
 )
 from gaugetorsion.polyring import _PackedSum
 from tests.conftest import PRIMES_235, random_multipoly
@@ -60,6 +66,42 @@ def test_wrong_monomial_length_rejected():
         LinearForm(p, 1, {0: 1})
     with pytest.raises(ValueError):
         LinearForm(p, 1, {1: 1})  # the unknowns are g2..gn
+
+
+# Integer arguments of the public API that were once taken as they came: a
+# float gave an inexact result, and a string failed on the arithmetic.
+P3 = Prime(3)
+T1 = MultiPoly.variable(1, P3, 1)
+NON_INTEGERS = {
+    "MultiPoly n": (lambda: MultiPoly(1.5, P3), "n", 1.5),
+    "MultiPoly exponent": (lambda: MultiPoly(1, P3, {(2.0,): 1}), "exponent", 2.0),
+    "MultiPoly coefficient": (lambda: MultiPoly(1, P3, {(1,): 1.5}), "coefficient", 1.5),
+    "ChernPoly n": (lambda: ChernPoly("2", P3), "n", "2"),
+    "ChernPoly coefficient": (lambda: ChernPoly(2, P3, {(1, 0): "2"}), "coefficient", "2"),
+    "UniPoly exponent": (lambda: UniPoly(P3, {2.0: 1}), "exponent", 2.0),
+    "UniPoly coefficient": (lambda: UniPoly(P3, {2: 0.5}), "coefficient", 0.5),
+    "LinearForm constant": (lambda: LinearForm(P3, 1.5), "constant", 1.5),
+    "LinearForm index": (lambda: LinearForm(P3, 0, {2.0: 1}), "unknown index", 2.0),
+    "LinearForm coefficient": (lambda: LinearForm(P3, 0, {2: "1"}), "coefficient", "1"),
+    "GradedForm exponent": (
+        lambda: GradedForm(P3, {1.0: LinearForm.constant(P3, 1)}),
+        "u-exponent",
+        1.0,
+    ),
+    "FpScalar residue": (lambda: FpScalar(1.5, P3), "residue", 1.5),
+    "power_sum i": (lambda: power_sum(2, 1.5, P3), "i", 1.5),
+    "milnor_q_closed level": (lambda: milnor_q_closed(1.5, T1), "level", 1.5),
+    "milnor_q_recursive level": (lambda: milnor_q_recursive(2.0, T1), "level", 2.0),
+    "check_milnor_on_c2 level": (lambda: check_milnor_on_c2(2, P3, 1.5), "level", 1.5),
+    "reduced_power i": (lambda: reduced_power(2.0, T1), "i", 2.0),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGERS)
+def test_public_api_refuses_non_integers(case):
+    call, name, bad = NON_INTEGERS[case]
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{name} is not an integer: {bad!r}')}$"):
+        call()
 
 
 def test_ring_mismatch_rejected():

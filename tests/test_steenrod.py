@@ -633,6 +633,13 @@ def test_class_plan_matches_the_brute_force_splits(width):
     for _ in range(60):
         r = [rng.randrange(25) for _ in range(rng.randint(1, 3))]
         check_class_plans(5, width, r, 24)
+    # seeded classes of 4 and 5 slots, every slot in the support, so the
+    # pruning runs over three and four slots before the last
+    rng = random.Random(45)
+    for p, q in ((2, 8), (3, 9)):
+        for n in (4, 5):
+            for _ in range(6):
+                check_class_plans(p, width, [rng.randrange(1, q) for _ in range(n)], q - 1)
     # the shape a packed key reads through the layout, and its plan shifted
     # to the shape's first slot: at slot 0, and past a slot of residue 0
     for mono, first in (((13, 0, 5, 0, 9), 0), ((9, 13, 0, 5, 18), 1)):
