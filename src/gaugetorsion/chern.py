@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .fp import Prime, _lucas, _lucas_row
+from .fp import Prime, _integer, _lucas, _lucas_row
 from .polyring import MultiPoly, UniPoly, _ExpPoly, _PackedSum
 
 __all__ = [
@@ -184,6 +184,7 @@ def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:
     polynomials and power sums, no lifting involved, and reports whether the
     residual is exactly zero.
     """
+    n, i = _integer(n, "n"), _integer(i, "i")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if i < 0:

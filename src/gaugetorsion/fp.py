@@ -202,6 +202,7 @@ def binom_mod(n: int, j: int, p: Prime) -> FpScalar:
 
 def padic_val(m: int, p: Prime) -> int:
     """Largest e with p**e dividing m, for m >= 1."""
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"p-adic valuation needs a positive integer, got {m}")
     e = 0
@@ -214,6 +215,7 @@ def padic_val(m: int, p: Prime) -> int:
 
 def p_power_ceil(n: int, p: Prime) -> int:
     """Smallest power of p that is >= n, for n >= 2."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     q = 1

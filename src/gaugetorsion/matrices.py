@@ -44,7 +44,7 @@ from functools import lru_cache
 from operator import index, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fp import Prime, _byte_residues, binom_int, p_power_ceil, padic_val
+from .fp import Prime, _byte_residues, _integer, binom_int, p_power_ceil, padic_val
 
 __all__ = [
     "IntMatrix",
@@ -420,6 +420,7 @@ def companion_matrix(n: int) -> IntMatrix:
     zeros, that puts its one in column i - 1; the rows are built as int
     tuples and wrapped unchecked.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     zeros = (0,) * (n - 1)
@@ -438,6 +439,7 @@ def _binomial_rows(n: int, top: int) -> IntMatrix:
 
 def pascal_matrix(n: int) -> IntMatrix:
     """Upper triangular conjugator with entries binom(n-i, n-j)."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return _binomial_rows(n, n)
@@ -445,6 +447,7 @@ def pascal_matrix(n: int) -> IntMatrix:
 
 def jordan_transpose(n: int) -> IntMatrix:
     """Unipotent lower bidiagonal matrix: ones on the diagonal and subdiagonal."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     template = (0,) * (n - 1) + (1, 1) + (0,) * (n - 1)
@@ -517,6 +520,7 @@ def verify_conjugation(n: int) -> tuple[bool, dict]:
     every product entry equals binom(n-i+1, n-j), and the conjugate equals
     the Jordan transpose. The witness carries all intermediate matrices.
     """
+    n = _integer(n, "n")
     b, a, d = companion_matrix(n), pascal_matrix(n), jordan_transpose(n)
     ba, ad = b * a, a * d
     closed = _binomial_rows(n, n + 1)
@@ -541,6 +545,7 @@ def verify_p_power_order(n: int, p: Prime) -> tuple[bool, int]:
     form; the exact value is a sharper derived fact, pinned against the
     brute-force oracle in the tests.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     expected = p_power_ceil(n, p)

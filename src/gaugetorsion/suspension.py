@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Mapping
 
 from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_star
@@ -214,13 +215,24 @@ class AlphaSolution:
     assigned: tuple[tuple[int, int], ...]  # (unknown index, pinned value)
 
 
+def _k_value(k: int | FpScalar, p: Prime) -> int:
+    """The class k as an int: an int through ``operator.index``, or an
+    ``FpScalar`` whose modulus is p by its residue; a scalar over another
+    prime raises ValueError, and anything else TypeError."""
+    if isinstance(k, FpScalar):
+        if k.modulus != p:
+            raise ValueError(f"k is a residue mod {k.modulus}, not mod {p}")
+        return k.residue
+    return _integer(k, "k")
+
+
 def apply_suspension(poly: ChernPoly, k: int | FpScalar) -> GradedForm:
     """Apply the derivation Dk to an explicit polynomial in c1..cn.
 
     Expands by the Leibniz rule through formal partials:
     Dk(P) = sum_j phi(dP/dcj) * gj * u^(j-1), with g1 = k known.
     """
-    k = int(k)
+    k = _k_value(k, poly.p)
     out: dict[tuple[int, int], int] = {}
     for j in range(1, poly.n + 1):
         # Dk(c1) = k lands in the constant slot 0, Dk(cj) = gj in slot j.
@@ -238,9 +250,10 @@ def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
     lifted power sum; the derivation must land in that single degree, and a
     stray degree is treated as an engine contradiction.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    k = int(k)
+    k = _k_value(k, p)
     forms: list[LinearForm] = []
     for i in reversed(range(n)):
         graded = apply_suspension(lift_power_sum(i + 1, n, p), k)
@@ -311,6 +324,7 @@ def _alpha_walk(n: int, p: Prime, k: int | FpScalar, stop: int) -> list[LinearFo
 
 def alpha_at(i: int, n: int, p: Prime, k: int | FpScalar) -> LinearForm:
     """alpha_i as a linear form; the window below n, the recurrence above it."""
+    i, n, k = _integer(i, "i"), _integer(n, "n"), _k_value(k, p)
     if i < 0:
         raise ValueError(f"need i >= 0, got {i}")
     if n % p.value != 0:
@@ -385,9 +399,12 @@ def solve_alpha_p(n: int, p: Prime, k: int | FpScalar) -> AlphaSolution:
     Raises MechanizationError if the chain fails to close; unknowns g3..gn
     are never assigned, so the verdict cannot depend on them.
     """
+    try:  # the int case inline: this is every warm decision's path
+        n, k = index(n), index(k)
+    except TypeError:
+        n, k = _integer(n, "n"), _k_value(k, p)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    k = int(k)
     q = p.value
     if n % q != 0:
         raise ValueError(f"alpha resolution needs p | n, got n={n}, p={p}")

@@ -15,9 +15,12 @@ The recurrence check and the matrix order both come from the alpha engine's
 one cached pass per ring in ``suspension``: the order is the first p-power
 step at which its impulse response returns to its starting window. This
 module imports nothing from ``matrices``, whose order searches are oracles.
-The primes of n are validated once per n, and a certificate is built once
-per set of checked quantities; the comparison of the two routes, and the
-gcd criterion, run on every call.
+The primes of n are validated once per n, a certificate is built once per
+set of checked quantities, and a global result once per (n, k) and set of
+certificates; the comparison of the two routes, and the gcd criterion, run
+on every call, before any result is taken from its memo. n and k go through
+``operator.index`` first, so a float is refused on a warm key as on a cold
+one.
 
 The certificate annotations record, in plain language, the homotopy-theoretic
 equivalences that justify reading the algebra as a torsion statement. They
@@ -31,9 +34,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd
+from operator import index, is_
 
+from . import fp
 from .chern import ChernPoly, phi_star
-from .fp import Prime
+from .fp import Prime, _integer
 from .suspension import MechanizationError, _symbolic_alphas, solve_alpha_p
 
 __all__ = [
@@ -61,6 +66,9 @@ class TorsionKind(Enum):
     NO_TORSION_CASE1 = "NoTorsionCase1"  # n not divisible by p
     NO_TORSION_CASE2 = "NoTorsionCase2"  # p | n but p does not divide k
     TORSION = "Torsion"  # p | n and p | k
+
+
+_TORSION = TorsionKind.TORSION  # read once, not per certificate of a warm call
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,18 @@ def _ring_data(n: int, p: Prime) -> tuple[int, bool | None, int | None]:
 
 
 def decide_p(n: int, k: int, p: Prime) -> Certificate:
-    """Decide p-torsion for the class k bundle component; k reduces mod n."""
+    """Decide p-torsion for the class k bundle component; k reduces mod n.
+
+    n and k are taken through ``operator.index`` and p must be a ``Prime``,
+    checked before any memo is read: a float key hashes like the int it
+    equals, so a warm memo would otherwise answer a call a cold one refuses.
+    """
+    try:
+        n, k = index(n), index(k)
+    except TypeError:  # one of the two raises again, naming its value
+        n, k = _integer(n, "n"), _integer(k, "k")
+    if not isinstance(p, fp.Prime):  # fp's class: tests wrap this module's Prime name
+        raise TypeError(f"p is not a Prime: {p!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     k = k % n
@@ -200,21 +219,46 @@ def _ring_primes(n: int) -> tuple[Prime, ...]:
     return tuple(Prime(q) for q in out)
 
 
+@lru_cache(maxsize=4096)
+def _global_slot(n: int, k: int) -> list[GlobalResult | None]:
+    """The one-entry slot holding the last ``GlobalResult`` built for (n, k),
+    empty at first; bounded like ``_certificate``. The keys of every n <= 40
+    number 819."""
+    return [None]
+
+
 def decide_global(n: int, k: int) -> GlobalResult:
     """Torsion across all primes: free iff k is relatively prime to n.
 
     k is reduced mod n first; k = 0 is the trivial class, with gcd(n, 0) = n.
-    The per-prime certificates must agree with the gcd criterion, and a
-    disagreement raises instead of returning a broken result.
+    Every call decides each prime of n through ``decide_p``, so both routes
+    are compared, and checks the per-prime certificates against the gcd
+    criterion; a disagreement raises instead of returning a broken result.
+    Only then is the result taken from a memo keyed by (n, k). A stored result
+    is reused when its certificates are the very objects this call checked
+    and its verdict is this call's; otherwise a new one is built and stored.
     """
+    try:
+        n, k = index(n), index(k)
+    except TypeError:  # one of the two raises again, naming its value
+        n, k = _integer(n, "n"), _integer(k, "k")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     k = k % n
-    certificates = tuple(decide_p(n, k, p) for p in _ring_primes(n))
+    certificates = tuple([decide_p(n, k, p) for p in _ring_primes(n)])
     torsion_free = gcd(n, k) == 1
-    any_torsion = any(c.verdict.kind is TorsionKind.TORSION for c in certificates)
+    any_torsion = any([c.verdict.kind is _TORSION for c in certificates])
     if torsion_free == any_torsion:
         raise MechanizationError(
             f"gcd criterion and per-prime certificates disagree at n={n}, k={k}"
         )
-    return GlobalResult(n=n, k=k, torsion_free=torsion_free, primes=certificates)
+    slot = _global_slot(n, k)
+    held = slot[0]
+    if (
+        held is not None
+        and held.torsion_free == torsion_free
+        and all(map(is_, held.primes, certificates))
+    ):
+        return held
+    held = slot[0] = GlobalResult(n=n, k=k, torsion_free=torsion_free, primes=certificates)
+    return held

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from math import gcd
 
 import pytest
@@ -122,22 +124,103 @@ def test_certificate_is_frozen():
     assert isinstance(cert, Certificate)
 
 
+def corrupted_alpha(n, p, k):
+    """A solve_alpha_p that resolves alpha_p off by one."""
+    from gaugetorsion.fp import FpScalar
+    from gaugetorsion.suspension import AlphaSolution
+
+    wrong = (k + 1) % p.value
+    return AlphaSolution(value=FpScalar(wrong, p), trace=(), assigned=((2, 0),))
+
+
 def test_route_disagreement_raises(monkeypatch):
     """The cross-check between divisibility and cohomology must have teeth:
     a corrupted alpha resolution may not slip into a certificate, also on a
     key whose certificate is already memoized."""
     import gaugetorsion.torsion as torsion_mod
-    from gaugetorsion.fp import FpScalar
-    from gaugetorsion.suspension import AlphaSolution, MechanizationError
-
-    def corrupted(n, p, k):
-        wrong = (k + 1) % p.value
-        return AlphaSolution(value=FpScalar(wrong, p), trace=(), assigned=((2, 0),))
+    from gaugetorsion.suspension import MechanizationError
 
     torsion_mod.decide_p(4, 2, P2)
-    monkeypatch.setattr(torsion_mod, "solve_alpha_p", corrupted)
+    monkeypatch.setattr(torsion_mod, "solve_alpha_p", corrupted_alpha)
     with pytest.raises(MechanizationError):
         torsion_mod.decide_p(4, 2, P2)
+
+
+def test_route_disagreement_raises_on_a_warm_global_key(monkeypatch):
+    """A memoized global result does not skip the per-prime decisions."""
+    import gaugetorsion.torsion as torsion_mod
+    from gaugetorsion.suspension import MechanizationError
+
+    first = torsion_mod.decide_global(12, 6)
+    assert torsion_mod.decide_global(12, 6) is first
+    monkeypatch.setattr(torsion_mod, "solve_alpha_p", corrupted_alpha)
+    with pytest.raises(MechanizationError):
+        torsion_mod.decide_global(12, 6)
+
+
+def test_repeated_global_decision_returns_one_result():
+    first = decide_global(18, 12)
+    assert decide_global(18, 12) is first
+    assert decide_global(18, 30) is first  # k reduces mod n before the memo is read
+
+
+def test_cleared_certificates_rebuild_the_result():
+    """A result is reused only with the very certificates a call checked: once
+    the certificate memo is cleared, the next call stores a new, equal result."""
+    import gaugetorsion.torsion as torsion_mod
+
+    first = decide_global(30, 12)
+    torsion_mod._certificate.cache_clear()
+    again = decide_global(30, 12)
+    assert again is not first and again == first
+    assert not any(a is b for a, b in zip(again.primes, first.primes))
+    assert all(a is decide_p(30, 12, p) for a, p in zip(again.primes, (P2, P3, P5)))
+    assert decide_global(30, 12) is again
+
+
+def test_global_results_fill_safely_from_threads():
+    """Threads racing on cold result keys each get correct results; once the
+    race is over, each key holds one result that every later call returns."""
+    import gaugetorsion.torsion as torsion_mod
+
+    keys = [(n, k) for n in range(2, 41) for k in range(n)]
+    torsion_mod._global_slot.cache_clear()
+    threads = 4
+    barrier = threading.Barrier(threads)
+    results = [None] * threads
+
+    def work(i):
+        barrier.wait(timeout=60)
+        results[i] = [decide_global(n, k) for n, k in keys]
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    settled = [decide_global(n, k) for n, k in keys]
+    assert all(got == settled for got in results)
+    assert all(r.torsion_free == (gcd(n, k) == 1) for (n, k), r in zip(keys, settled))
+    assert all(decide_global(n, k) is r for (n, k), r in zip(keys, settled))
+
+
+def test_non_integers_are_refused_on_warm_keys():
+    """A float hashes like the int it equals; the check comes before any memo."""
+    decide_global(6, 3)
+    decide_p(6, 3, P3)
+    for call in (
+        lambda: decide_global(6, 3.0),
+        lambda: decide_global(6.0, 3),
+        lambda: decide_p(6, 3.0, P3),
+    ):
+        with pytest.raises(TypeError, match="is not an integer: "):
+            call()
 
 
 def test_phi_c1_is_computed_once_per_ring(monkeypatch):
@@ -214,7 +297,8 @@ def test_gcd_check_runs_on_a_warm_key(monkeypatch):
 
 
 def test_warm_global_decision_constructs_nothing(monkeypatch):
-    """A repeated decision validates no prime and builds no certificate."""
+    """A repeated decision validates no prime and builds no certificate or
+    result."""
     import gaugetorsion.torsion as torsion_mod
 
     built = []
@@ -223,11 +307,11 @@ def test_warm_global_decision_constructs_nothing(monkeypatch):
         cls = getattr(torsion_mod, name)
         return lambda *args, **kwargs: built.append(name) or cls(*args, **kwargs)
 
-    for name in ("Prime", "Verdict", "Certificate"):
+    for name in ("Prime", "Verdict", "Certificate", "GlobalResult"):
         monkeypatch.setattr(torsion_mod, name, counted(name))
     # 1003 = 17 * 59, an n no other test decides, so the first call is cold
     first = torsion_mod.decide_global(1003, 34)
-    assert sorted(set(built)) == ["Certificate", "Prime", "Verdict"]
+    assert sorted(set(built)) == ["Certificate", "GlobalResult", "Prime", "Verdict"]
     built.clear()
     again = torsion_mod.decide_global(1003, 34)
     assert built == []
@@ -236,8 +320,9 @@ def test_warm_global_decision_constructs_nothing(monkeypatch):
 
 
 def test_verdicts_hold_past_the_certificate_memo_bound():
-    """Every (n, k) with n <= 100 twice: 9243 certificates, more than the memo
-    keeps, so the second pass decides evicted keys again."""
+    """Every (n, k) with n <= 100 twice: 9243 certificates and 5049 results,
+    more than either memo keeps, so the second pass decides evicted keys
+    again."""
     import gaugetorsion.torsion as torsion_mod
 
     primes = {
@@ -255,4 +340,6 @@ def test_verdicts_hold_past_the_certificate_memo_bound():
                     torsion = k % q == 0
                     assert (cert.verdict.kind is TorsionKind.TORSION) == torsion, (n, k, q)
     info = torsion_mod._certificate.cache_info()
+    assert info.currsize == info.maxsize == 4096
+    info = torsion_mod._global_slot.cache_info()
     assert info.currsize == info.maxsize == 4096
