@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .fp import Prime, _integer, _lucas, _lucas_row
-from .polyring import MultiPoly, UniPoly, _ExpPoly, _PackedSum
+from .polyring import MultiPoly, UniPoly, _ExpPoly, _generator_count, _PackedSum
 
 __all__ = [
     "ChernPoly",
@@ -63,6 +63,7 @@ class ChernPoly(_ExpPoly):
 
     def partial(self, j: int) -> "ChernPoly":
         """Formal partial derivative with respect to cj, 1-based."""
+        j = _integer(j, "generator index")
         if not 1 <= j <= self.n:
             raise ValueError(f"generator index {j} out of range 1..{self.n}")
         acc: dict[Exponents, int] = {}
@@ -120,8 +121,10 @@ def lift_power_sum(m: int, n: int, p: Prime) -> ChernPoly:
     S_m = sum_j (-1)^(j+1) cj S_(m-j). Index 0 is rejected rather than given
     a convention.
     """
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
+    n = _generator_count(n)  # read here: the lifts' memo would take a float equal to n
     for below in range(1, m):  # bottom-up, so no build recurses into a cold lift
         _lift(below, n, p)
     return _lift(m, n, p)
@@ -148,10 +151,10 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     would have a huge term count. Agrees with phi_star(lift_power_sum(m))
     everywhere, and equals (n mod p) u^m; like the lift, it needs n >= 1.
     """
+    m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
-    if n < 1:
-        raise ValueError(f"need at least one generator, got n={n}")
+    n = _generator_count(n)
     q = p.value
     taps = _newton_taps(n, q)
     sums: list[int] = []
@@ -184,11 +187,7 @@ def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:
     polynomials and power sums, no lifting involved, and reports whether the
     residual is exactly zero.
     """
-    n, i = _integer(n, "n"), _integer(i, "i")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if i < 0:
-        raise ValueError(f"need i >= 0, got {i}")
+    n, i = _integer(n, "n", 2), _integer(i, "i", 0)
     top = n + i + 1
     acc = _PackedSum(n, p, top)  # no exponent of the sum passes top
     for j in range(n + 1):

@@ -6,6 +6,10 @@ computed digit-wise by Lucas' theorem, so huge arguments never materialize
 the full integer: ``_lucas`` gives one of them, and ``_lucas_row`` lists
 every nonzero binom(e, a) mod p with a up to a cut, the one enumerator of
 such rows (the reduced powers' shares, the Newton taps of ``chern``).
+
+``_integer`` reads every integer the package's public API takes, by
+``operator.index`` and the argument's floor, before any memo is read: a float
+hashes like the int it equals, so a warm memo would answer what a cold one refuses.
 """
 
 from __future__ import annotations
@@ -124,14 +128,19 @@ class FpScalar:
         return f"{self.residue} (mod {self.modulus})"
 
 
-def _integer(x: object, name: str) -> int:
-    """x as an int by ``operator.index``, the check of every integer argument
-    of the public API: a float or a numeric string is refused, never rounded
-    or parsed, by a ``TypeError`` that names the value."""
+def _integer(x: object, name: str, floor: int | None = None) -> int:
+    """x as an int by ``operator.index``, the one reader of every integer
+    argument of the public API, called before any memo is read: a float or a
+    numeric string is refused, never rounded or parsed, by a ``TypeError``
+    that names the value, and an int below ``floor``, if given, by
+    ``ValueError("need <name> >= <floor>, got <x>")``."""
     try:
-        return index(x)
+        x = index(x)
     except TypeError:
         raise TypeError(f"{name} is not an integer: {x!r}") from None
+    if floor is not None and x < floor:
+        raise ValueError(f"need {name} >= {floor}, got {x}")
+    return x
 
 
 def fp_inv(a: FpScalar) -> FpScalar:
@@ -144,6 +153,7 @@ def fp_inv(a: FpScalar) -> FpScalar:
 
 def binom_int(n: int, j: int) -> int:
     """Exact binomial coefficient; 0 outside [0, n]. Negative n is rejected."""
+    n, j = _integer(n, "n"), _integer(j, "j")
     if n < 0:
         raise ValueError(f"negative upper argument: {n}")
     if j < 0 or j > n:
@@ -195,6 +205,7 @@ def _byte_residues(q: int) -> bytes:
 
 def binom_mod(n: int, j: int, p: Prime) -> FpScalar:
     """binom(n, j) mod p by Lucas' theorem; agrees with binom_int reduced mod p."""
+    n, j = _integer(n, "n"), _integer(j, "j")
     if n < 0:
         raise ValueError(f"negative upper argument: {n}")
     return FpScalar(_lucas(n, j, p.value), p)
@@ -215,9 +226,7 @@ def padic_val(m: int, p: Prime) -> int:
 
 def p_power_ceil(n: int, p: Prime) -> int:
     """Smallest power of p that is >= n, for n >= 2."""
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     q = 1
     while q < n:
         q *= p.value

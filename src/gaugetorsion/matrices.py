@@ -41,10 +41,11 @@ import json
 import sys
 from array import array
 from functools import lru_cache
+from math import comb
 from operator import index, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fp import Prime, _byte_residues, _integer, binom_int, p_power_ceil, padic_val
+from .fp import Prime, _byte_residues, _integer, p_power_ceil, padic_val
 
 __all__ = [
     "IntMatrix",
@@ -77,6 +78,15 @@ def _text(m: "IntMatrix | FpMatrix") -> str:
     return "\n".join(_render(m))
 
 
+def _entry(m: "IntMatrix | FpMatrix", i: int, j: int) -> int:
+    """Entry (i, j) of either matrix class, 1-based as in the usual matrix
+    conventions: i and j are read with floor 1, and one past n is an IndexError."""
+    i, j = _integer(i, "i", 1), _integer(j, "j", 1)
+    if i > m.n or j > m.n:
+        raise IndexError(f"entry ({i}, {j}) outside 1..{m.n}")
+    return m.rows[i - 1][j - 1]
+
+
 def _square_rows(
     rows: Sequence[Sequence[int]], residue: Callable[[int], int] | None = None
 ) -> tuple[tuple[int, ...], ...]:
@@ -84,9 +94,7 @@ def _square_rows(
     every entry an int by ``operator.index``, so a float or a numeric string
     is refused rather than truncated or parsed. ``residue``, if given, maps
     each int in the same pass, so no unreduced copy of the rows is made."""
-    n = len(rows)
-    if n < 2:
-        raise ValueError(f"need dimension >= 2, got {n}")
+    n = _integer(len(rows), "dimension", 2)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     try:
@@ -132,7 +140,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(_identity_rows(_integer(n, "n")))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         """Gustavson's row-by-row product over the nonzeros of both factors.
@@ -158,9 +166,7 @@ class IntMatrix:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def entry(self, i: int, j: int) -> int:
-        """1-based access, matching the usual matrix index conventions."""
-        return self.rows[i - 1][j - 1]
+    entry = _entry
 
     def reduce(self, p: Prime) -> "FpMatrix":
         rmod = p.value.__rmod__
@@ -279,7 +285,7 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, n: int, p: Prime) -> "FpMatrix":
-        return cls(p, _identity_rows(n))
+        return cls(p, _identity_rows(_integer(n, "n")))
 
     def _match(self, other: "FpMatrix") -> None:
         if not isinstance(other, FpMatrix):
@@ -344,6 +350,7 @@ class FpMatrix:
 
     def __pow__(self, e: int) -> "FpMatrix":
         """Left-to-right binary powering from the top set bit of e."""
+        e = _integer(e, "e")
         if e < 0:
             raise ValueError("negative matrix power")
         if e == 0:
@@ -362,8 +369,7 @@ class FpMatrix:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
+    entry = _entry
 
     def is_identity(self) -> bool:
         return self.rows == _identity_rows(self.n)
@@ -420,9 +426,7 @@ def companion_matrix(n: int) -> IntMatrix:
     zeros, that puts its one in column i - 1; the rows are built as int
     tuples and wrapped unchecked.
     """
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     zeros = (0,) * (n - 1)
     template = zeros + (1,) + zeros
     units = tuple(template[n - i : 2 * n - i] for i in range(1, n))
@@ -430,26 +434,22 @@ def companion_matrix(n: int) -> IntMatrix:
 
 
 def _binomial_rows(n: int, top: int) -> IntMatrix:
-    """The n x n matrix of binom(top - i, n - j), built as int tuples."""
+    """The n x n matrix of binom(top - i, n - j), built as int tuples (top >= n)."""
     span = range(1, n + 1)
     return IntMatrix._canonical(
-        tuple([tuple([binom_int(top - i, n - j) for j in span]) for i in span])
+        tuple([tuple([comb(top - i, n - j) for j in span]) for i in span])
     )
 
 
 def pascal_matrix(n: int) -> IntMatrix:
     """Upper triangular conjugator with entries binom(n-i, n-j)."""
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     return _binomial_rows(n, n)
 
 
 def jordan_transpose(n: int) -> IntMatrix:
     """Unipotent lower bidiagonal matrix: ones on the diagonal and subdiagonal."""
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     template = (0,) * (n - 1) + (1, 1) + (0,) * (n - 1)
     return IntMatrix._canonical(tuple([template[n - i : 2 * n - i] for i in range(n)]))
 
@@ -485,8 +485,7 @@ def order_mod_p(m: FpMatrix, bound: int) -> int:
     tells the two failures apart: ValueError for a singular matrix, otherwise
     OrderBoundExceeded, as the order is not a p-power at or below the bound.
     """
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
+    bound = _integer(bound, "bound", 1)
     q = m.p.value
     power, e = m, 1  # power = m^e, e = p^k
     while not power.is_identity():
@@ -503,8 +502,7 @@ def order_mod_p(m: FpMatrix, bound: int) -> int:
 
 def order_brute(m: FpMatrix, bound: int) -> int:
     """Order by plain repeated multiplication, the independent oracle."""
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
+    bound = _integer(bound, "bound", 1)
     acc = m
     for e in range(1, bound + 1):
         if acc.is_identity():
@@ -545,9 +543,7 @@ def verify_p_power_order(n: int, p: Prime) -> tuple[bool, int]:
     form; the exact value is a sharper derived fact, pinned against the
     brute-force oracle in the tests.
     """
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _integer(n, "n", 2)
     expected = p_power_ceil(n, p)
     order = order_mod_p(companion_matrix(n).reduce(p), bound=expected * p.value)
     is_p_power = p.value ** padic_val(order, p) == order

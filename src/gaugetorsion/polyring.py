@@ -55,6 +55,14 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 
+def _generator_count(n: int) -> int:
+    """The generator count n of a ring, read by ``fp._integer``; at least one."""
+    n = _integer(n, "n")
+    if n < 1:
+        raise ValueError(f"need at least one generator, got n={n}")
+    return n
+
+
 def _unit(n: int, i: int) -> Monomial:
     """Exponent tuple of the i-th of n generators, 1-based."""
     return (0,) * (i - 1) + (1,) + (0,) * (n - i)
@@ -113,6 +121,7 @@ class _FpTable:
         return self + (-other)
 
     def scale(self, c: int):
+        c = _integer(c, "c")
         return self._like({key: k * c for key, k in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -145,9 +154,7 @@ class _ExpPoly(_FpTable):
     _WEIGHTED = False
 
     def __init__(self, n: int, p: Prime, terms: Mapping[Monomial, int] | None = None):
-        self.n = n = _integer(n, "n")
-        if n < 1:
-            raise ValueError(f"need at least one generator, got n={n}")
+        self.n = n = _generator_count(n)
         checked: dict[Monomial, int] = {}
         for mono, c in (terms or {}).items():
             if len(mono) != n:
@@ -181,6 +188,7 @@ class _ExpPoly(_FpTable):
 
     @classmethod
     def _generator(cls, n: int, p: Prime, i: int):
+        n, i = _integer(n, "n"), _integer(i, "generator index")
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} out of range 1..{n}")
         return cls(n, p, {_unit(n, i): 1})
@@ -198,6 +206,7 @@ class _ExpPoly(_FpTable):
         return self._like(acc)
 
     def __pow__(self, e: int):
+        e = _integer(e, "e")
         if e < 0:
             raise ValueError("negative power of a polynomial")
         out = self.one(self.n, self.p)
@@ -445,7 +454,7 @@ class UniPoly(_FpTable):
         return self._like(_mac({}, self.terms, other.terms, 1))
 
     def coefficient(self, e: int) -> int:
-        return self.terms.get(e, 0)
+        return self.terms.get(_integer(e, "e"), 0)
 
     def render(self) -> str:
         if not self.terms:
@@ -461,11 +470,11 @@ class UniPoly(_FpTable):
         return " + ".join(parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def elementary_sym(n: int, i: int, p: Prime) -> MultiPoly:
-    """The i-th elementary symmetric polynomial in n variables; e_0 = 1, e_i = 0 past n."""
-    if i < 0:
-        raise ValueError(f"need i >= 0, got {i}")
+    """The i-th elementary symmetric polynomial in n variables; e_0 = 1, e_i = 0 past n.
+    The memo is typed: a float equal to an int key misses it and is refused here."""
+    n, i = _generator_count(n), _integer(i, "i", 0)
     if i == 0:
         return MultiPoly.one(n, p)
     if i > n:
@@ -479,9 +488,7 @@ def elementary_sym(n: int, i: int, p: Prime) -> MultiPoly:
 
 def power_sum(n: int, i: int, p: Prime) -> MultiPoly:
     """t1^i + ... + tn^i for i >= 1. The index 0 case is deliberately undefined."""
-    if n < 1:
-        raise ValueError(f"need at least one generator, got n={n}")
-    i = _integer(i, "i")
+    n, i = _generator_count(n), _integer(i, "i")
     if i < 1:
         raise ValueError(f"power sums start at index 1, got {i}")
     terms = {(0,) * j + (i,) + (0,) * (n - 1 - j): 1 for j in range(n)}

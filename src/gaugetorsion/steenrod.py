@@ -139,9 +139,7 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
     No exponent of R^i(f) passes f's largest exponent plus i(p-1), which sizes
     the slots of the one packed walk.
     """
-    i = _integer(i, "i")
-    if i < 0:
-        raise ValueError(f"need i >= 0, got {i}")
+    i = _integer(i, "i", 0)
     if i == 0:
         return f
     acc = _PackedSum(f.n, f.p, _top_exponent(f) + i * (f.p.value - 1))
@@ -151,9 +149,7 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
 
 def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
     """Q_level(f) as a derivation: Q(ti) = ti^(p^level), extended by Leibniz."""
-    level = _integer(level, "level")
-    if level < 1:
-        raise ValueError(f"need level >= 1, got {level}")
+    level = _integer(level, "level", 1)
     q = f.p.value**level
     acc: dict[Monomial, int] = {}
     for mono, c in f.terms.items():
@@ -202,9 +198,7 @@ def milnor_q_recursive(level: int, f: MultiPoly) -> MultiPoly:
     is reduced mod p and unpacked once. Each term adds the plan of its shape
     mod p^level, shifted to the shape's first slot, to its own key.
     """
-    level = _integer(level, "level")
-    if level < 1:
-        raise ValueError(f"need level >= 1, got {level}")
+    level = _integer(level, "level", 1)
     q = f.p.value**level
     acc = _PackedSum(f.n, f.p, _top_exponent(f) + q - 1)
     acc.terms = _walk(acc, q, _shape_plan, level, acc.pack(f.terms))
@@ -219,11 +213,8 @@ def check_milnor_on_c2(
     Both Q implementations are evaluated; the check passes only if each equals
     the power-sum side. Returns (ok, lhs, rhs) with lhs from the recursion.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    level = _integer(level, "level")
-    if level < 1:
-        raise ValueError(f"need level >= 1, got {level}")
+    n = _integer(n, "n", 2)
+    level = _integer(level, "level", 1)
     e2 = elementary_sym(n, 2, p)
     q = p.value**level
     rhs = power_sum(n, 1, p) * power_sum(n, q, p) - power_sum(n, q + 1, p)

@@ -95,6 +95,7 @@ class LinearForm(_FpTable):
 
     def substitute(self, j: int, value: int) -> "LinearForm":
         """Pin unknown j to a scalar."""
+        j, value = _integer(j, "j"), _integer(value, "value")
         if not j or j not in self.terms:
             return self
         acc = dict(self.terms)
@@ -159,6 +160,7 @@ class GradedForm(_FpTable):
         return self._like(acc)
 
     def at(self, e: int) -> LinearForm:
+        e = _integer(e, "e")
         return LinearForm._canonical(self.p, {j: c for (d, j), c in self.terms.items() if d == e})
 
     def render(self) -> str:
@@ -183,7 +185,7 @@ class AlphaVector:
 
     def alpha(self, i: int) -> LinearForm:
         """alpha_i for 0 <= i < n."""
-        n = len(self.entries)
+        i, n = _integer(i, "i"), len(self.entries)
         if not 0 <= i < n:
             raise ValueError(f"index {i} outside window 0..{n - 1}")
         return self.entries[n - 1 - i]
@@ -250,10 +252,7 @@ def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
     lifted power sum; the derivation must land in that single degree, and a
     stray degree is treated as an engine contradiction.
     """
-    n = _integer(n, "n")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    k = _k_value(k, p)
+    n, k = _integer(n, "n", 2), _k_value(k, p)
     forms: list[LinearForm] = []
     for i in reversed(range(n)):
         graded = apply_suspension(lift_power_sum(i + 1, n, p), k)
@@ -269,7 +268,7 @@ def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
 def _derived_row(n: int, p: Prime) -> tuple[tuple[int, int], ...]:
     """Taps ((j, c_j), ...) of the alpha recurrence, the nonzero entries of its
     first row ascending in column j, after checking the step of the
-    derivation that yields them; requires p dividing n.
+    derivation that yields them; requires p | n and an n >= 2 read by the caller.
 
     Applying Dk to the power-sum relation splits into two families of terms.
     The family Dk(cj) * phi(power sum) dies because every restricted power
@@ -280,8 +279,6 @@ def _derived_row(n: int, p: Prime) -> tuple[tuple[int, int], ...]:
     whose nonzero entries are the mod-p Newton taps c_j of ``_newton_taps``.
     The remaining rows of the recurrence matrix just shift the window.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     if n % p.value != 0:
         raise ValueError(f"recurrence needs p | n, got n={n}, p={p}")
     taps = _newton_taps(n, p.value)
@@ -299,6 +296,7 @@ def derive_recurrence(n: int, p: Prime) -> FpMatrix:
     The first row is ``_derived_row``'s taps laid out densely, c_j in column
     j; the rows below it shift the window by one step.
     """
+    n = _integer(n, "n", 2)
     rows = [[0] * n for _ in range(n)]
     for j, c in _derived_row(n, p):
         rows[0][j - 1] = c
@@ -324,9 +322,7 @@ def _alpha_walk(n: int, p: Prime, k: int | FpScalar, stop: int) -> list[LinearFo
 
 def alpha_at(i: int, n: int, p: Prime, k: int | FpScalar) -> LinearForm:
     """alpha_i as a linear form; the window below n, the recurrence above it."""
-    i, n, k = _integer(i, "i"), _integer(n, "n"), _k_value(k, p)
-    if i < 0:
-        raise ValueError(f"need i >= 0, got {i}")
+    i, n, k = _integer(i, "i", 0), _integer(n, "n"), _k_value(k, p)
     if n % p.value != 0:
         raise ValueError(f"alpha recurrence needs p | n, got n={n}, p={p}")
     return _alpha_walk(n, p, k, i)[i]

@@ -517,6 +517,23 @@ def test_constructors_refuse_non_integer_entries(bad):
             make([[1, 2], [bad, 4]])
 
 
+@pytest.mark.parametrize(
+    "m", [companion_matrix(3), companion_matrix(3).reduce(P2)], ids=["IntMatrix", "FpMatrix"]
+)
+def test_entries_are_one_based_and_never_wrap(m):
+    # 0 and -1 once read the last row or column, as Python indices do
+    assert [m.entry(i, j) for i in (1, 2, 3) for j in (1, 2, 3)] == [x for r in m.rows for x in r]
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"^need i >= 1, got {bad}$"):
+            m.entry(bad, 1)
+        with pytest.raises(ValueError, match=f"^need j >= 1, got {bad}$"):
+            m.entry(1, bad)
+    with pytest.raises(IndexError, match=r"^entry \(4, 1\) outside 1\.\.3$"):
+        m.entry(4, 1)
+    with pytest.raises(IndexError, match=r"^entry \(3, 4\) outside 1\.\.3$"):
+        m.entry(3, 4)
+
+
 def test_constructors_keep_ints_and_bools():
     m = IntMatrix([[True, False], [-3, 2**70]])
     assert m.rows == ((1, 0), (-3, 2**70))
