@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .fp import Prime, _integer, _lucas, _lucas_row
+from .fp import Prime, _integer, _lucas, _lucas_row, _prime
 from .polyring import MultiPoly, UniPoly, _ExpPoly, _generator_count, _PackedSum
 
 __all__ = [
@@ -121,6 +121,7 @@ def lift_power_sum(m: int, n: int, p: Prime) -> ChernPoly:
     S_m = sum_j (-1)^(j+1) cj S_(m-j). Index 0 is rejected rather than given
     a convention.
     """
+    p = _prime(p)
     m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
@@ -151,6 +152,7 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     would have a huge term count. Agrees with phi_star(lift_power_sum(m))
     everywhere, and equals (n mod p) u^m; like the lift, it needs n >= 1.
     """
+    p = _prime(p)
     m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"power sums start at index 1, got {m}")
@@ -187,6 +189,7 @@ def verify_newton(n: int, i: int, p: Prime) -> tuple[bool, MultiPoly]:
     polynomials and power sums, no lifting involved, and reports whether the
     residual is exactly zero.
     """
+    p = _prime(p)
     n, i = _integer(n, "n", 2), _integer(i, "i", 0)
     top = n + i + 1
     acc = _PackedSum(n, p, top)  # no exponent of the sum passes top

@@ -10,6 +10,7 @@ such rows (the reduced powers' shares, the Newton taps of ``chern``).
 ``_integer`` reads every integer the package's public API takes, by
 ``operator.index`` and the argument's floor, before any memo is read: a float
 hashes like the int it equals, so a warm memo would answer what a cold one refuses.
+``_prime`` checks every prime it takes, first, the same way.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class FpScalar:
     modulus: Prime
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residue", _integer(self.residue, "residue") % self.modulus.value)
+        q = _prime(self.modulus).value
+        object.__setattr__(self, "residue", _integer(self.residue, "residue") % q)
 
     def _match(self, other: "FpScalar") -> None:
         if not isinstance(other, FpScalar):
@@ -141,6 +143,15 @@ def _integer(x: object, name: str, floor: int | None = None) -> int:
     if floor is not None and x < floor:
         raise ValueError(f"need {name} >= {floor}, got {x}")
     return x
+
+
+def _prime(p: object) -> Prime:
+    """p itself if it is a ``Prime``, the one check of every prime argument of
+    the public API, made first: anything else, a bare int included, is refused
+    by a ``TypeError`` that names the value."""
+    if not isinstance(p, Prime):
+        raise TypeError(f"p is not a Prime: {p!r}")
+    return p
 
 
 def fp_inv(a: FpScalar) -> FpScalar:
@@ -205,6 +216,7 @@ def _byte_residues(q: int) -> bytes:
 
 def binom_mod(n: int, j: int, p: Prime) -> FpScalar:
     """binom(n, j) mod p by Lucas' theorem; agrees with binom_int reduced mod p."""
+    p = _prime(p)
     n, j = _integer(n, "n"), _integer(j, "j")
     if n < 0:
         raise ValueError(f"negative upper argument: {n}")
@@ -213,6 +225,7 @@ def binom_mod(n: int, j: int, p: Prime) -> FpScalar:
 
 def padic_val(m: int, p: Prime) -> int:
     """Largest e with p**e dividing m, for m >= 1."""
+    p = _prime(p)
     m = _integer(m, "m")
     if m < 1:
         raise ValueError(f"p-adic valuation needs a positive integer, got {m}")
@@ -226,6 +239,7 @@ def padic_val(m: int, p: Prime) -> int:
 
 def p_power_ceil(n: int, p: Prime) -> int:
     """Smallest power of p that is >= n, for n >= 2."""
+    p = _prime(p)
     n = _integer(n, "n", 2)
     q = 1
     while q < n:

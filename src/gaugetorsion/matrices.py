@@ -28,11 +28,11 @@ Products do only the work their operands need. An exact product is
 Gustavson's row-by-row product over the nonzeros of both factors, so a
 product with the companion matrix or the Jordan transpose costs O(n^2)
 multiply-adds, not n^3. A product mod p packs each row of its right factor
-into one integer (Kronecker substitution) and reduces every slot of a row
-sum at once: through a 256-byte residue table while a slot's largest sum,
-n (p-1)^2, fits one byte (p = 2 up to n = 255, p = 3 up to 63, p = 5 up to
-15); past that by multiplication with a magic quotient in 32- or 64-bit
-slots; and slot by slot when even 64 bits are too narrow.
+into one integer (Kronecker substitution), once, and keeps the packed rows
+on the factor. ``_layout`` gives each (n, p) a packer and a reducer of row
+sums: a 256-byte residue table while a slot's largest sum, n (p-1)^2, fits
+one byte (p = 2 up to n = 255, p = 3 up to 63, p = 5 up to 15); past that a
+magic quotient in 32- or 64-bit slots; and slot by slot past 64 bits.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ from math import comb
 from operator import index, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fp import Prime, _byte_residues, _integer, p_power_ceil, padic_val
+from .fp import Prime, _byte_residues, _integer, _prime, p_power_ceil, padic_val
+
+_Rows = tuple[tuple[int, ...], ...]
 
 __all__ = [
     "IntMatrix",
@@ -89,7 +91,7 @@ def _entry(m: "IntMatrix | FpMatrix", i: int, j: int) -> int:
 
 def _square_rows(
     rows: Sequence[Sequence[int]], residue: Callable[[int], int] | None = None
-) -> tuple[tuple[int, ...], ...]:
+) -> _Rows:
     """Validated rows of a public constructor: square, of dimension >= 2, and
     every entry an int by ``operator.index``, so a float or a numeric string
     is refused rather than truncated or parsed. ``residue``, if given, maps
@@ -131,7 +133,7 @@ class IntMatrix:
         self.n = len(self.rows)
 
     @classmethod
-    def _canonical(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+    def _canonical(cls, rows: _Rows) -> "IntMatrix":
         """Wrap rows that are already a square tuple of int tuples, unchecked."""
         m = object.__new__(cls)
         m.n = len(rows)
@@ -169,7 +171,7 @@ class IntMatrix:
     entry = _entry
 
     def reduce(self, p: Prime) -> "FpMatrix":
-        rmod = p.value.__rmod__
+        rmod = _prime(p).value.__rmod__
         return FpMatrix._canonical(p, tuple(tuple(map(rmod, row)) for row in self.rows))
 
     def det(self) -> int:
@@ -209,7 +211,7 @@ class IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+def _identity_rows(n: int) -> _Rows:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
@@ -219,20 +221,52 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
 # slots are 32 or 64 bits wide.
 _SLOT_CODES = {8 * array(code).itemsize: code for code in "IQ"}
 
-
 @lru_cache(maxsize=None)
-def _layout(n: int, q: int) -> bytes | tuple[str, int, int, int, int] | None:
-    """Layout of the packed rows of n x n products mod q: the one-byte
-    layout, the word layout, or None for the wide layout.
+def _layout(n: int, q: int) -> tuple[Callable, Callable]:
+    """Layout of the packed rows of n x n products mod q: a packer of one row
+    of a right factor into one integer, and a reducer of a product's row sums
+    to its rows and its own packed rows.
 
-    A product slot holds at most n (q-1)^2. Below 256 that fits one byte,
-    and the layout is the 256-byte table of residues mod q
-    (``fp._byte_residues``): the bytes of a row's sum, translated through
-    it, are every slot reduced at once. Otherwise it is ``_word_layout``.
+    A product slot holds at most n (q-1)^2 < 2^w. Below 256 that is one byte,
+    and a row sum's bytes, translated through the table of residues mod q
+    (``fp._byte_residues``), are every slot reduced at once. Past that the
+    slots are ``_word_layout``'s, reduced at once by its magic quotient, or,
+    where it is None, w bits wide, each read back mod q with no packed rows.
     """
     if n * (q - 1) ** 2 < 256:
-        return _byte_residues(q)
-    return _word_layout(n, q)
+        table = _byte_residues(q)
+
+        def pack(row: Sequence[int]) -> int:
+            return int.from_bytes(bytes(row), "little")
+
+        def reduce(sums: list[int]) -> tuple:
+            raw = [acc.to_bytes(n, "little").translate(table) for acc in sums]
+            return tuple(map(tuple, raw)), [int.from_bytes(r, "little") for r in raw]
+
+        return pack, reduce
+    word = _word_layout(n, q)
+    if word is None:
+        w = (n * (q - 1) ** 2).bit_length()
+        mask, shifts = (1 << w) - 1, range(0, n * w, w)
+
+        def pack(row: Sequence[int]) -> int:
+            return sum(x << s for x, s in zip(row, shifts))
+
+        def reduce(sums: list[int]) -> tuple:
+            return tuple(tuple([(acc >> s & mask) % q for s in shifts]) for acc in sums), None
+
+        return pack, reduce
+    code, size, s, magic, low = word
+
+    def pack(row: Sequence[int]) -> int:
+        return int.from_bytes(array(code, row).tobytes(), sys.byteorder)
+
+    def reduce(sums: list[int]) -> tuple:
+        accs = [acc - q * ((acc * magic >> s) & low) for acc in sums]
+        rows = (memoryview(acc.to_bytes(size, sys.byteorder)).cast(code) for acc in accs)
+        return tuple(map(tuple, rows)), accs
+
+    return pack, reduce
 
 
 def _word_layout(n: int, q: int) -> tuple[str, int, int, int, int] | None:
@@ -262,20 +296,15 @@ class FpMatrix:
     __slots__ = ("n", "p", "rows", "_packed")
 
     def __init__(self, p: Prime, rows: Sequence[Sequence[int]]):
-        self.rows = _square_rows(rows, p.value.__rmod__)
+        self.rows = _square_rows(rows, _prime(p).value.__rmod__)
         self.n = len(self.rows)
         self.p = p
         self._packed = None
 
     @classmethod
-    def _canonical(
-        cls, p: Prime, rows: tuple[tuple[int, ...], ...], packed: list[int] | None = None
-    ) -> "FpMatrix":
-        """Wrap rows that are already a square tuple of residues mod p, unchecked.
-
-        ``packed``, if given, is the rows in their one-byte or word layout
-        (``_layout``).
-        """
+    def _canonical(cls, p: Prime, rows: _Rows, packed: list[int] | None = None) -> "FpMatrix":
+        """Wrap rows that are already a square tuple of residues mod p, unchecked,
+        and, if given, the same rows as the packer of ``_layout`` packs them."""
         m = object.__new__(cls)
         m.n = len(rows)
         m.p = p
@@ -287,66 +316,25 @@ class FpMatrix:
     def identity(cls, n: int, p: Prime) -> "FpMatrix":
         return cls(p, _identity_rows(_integer(n, "n")))
 
-    def _match(self, other: "FpMatrix") -> None:
+    def __mul__(self, other: "FpMatrix") -> "FpMatrix":
+        """Product by Kronecker substitution on the rows of ``other``.
+
+        ``_layout``'s packer packs each row of ``other`` into one integer, one
+        slot per entry, once, and the packed rows are kept on ``other``. Row i
+        of the product is the integer sum of a_ik * packed_k, whose slots each
+        hold at most n (p-1)^2 and never carry; the layout's reducer turns
+        these sums into the product's rows and, unless wide, its packed rows.
+        """
         if not isinstance(other, FpMatrix):
             raise TypeError(f"expected FpMatrix, got {type(other).__name__}")
         if self.n != other.n or self.p != other.p:
             raise ValueError("matrix shape or modulus mismatch")
-
-    def __mul__(self, other: "FpMatrix") -> "FpMatrix":
-        """Product by Kronecker substitution on the rows of ``other``.
-
-        Each row of ``other`` is packed into one integer, one slot per entry.
-        Row i of the product is then the single integer sum of a_ik *
-        packed_k, whose slots each hold at most n (p-1)^2 and never carry.
-        In the one-byte and word layouts of ``_layout`` every slot of that
-        sum is reduced mod p at once; the reduced sums are the product's own
-        packed rows, kept for any product that takes it as its right factor.
-        A layout wider than 64 bits packs w = bitlen(n (p-1)^2) bits a slot
-        and reads each slot back mod p.
-        """
-        self._match(other)
-        n, q = self.n, self.p.value
-        layout = _layout(n, q)
-        if layout is None:
-            w = (n * (q - 1) ** 2).bit_length()
-            mask = (1 << w) - 1
-            shifts = range(0, n * w, w)
-            packed = [sum(x << s for x, s in zip(row, shifts)) for row in other.rows]
-            return FpMatrix._canonical(
-                self.p,
-                tuple(
-                    tuple([(acc >> s & mask) % q for s in shifts])
-                    for acc in [sum(map(mul, row, packed)) for row in self.rows]
-                ),
-            )
+        pack, reduce = _layout(self.n, self.p.value)
         packed = other._packed
-        if type(layout) is bytes:
-            if packed is None:
-                packed = other._packed = [
-                    int.from_bytes(bytes(row), "little") for row in other.rows
-                ]
-            raw = [
-                sum(map(mul, row, packed)).to_bytes(n, "little").translate(layout)
-                for row in self.rows
-            ]
-            return FpMatrix._canonical(
-                self.p, tuple(map(tuple, raw)), [int.from_bytes(r, "little") for r in raw]
-            )
-        code, size, s, magic, low = layout
-        if packed is None:
-            packed = other._packed = [
-                int.from_bytes(array(code, row).tobytes(), sys.byteorder) for row in other.rows
-            ]
-        accs = []
-        for row in self.rows:
-            acc = sum(map(mul, row, packed))
-            accs.append(acc - q * ((acc * magic >> s) & low))
-        return FpMatrix._canonical(
-            self.p,
-            tuple(tuple(memoryview(acc.to_bytes(size, sys.byteorder)).cast(code)) for acc in accs),
-            accs,
-        )
+        if not packed:
+            packed = other._packed = list(map(pack, other.rows))
+        rows, packed = reduce([sum(map(mul, row, packed)) for row in self.rows])
+        return FpMatrix._canonical(self.p, rows, packed)
 
     def __pow__(self, e: int) -> "FpMatrix":
         """Left-to-right binary powering from the top set bit of e."""
@@ -543,7 +531,7 @@ def verify_p_power_order(n: int, p: Prime) -> tuple[bool, int]:
     form; the exact value is a sharper derived fact, pinned against the
     brute-force oracle in the tests.
     """
-    n = _integer(n, "n", 2)
+    p, n = _prime(p), _integer(n, "n", 2)
     expected = p_power_ceil(n, p)
     order = order_mod_p(companion_matrix(n).reduce(p), bound=expected * p.value)
     is_p_power = p.value ** padic_val(order, p) == order

@@ -40,7 +40,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .fp import Prime, _byte_residues, _integer
+from .fp import Prime, _byte_residues, _integer, _prime
 
 __all__ = [
     "Monomial",
@@ -154,6 +154,7 @@ class _ExpPoly(_FpTable):
     _WEIGHTED = False
 
     def __init__(self, n: int, p: Prime, terms: Mapping[Monomial, int] | None = None):
+        p = _prime(p)
         self.n = n = _generator_count(n)
         checked: dict[Monomial, int] = {}
         for mono, c in (terms or {}).items():
@@ -425,6 +426,7 @@ class UniPoly(_FpTable):
     __slots__ = ()
 
     def __init__(self, p: Prime, coeffs: Mapping[int, int] | None = None):
+        p = _prime(p)
         checked: dict[int, int] = {}
         for e, c in (coeffs or {}).items():
             e = _integer(e, "exponent")
@@ -474,6 +476,7 @@ class UniPoly(_FpTable):
 def elementary_sym(n: int, i: int, p: Prime) -> MultiPoly:
     """The i-th elementary symmetric polynomial in n variables; e_0 = 1, e_i = 0 past n.
     The memo is typed: a float equal to an int key misses it and is refused here."""
+    p = _prime(p)
     n, i = _generator_count(n), _integer(i, "i", 0)
     if i == 0:
         return MultiPoly.one(n, p)
@@ -488,6 +491,7 @@ def elementary_sym(n: int, i: int, p: Prime) -> MultiPoly:
 
 def power_sum(n: int, i: int, p: Prime) -> MultiPoly:
     """t1^i + ... + tn^i for i >= 1. The index 0 case is deliberately undefined."""
+    p = _prime(p)
     n, i = _generator_count(n), _integer(i, "i")
     if i < 1:
         raise ValueError(f"power sums start at index 1, got {i}")

@@ -55,7 +55,7 @@ from functools import lru_cache
 from itertools import compress, count
 from typing import Callable, Mapping, Sequence
 
-from .fp import Prime, _integer, _lucas_row, p_power_ceil
+from .fp import Prime, _integer, _lucas_row, _prime, p_power_ceil
 from .polyring import Monomial, MultiPoly, _PackedSum, elementary_sym, power_sum
 
 __all__ = [
@@ -213,6 +213,7 @@ def check_milnor_on_c2(
     Both Q implementations are evaluated; the check passes only if each equals
     the power-sum side. Returns (ok, lhs, rhs) with lhs from the recursion.
     """
+    p = _prime(p)
     n = _integer(n, "n", 2)
     level = _integer(level, "level", 1)
     e2 = elementary_sym(n, 2, p)

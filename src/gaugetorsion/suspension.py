@@ -38,7 +38,7 @@ from operator import index
 from typing import Mapping
 
 from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_star
-from .fp import FpScalar, Prime, _integer, p_power_ceil
+from .fp import FpScalar, Prime, _integer, _prime, p_power_ceil
 from .matrices import FpMatrix, _companion_row
 from .polyring import UniPoly, _FpTable
 
@@ -69,6 +69,7 @@ class LinearForm(_FpTable):
     __slots__ = ()
 
     def __init__(self, p: Prime, const: int = 0, coeffs: Mapping[int, int] | None = None):
+        p = _prime(p)
         checked = {0: _integer(const, "constant")}
         for j, c in (coeffs or {}).items():
             j = _integer(j, "unknown index")
@@ -252,6 +253,7 @@ def alpha_init(n: int, p: Prime, k: int | FpScalar) -> AlphaVector:
     lifted power sum; the derivation must land in that single degree, and a
     stray degree is treated as an engine contradiction.
     """
+    p = _prime(p)
     n, k = _integer(n, "n", 2), _k_value(k, p)
     forms: list[LinearForm] = []
     for i in reversed(range(n)):
@@ -296,6 +298,7 @@ def derive_recurrence(n: int, p: Prime) -> FpMatrix:
     The first row is ``_derived_row``'s taps laid out densely, c_j in column
     j; the rows below it shift the window by one step.
     """
+    p = _prime(p)
     n = _integer(n, "n", 2)
     rows = [[0] * n for _ in range(n)]
     for j, c in _derived_row(n, p):
@@ -322,6 +325,7 @@ def _alpha_walk(n: int, p: Prime, k: int | FpScalar, stop: int) -> list[LinearFo
 
 def alpha_at(i: int, n: int, p: Prime, k: int | FpScalar) -> LinearForm:
     """alpha_i as a linear form; the window below n, the recurrence above it."""
+    p = _prime(p)
     i, n, k = _integer(i, "i", 0), _integer(n, "n"), _k_value(k, p)
     if n % p.value != 0:
         raise ValueError(f"alpha recurrence needs p | n, got n={n}, p={p}")
@@ -395,6 +399,8 @@ def solve_alpha_p(n: int, p: Prime, k: int | FpScalar) -> AlphaSolution:
     Raises MechanizationError if the chain fails to close; unknowns g3..gn
     are never assigned, so the verdict cannot depend on them.
     """
+    if not isinstance(p, Prime):  # inline, as n and k are below
+        _prime(p)  # raises, naming p
     try:  # the int case inline: this is every warm decision's path
         n, k = index(n), index(k)
     except TypeError:

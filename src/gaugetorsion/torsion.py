@@ -155,8 +155,9 @@ def decide_p(n: int, k: int, p: Prime) -> Certificate:
         n, k = index(n), index(k)
     except TypeError:  # one of the two raises again, naming its value
         n, k = _integer(n, "n"), _integer(k, "k")
-    if not isinstance(p, fp.Prime):  # fp's class: tests wrap this module's Prime name
-        raise TypeError(f"p is not a Prime: {p!r}")
+    # inline on every warm decision; fp's class, as tests wrap this module's Prime name
+    if not isinstance(p, fp.Prime):
+        fp._prime(p)  # raises, naming p
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     k = k % n

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,34 @@ def test_verify_order_json(capsys):
     assert payload["cases"] == payload["passed"] == 10
 
 
+def test_verify_conjugation_text_and_json(capsys):
+    code, out, _ = run(capsys, "verify", "conjugation", "--n-max", "8")
+    assert (code, out) == (0, "conjugation: 7/7 cases passed\n")
+    code, out, _ = run(capsys, "verify", "conjugation", "--n-max", "8", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cases"] == payload["passed"] == 7 and payload["failures"] == []
+
+
+def test_verify_recurrence_reports_a_row_unlike_the_companion(capsys, perturbed_taps):
+    code, out, _ = run(capsys, "verify", "recurrence", "--n-max", "6", "--primes", "2")
+    assert code == 1
+    assert "FAIL recurrence n=2 p=2: derived [[" in out and "] vs companion [[" in out
+
+
+def test_verify_recurrence_reports_a_forcing_term_that_does_not_vanish(capsys, monkeypatch):
+    """A tap planted at 4, as ``test_planted_forcing_term_raises`` plants one."""
+    import gaugetorsion.suspension as suspension_mod
+
+    newton_taps = suspension_mod._newton_taps
+    monkeypatch.setattr(
+        suspension_mod, "_newton_taps", lambda n, q: tuple(sorted(newton_taps(n, q) + ((4, 1),)))
+    )
+    code, out, _ = run(capsys, "verify", "recurrence", "--n-max", "6", "--primes", "3")
+    assert code == 1
+    assert "FAIL recurrence n=3 p=3: restricted power sum 4 did not vanish for n=3, p=3" in out
+
+
 def test_verify_milnor_seeded(capsys):
     code, out, _ = run(
         capsys, "verify", "milnor", "--n-max", "3", "--samples", "20", "--seed", "7"
@@ -296,6 +325,19 @@ def test_sweep_json_row_schema(capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows[0] == {"n": 2, "k": 0, "torsion_free": False, "witness_prime": 2}
+
+
+def test_sweep_text_rows_match_gcds(capsys):
+    """The default text rows, each witness the least prime dividing gcd(n, k)."""
+    rows = []
+    for n in range(2, 7):
+        for k in range(n):
+            g = gcd(n, k)
+            witness = next((q for q in range(2, g + 1) if g % q == 0), None)
+            tail = "" if witness is None else f"  (p={witness})"
+            rows.append(f"n={n:3d} k={k:3d}  torsion_free={str(g == 1).lower()}{tail}\n")
+    code, out, _ = run(capsys, "sweep", "--n-max", "6")
+    assert (code, out) == (0, "".join(rows))
 
 
 def test_sweep_rejects_bad_bound(capsys):

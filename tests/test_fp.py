@@ -86,6 +86,9 @@ def test_scalar_arithmetic_examples():
     assert (FpScalar(1, p2) + FpScalar(1, p2)).residue == 0
     assert (FpScalar(2, p3) * FpScalar(2, p3)).residue == 1
     assert (FpScalar(0, p5) - FpScalar(1, p5)).residue == 4
+    x = FpScalar(3, p5)
+    assert (-x).residue == 2 and not x.is_zero()
+    assert int(x) == 3 and str(x) == "3 (mod 5)"
 
 
 def test_scalar_modulus_mismatch():

@@ -25,6 +25,7 @@ from gaugetorsion import (
     verify_p_power_order,
 )
 from gaugetorsion.cli import main
+from gaugetorsion.fp import _byte_residues
 from gaugetorsion.matrices import _companion_row, _layout, _render, _word_layout
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -147,12 +148,19 @@ def power_by_triple_loop(rows, e, q):
 
 
 def slot_code(n, q):
-    """Typecode of the slots of n x n products mod q: "B" for the one-byte
-    layout, the word layout's typecode, None when wide."""
-    layout = _layout(n, q)
-    if isinstance(layout, bytes):
+    """Typecode of the slots of n x n products mod q, by the layout rule: "B"
+    while n (q-1)^2 < 256, then the word layout's typecode, None when wide."""
+    if n * (q - 1) ** 2 < 256:
         return "B"
-    return layout[0] if layout else None
+    word = _word_layout(n, q)
+    return word[0] if word else None
+
+
+def slot_width(n, q):
+    """Bits a slot takes in the packed rows of n x n products mod q, read off
+    ``_layout``'s packer: the row (0, 1, 0, ..., 0) packs to 2^width."""
+    pack = _layout(n, q)[0]
+    return pack((0, 1) + (0,) * (n - 2)).bit_length() - 1
 
 
 LAYOUT_PRIMES = (2, 3, 5, 7, 11, 251, 257, 2039, 8191, 65521, 65537, 1000003)
@@ -181,6 +189,16 @@ def test_layout_edges_cross_into_the_wide_layout():
     assert all(slot_code(n, q) is None for n in (2, 40) for q in HUGE_PRIMES)
 
 
+def test_layout_packs_each_edge_in_the_slots_of_its_rule():
+    """``_layout`` picks, for every (n, q) of the edges, the layout the rule
+    names: one-byte slots, the word layout's, or w = bitlen(n (q-1)^2) bits."""
+    for n, q in LAYOUT_EDGES:
+        code = slot_code(n, q)
+        want = (n * (q - 1) ** 2).bit_length() if code is None else 8 * array(code).itemsize
+        assert slot_width(n, q) == want, (n, q)
+        assert _layout(n, q) is _layout(n, q)  # one pair per (n, q)
+
+
 @pytest.mark.parametrize("q", [2, 3, 7, 13, 251])
 @pytest.mark.parametrize("n", [2, 3, 6, 17])
 def test_word_layout_reduces_every_slot_value(n, q):
@@ -197,17 +215,42 @@ def test_word_layout_reduces_every_slot_value(n, q):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
 def test_byte_layout_reduces_every_slot_value(q):
-    """The one-byte layout is the table of residues mod q of every byte."""
-    table = _layout(2, q)
-    assert table == bytes(x % q for x in range(256))
-    assert _layout(255 // (q - 1) ** 2, q) is table
+    """The one-byte layout reads through the table of residues mod q of every
+    byte, and ``_layout`` picks it up to the last n whose slots fit one byte."""
+    assert _byte_residues(q) == bytes(x % q for x in range(256))
+    last = 255 // (q - 1) ** 2
+    assert slot_width(last, q) == 8 and slot_width(last + 1, q) > 8
+
+
+# one-byte layouts whose slots reach 255, 252 and 240; word layouts of 32-
+# and 64-bit slots; wide layouts of 32-, 37- and 63-bit slots
+REDUCER_CASES = (
+    (255, 2), (63, 3), (15, 5), (16, 5), (6, 13), (17, 251), (33, 8191), (24, 65537),
+    (2, 2147483647),
+)
+
+
+@pytest.mark.parametrize("n, q", REDUCER_CASES)
+def test_layout_reducer_reads_back_every_slot_value(n, q):
+    """``_layout``'s reducer turns row sums holding slot values x <= n (q-1)^2,
+    n values a row, into rows of x mod q: every value while there are at most
+    2^16, else the lowest and the highest 2^12. Its packed rows are the
+    packer's of those rows, and the wide layout returns none."""
+    pack, reduce = _layout(n, q)
+    width, top = slot_width(n, q), n * (q - 1) ** 2
+    xs = list(range(top + 1)) if top < 2**16 else [*range(2**12), *range(top - 2**12, top + 1)]
+    chunks = [xs[i : i + n] + [top] * (n - len(xs[i : i + n])) for i in range(0, len(xs), n)]
+    sums = [sum(x << k for x, k in zip(c, range(0, n * width, width))) for c in chunks]
+    rows, packed = reduce(sums)
+    assert rows == tuple(tuple(x % q for x in c) for c in chunks)
+    assert packed == (None if slot_code(n, q) is None else list(map(pack, rows)))
 
 
 @pytest.mark.parametrize("n, q", BYTE_EDGES)
 def test_byte_layout_edges_match_triple_loop(n, q):
     """Both sides of n (q-1)^2 = 255/256, on random operands and on the
     all-(q-1) operands that put every slot of a product at its largest sum."""
-    assert (slot_code(n, q) == "B") == (n * (q - 1) ** 2 < 256)
+    assert (slot_width(n, q) == 8) == (n * (q - 1) ** 2 < 256)
     rng = random.Random(n * 7919 + q)
     prime = Prime(q)
     rand = [tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n)) for _ in range(2)]
@@ -283,15 +326,37 @@ def test_packed_rows_fill_safely_from_threads():
     race_to_pack(24, 251)
 
 
+def test_wide_packed_rows_fill_safely_from_threads():
+    assert slot_code(24, 65537) is None
+    race_to_pack(24, 65537)
+
+
 def test_byte_packed_rows_fill_safely_from_threads():
     assert slot_code(24, 3) == "B"
     race_to_pack(24, 3)
+
+
+@pytest.mark.parametrize("n, q", [(24, 3), (24, 251), (24, 65537)])
+def test_right_factor_is_packed_once_in_every_layout(n, q):
+    """A right factor keeps its packed rows, the wide layout's too; a product
+    keeps its own unless its layout is wide."""
+    rng = random.Random(n + q)
+    a, b = (
+        FpMatrix(Prime(q), [[rng.randrange(q) for _ in range(n)] for _ in range(n)]) for _ in "ab"
+    )
+    ab = a * b
+    packed = b._packed
+    assert packed is not None
+    assert (a * b).rows == ab.rows and b._packed is packed
+    assert (ab._packed is None) == (slot_code(n, q) is None)
 
 
 def test_power_zero_and_one():
     m = companion_matrix(5).reduce(P3)
     assert m**0 == FpMatrix.identity(5, P3)
     assert m**1 == m
+    with pytest.raises(ValueError, match="^negative matrix power$"):
+        m**-1
 
 
 def repeated_product(m, e):
@@ -478,6 +543,15 @@ def test_int_product_errors_keep_their_texts():
         companion_matrix(2) * companion_matrix(3)
 
 
+def test_fp_product_errors_keep_their_texts():
+    with pytest.raises(TypeError, match="^expected FpMatrix, got IntMatrix$"):
+        companion_matrix(3).reduce(P2) * companion_matrix(3)
+    with pytest.raises(ValueError, match="^matrix shape or modulus mismatch$"):
+        companion_matrix(2).reduce(P2) * companion_matrix(3).reduce(P2)
+    with pytest.raises(ValueError, match="^matrix shape or modulus mismatch$"):
+        companion_matrix(3).reduce(P2) * companion_matrix(3).reduce(P3)
+
+
 @pytest.mark.parametrize("n", range(2, 61))
 def test_companion_matrix_equals_validated_rows(n):
     """Each unchecked build (the three builders, the closed form of the
@@ -615,6 +689,9 @@ def test_order_reports_non_p_power():
     with pytest.raises(OrderBoundExceeded):
         order_mod_p(swap, bound=81)
     assert order_brute(swap, bound=81) == 2
+    # the companion matrix of (x - 1)^4 has order 9 mod 3
+    with pytest.raises(OrderBoundExceeded, match="^no order <= 2 found$"):
+        order_brute(companion_matrix(4).reduce(P3), 2)
 
 
 def test_p_power_order_sweep():

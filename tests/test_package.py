@@ -102,6 +102,38 @@ FOREIGN = {
         FOREIGN_RESIDUE,
     ),
 }
+# Every prime argument of the public API goes through ``fp._prime`` first. A
+# bare int p raised AttributeError from deep inside every entry point but
+# decide_p, and solve_alpha_p read k before p. Each case is a call of the one
+# prime it takes; 3 and "3" are refused by a TypeError naming the value, cold
+# and again after the call with Prime(3) has warmed the memos.
+NOT_PRIME = {
+    "binom_mod": lambda p: fp.binom_mod(4, 2, p),
+    "padic_val": lambda p: fp.padic_val(9, p),
+    "p_power_ceil": lambda p: fp.p_power_ceil(4, p),
+    "FpScalar": lambda p: fp.FpScalar(1, p),
+    "MultiPoly": lambda p: polyring.MultiPoly(2, p, {(1, 0): 1}),
+    "ChernPoly": lambda p: chern.ChernPoly(2, p, {(0, 1): 1}),
+    "UniPoly": lambda p: polyring.UniPoly(p, {2: 1}),
+    "LinearForm": lambda p: suspension.LinearForm(p, 1, {2: 1}),
+    "GradedForm": lambda p: suspension.GradedForm(p),
+    "elementary_sym": lambda p: polyring.elementary_sym(3, 2, p),
+    "power_sum": lambda p: polyring.power_sum(3, 2, p),
+    "lift_power_sum": lambda p: chern.lift_power_sum(2, 4, p),
+    "phi_power_sum": lambda p: chern.phi_power_sum(3, 6, p),
+    "verify_newton": lambda p: chern.verify_newton(3, 1, p),
+    "check_milnor_on_c2": lambda p: steenrod.check_milnor_on_c2(3, p, 1),
+    "alpha_init": lambda p: suspension.alpha_init(6, p, 1),
+    "alpha_at": lambda p: suspension.alpha_at(3, 6, p, 1),
+    "derive_recurrence": lambda p: suspension.derive_recurrence(6, p),
+    "solve_alpha_p": lambda p: suspension.solve_alpha_p(6, p, 1),
+    "solve_alpha_p k mod 3": lambda p: suspension.solve_alpha_p(6, p, fp.FpScalar(1, P3)),
+    "decide_p": lambda p: torsion.decide_p(6, 3, p),
+    "FpMatrix": lambda p: matrices.FpMatrix(p, [[1, 2], [0, 1]]),
+    "FpMatrix.identity": lambda p: matrices.FpMatrix.identity(3, p),
+    "IntMatrix.reduce": lambda p: C3.reduce(p),
+    "verify_p_power_order": lambda p: matrices.verify_p_power_order(6, p),
+}
 MEMOS = [f for layer in LAYERS for f in vars(layer).values() if hasattr(f, "cache_clear")]
 
 
@@ -121,3 +153,15 @@ def test_public_api_refuses_foreign_arguments(case):
             with pytest.raises(TypeError, match=f"^{re.escape(NOT_INTEGER.format(name, bad))}$"):
                 call(bad)
         call(good)
+
+
+@pytest.mark.parametrize("case", NOT_PRIME)
+def test_public_api_refuses_a_p_that_is_not_a_prime(case):
+    call = NOT_PRIME[case]
+    for memo in MEMOS:
+        memo.cache_clear()
+    for _ in ("cold", "warm"):
+        for bad in (3, "3"):
+            with pytest.raises(TypeError, match=f"^{re.escape(f'p is not a Prime: {bad!r}')}$"):
+                call(bad)
+        call(P3)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gaugetorsion import (
     ChernPoly,
+    FpScalar,
     GradedForm,
     LinearForm,
     Prime,
@@ -238,11 +239,15 @@ def test_solve_examples():
     assert solve_alpha_p(4, P2, 3).value.residue == 1
     assert solve_alpha_p(6, P3, 0).value.residue == 0
     assert solve_alpha_p(2, P2, 1).value.residue == 1
+    # k as a residue mod p is read as its int
+    assert solve_alpha_p(6, P3, FpScalar(1, P3)) == solve_alpha_p(6, P3, 1)
 
 
 def test_solve_requires_divisibility():
     with pytest.raises(ValueError):
         solve_alpha_p(5, P2, 1)
+    with pytest.raises(ValueError, match="^need n >= 2, got 1$"):
+        solve_alpha_p(1, P2, 0)
 
 
 @pytest.mark.parametrize("p", PRIMES_235)
@@ -286,6 +291,23 @@ def test_top_form_other_than_k_raises(monkeypatch):
     monkeypatch.setattr(suspension_mod, "_symbolic_alphas", corrupted)
     with pytest.raises(MechanizationError, match="not the bare symbol k"):
         suspension_mod._resolve_alpha.__wrapped__(2, P2, 0)
+
+
+def test_level_carrying_k_without_a_free_unknown_raises(monkeypatch):
+    """Step 3 of the chain is a check: a lower level whose relation, once g2
+    is pinned, leaves a nonzero residual and no free unknown is a contradiction."""
+    import gaugetorsion.suspension as suspension_mod
+    from gaugetorsion.suspension import MechanizationError
+
+    symbolic_alphas = suspension_mod._symbolic_alphas
+
+    def corrupted(n, p):
+        order, alphas = symbolic_alphas(n, p)
+        return order, (alphas[0], ((1, 2),)) + alphas[2:]  # alpha_3 = 2k, no gj
+
+    monkeypatch.setattr(suspension_mod, "_symbolic_alphas", corrupted)
+    with pytest.raises(MechanizationError, match="^relation g2 = -alpha_3 is inconsistent"):
+        suspension_mod._resolve_alpha.__wrapped__(6, P3, 1)
 
 
 def test_recurrence_check_guards_a_standalone_solve(perturbed_taps):
