@@ -12,19 +12,12 @@ main has checked and resolved them. With --output, the report is written to a
 temporary file beside the target and moved into place only when the command
 exits 0 or 1, so a failed run leaves no file behind.
 
-Each size flag, and each count flag a verify target reads (--i-max,
---degree-cap, --samples), has a floor and a cap; README.md tables the caps
-and the runs they bound. verify milnor's --l-max has the floor 0 and no cap,
-since its levels stop at --degree-cap. --primes takes at least one prime
-and at most as many as the target's default list, no prime twice, and
-verify order caps each prime's size and the sum of their bit lengths.
-Primes given with --p or --primes must lie below 3.317e24, where primality
-is decided exactly. A verify flag that the target does not read (--i-max
-but for newton; --l-max, --degree-cap, --seed and --samples but for milnor;
---primes for conjugation), a verify run that would check no case (verify
-recurrence with every prime above --n-max; verify milnor with --samples 0 and
-no level whose p^level + 1 fits under --degree-cap) and an empty --output
-are usage errors.
+Each subcommand is declared once, as a _Command record, and each verify
+target as a _Target record of the flags it reads, their defaults and caps
+(README.md tables the caps and the runs they bound). Primes given with --p or
+--primes must lie below 3.317e24, where primality is decided exactly. A verify
+flag that the target does not read, a verify run that would check no case and
+an empty --output are usage errors.
 
 decide --trace writes, for every prime p dividing n, the steps that resolve
 alpha_p to stderr as JSON lines, one object per step with keys p, relation,
@@ -39,7 +32,9 @@ import json
 import os
 import random
 import sys
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, Iterator
 
 from .chern import verify_newton
 from .fp import Prime
@@ -58,20 +53,6 @@ from .suspension import MechanizationError, derive_recurrence, solve_alpha_p
 from .torsion import TorsionKind, decide_global, decide_p
 
 ENV_FORMAT = "GAUGETORSION_FORMAT"
-
-# Subcommand -> (the formats it accepts, its size flag, the cap on that size;
-# verify takes the cap of its target).
-_COMMANDS = {
-    "decide": (("text", "json"), "n", 1024),
-    "verify": (("text", "json"), "--n-max", None),
-    "sweep": (("text", "json", "csv"), "--n-max", 200),
-    "matrix": (("text", "json"), "n", 350),
-}
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _one_line(exc: BaseException) -> str:
@@ -132,10 +113,6 @@ def _random_poly(
     return MultiPoly(n, p, terms)
 
 
-# Each _verify_*_cases yields (label, None) for a pass and (label, detail) for
-# a failure, reported as "label: detail".
-
-
 def _verify_newton_cases(args):
     for prime in args.primes:
         for n in range(2, args.n_max + 1):
@@ -168,6 +145,15 @@ def _verify_milnor_cases(args):
                 f"milnor-equivalence p={prime} case={case}",
                 None if same else f"split on {f.render()} at level {level}",
             )
+
+
+def _milnor_checks_nothing(args):
+    if args.samples or (args.l_max and min(map(int, args.primes)) + 1 <= args.degree_cap):
+        return None
+    return (
+        "verify milnor checks nothing: --samples is 0 and no level up to --l-max "
+        f"has p^level + 1 <= --degree-cap {args.degree_cap}"
+    )
 
 
 def _verify_conjugation_cases(args):
@@ -211,33 +197,52 @@ def _verify_recurrence_cases(args):
             yield label, f"alpha_p wrong for k in {bad_k}" if bad_k else None
 
 
-# verify target -> (its cases, default --primes or None where it reads no
-# prime, default --n-max, --n-max cap, the cap on each --primes entry or None,
-# the cap on the entries' summed bit lengths or None, the (default, cap or
-# None for uncapped) of each count flag it reads; counts start at 0).
-# Only the matrix order search slows with the prime's size. Each of its m^p
-# is a binary power of bitlen(p) + popcount(p) - 2 products, and a product
-# costs far less while its packed slots fit a 64-bit word (matrices._layout;
-# at --n-max 120, p <= 4231) than past it. The bit budget admits one entry at
-# the ceiling beside 2 or 3.
-_VERIFY_TARGETS = {
-    "newton": (_verify_newton_cases, "2,3,5", 6, 12, None, None, {"--i-max": (6, 20)}),
-    "milnor": (
-        _verify_milnor_cases, "2,3,5", 5, 35, None, None,
+def _recurrence_checks_nothing(args):
+    if min(map(int, args.primes)) <= args.n_max:
+        return None
+    return f"verify recurrence checks nothing: no prime of --primes is <= --n-max {args.n_max}"
+
+
+@dataclass(frozen=True)
+class _Target:
+    """A verify target: its cases, each yielding (label, None) for a pass and
+    (label, detail) for a failure, reported as "label: detail"; and each flag it
+    reads with its default and cap, --seed beside --samples. A flag it does not
+    read has no default. Counts start at 0 and are checked in their order."""
+
+    cases: Callable[[argparse.Namespace], Iterator[tuple[str, str | None]]]
+    n_max: int  # the default --n-max, which every target reads
+    n_max_cap: int
+    primes: str | None = None  # the default --primes, and the most primes a list may name
+    counts: dict[str, tuple[int, int | None]] = field(default_factory=dict)  # (default, cap)
+    prime_cap: int | None = None  # the cap on each --primes entry
+    bits_cap: int | None = None  # the cap on the entries' summed bit lengths
+    # the usage message for a run that would check no case, and report 0/0 as a pass
+    empty: Callable[[argparse.Namespace], str | None] = lambda args: None
+
+
+_TARGETS = {
+    "newton": _Target(_verify_newton_cases, 6, 12, "2,3,5", counts={"--i-max": (6, 20)}),
+    "milnor": _Target(
+        _verify_milnor_cases, 5, 35, "2,3,5",
         # --l-max is uncapped: the levels stop at --degree-cap
-        {"--degree-cap": (26, 26), "--samples": (200, 20000), "--l-max": (2, None)},
+        counts={"--degree-cap": (26, 26), "--samples": (200, 20000), "--l-max": (2, None)},
+        empty=_milnor_checks_nothing,
     ),
-    "conjugation": (_verify_conjugation_cases, None, 40, 100, None, None, {}),
-    "order": (_verify_order_cases, "2,3,5,7,11", 50, 120, 1000003, 22, {}),
-    "recurrence": (_verify_recurrence_cases, "2,3,5", 20, 250, None, None, {}),
+    "conjugation": _Target(_verify_conjugation_cases, 40, 100),
+    # Only the order search slows with the prime's size: each m^p costs
+    # bitlen(p) + popcount(p) - 2 products, far cheaper while their packed slots
+    # fit a 64-bit word (matrices._layout; at --n-max 120, p <= 4231) than past
+    # it. The bit budget admits one entry at the ceiling beside 2 or 3.
+    "order": _Target(_verify_order_cases, 50, 120, "2,3,5,7,11", prime_cap=1000003, bits_cap=22),
+    "recurrence": _Target(
+        _verify_recurrence_cases, 20, 250, "2,3,5", empty=_recurrence_checks_nothing
+    ),
 }
-# The verify flags only some targets read: their count flags, --primes, and
-# --seed, read beside the --samples whose cases it seeds.
-_TARGET_FLAGS = ("--i-max", "--l-max", "--degree-cap", "--primes", "--seed", "--samples")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cases = list(_VERIFY_TARGETS[args.target][0](args))
+    cases = list(_TARGETS[args.target].cases(args))
     failures = [f"{label}: {detail}" for label, detail in cases if detail is not None]
     passed = len(cases) - len(failures)
     if args.format == "json":
@@ -311,6 +316,35 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: what runs it, its help line, the formats it writes, the flag
+    that sizes its run and its cap (verify's is its target's), and its switches,
+    store_true flags that --help lists between --format and --output."""
+
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    formats: tuple[str, ...]
+    size_flag: str
+    cap: int | None
+    switches: tuple[tuple[str, str], ...] = ()
+
+
+_SUBCOMMANDS = {
+    "decide": _Command(
+        cmd_decide, "torsion verdict for one (n, k)", ("text", "json"), "n", 1024,
+        switches=(("--trace", "write the alpha_p steps to stderr as JSON lines"),),
+    ),
+    "verify": _Command(cmd_verify, "run an identity sweep", ("text", "json"), "--n-max", None),
+    "sweep": _Command(
+        cmd_sweep, "full (n, k) torsion table", ("text", "json", "csv"), "--n-max", 200
+    ),
+    "matrix": _Command(cmd_matrix, "print the recurrence matrices", ("text", "json"), "n", 350),
+}
+# The verify flags in --help's order; a target's record says which it reads.
+_VERIFY_FLAGS = ("--n-max", "--i-max", "--l-max", "--degree-cap", "--primes", "--seed", "--samples")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaugetorsion",
@@ -318,43 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
         "over the 2-sphere, with verification sweeps for the identities behind them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_decide = sub.add_parser("decide", help="torsion verdict for one (n, k)")
-    p_decide.add_argument("--n", type=int, required=True)
-    p_decide.add_argument("--k", type=int, required=True)
-    p_decide.add_argument("--p", type=int, default=None, help="restrict to one prime")
-    p_decide.add_argument("--format", choices=_COMMANDS["decide"][0], default=None)
-    p_decide.add_argument(
-        "--trace", action="store_true", help="write the alpha_p steps to stderr as JSON lines"
-    )
-    p_decide.add_argument("--output", type=str, default=None, help="write report to a file")
-    p_decide.set_defaults(func=cmd_decide)
-
-    p_verify = sub.add_parser("verify", help="run an identity sweep")
-    p_verify.add_argument("target", choices=sorted(_VERIFY_TARGETS))
-    p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--i-max", type=int, default=None)
-    p_verify.add_argument("--l-max", type=int, default=None)
-    p_verify.add_argument("--degree-cap", type=int, default=None)
-    p_verify.add_argument("--primes", type=str, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=None)
-    p_verify.add_argument("--format", choices=_COMMANDS["verify"][0], default=None)
-    p_verify.add_argument("--output", type=str, default=None, help="write report to a file")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="full (n, k) torsion table")
-    p_sweep.add_argument("--n-max", type=int, required=True)
-    p_sweep.add_argument("--format", choices=_COMMANDS["sweep"][0], default=None)
-    p_sweep.add_argument("--output", type=str, default=None, help="write report to a file")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_matrix = sub.add_parser("matrix", help="print the recurrence matrices")
-    p_matrix.add_argument("--n", type=int, required=True)
-    p_matrix.add_argument("--p", type=int, default=None)
-    p_matrix.add_argument("--format", choices=_COMMANDS["matrix"][0], default=None)
-    p_matrix.add_argument("--output", type=str, default=None, help="write report to a file")
-    p_matrix.set_defaults(func=cmd_matrix)
+    for name, command in _SUBCOMMANDS.items():  # an option given no default is set only if given
+        sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+    own = sub.choices  # each subcommand's parser, by name
+    own["decide"].add_argument("--n", type=int, required=True)
+    own["decide"].add_argument("--k", type=int, required=True)
+    own["decide"].add_argument("--p", type=int, default=None, help="restrict to one prime")
+    own["verify"].add_argument("target", choices=sorted(_TARGETS))
+    for flag in _VERIFY_FLAGS:
+        own["verify"].add_argument(flag, type=str if flag == "--primes" else int)
+    own["sweep"].add_argument("--n-max", type=int, required=True)
+    own["matrix"].add_argument("--n", type=int, required=True)
+    own["matrix"].add_argument("--p", type=int, default=None)
+    for name, command in _SUBCOMMANDS.items():
+        own[name].add_argument("--format", choices=command.formats, default=None)
+        for flag, text in command.switches:
+            own[name].add_argument(flag, action="store_true", default=False, help=text)
+        own[name].add_argument("--output", type=str, default=None, help="write report to a file")
+        own[name].set_defaults(func=command.func)
     return parser
 
 
@@ -364,40 +379,31 @@ def _dest(flag: str) -> str:
 
 
 def _check_args(args: argparse.Namespace) -> str | None:
-    """Check and resolve args in place: the format (the flag, then ENV_FORMAT),
-    then no flag its verify target does not read, the size, the counts (the
-    length of --primes one, at least 1; verify milnor's --l-max, at least 0 and
-    uncapped), then --p or --primes, whose entries meet the target's ceiling
-    before any primality test and its bit budget after, and then must be
-    distinct, then whether a verify run checks any case at all, and last
-    --output, which must not be empty. Returns the usage message for the first
-    bad argument, or None."""
-    formats, size_flag, cap = _COMMANDS[args.command]
+    """Check and resolve args in place, in this order: the format (the flag, then
+    ENV_FORMAT); no flag the verify target does not read; the size; the counts,
+    --primes by its length; --p or --primes, whose entries meet the target's
+    ceiling before any primality test and its bit budget after, and must be
+    distinct; that a verify run checks some case; and last a nonempty --output.
+    Returns the usage message for the first bad argument, or None."""
+    command = _SUBCOMMANDS[args.command]
     args.format = args.format or os.environ.get(ENV_FORMAT) or "text"
-    if args.format not in formats:
-        return f"{args.command} supports --format {', '.join(formats)}; got {args.format!r}"
-    ceilings = {}
-    if args.command == "verify":
-        _, primes, n_max, cap, prime_cap, bits_cap, counts = _VERIFY_TARGETS[args.target]
-        reads = set(counts)
-        if "--samples" in counts:
-            reads.add("--seed")
-        if primes:
-            reads.add("--primes")
-        for flag in _TARGET_FLAGS:
-            if flag not in reads and getattr(args, _dest(flag)) is not None:
-                return f"verify {args.target} does not read {flag}"
-        for flag, (default, ceiling) in counts.items():
-            if getattr(args, _dest(flag)) is None:
-                setattr(args, _dest(flag), default)
-            ceilings[flag] = ceiling
-        args.seed = 0 if args.seed is None else args.seed
-        args.primes = primes if args.primes is None else args.primes
-        args.n_max = n_max if args.n_max is None else args.n_max
-        if primes:
-            ceilings["--primes"] = len(primes.split(","))  # the default list's length
-    for flag, ceiling in ((size_flag, cap), *ceilings.items()):
-        floor = {size_flag: 2, "--primes": 1}.get(flag, 0)  # no run passes on no prime
+    if args.format not in command.formats:
+        return f"{args.command} supports --format {', '.join(command.formats)}; got {args.format!r}"
+    target = _TARGETS.get(getattr(args, "target", None))
+    limits = {command.size_flag: (2, command.cap if target is None else target.n_max_cap)}
+    if target is not None:
+        defaults = {"--n-max": target.n_max, "--primes": target.primes}
+        defaults.update((flag, default) for flag, (default, _) in target.counts.items())
+        if "--samples" in defaults:  # and --seed, which seeds them and has no floor
+            defaults["--seed"] = 0
+        for flag in _VERIFY_FLAGS:
+            if defaults.get(flag) is None and hasattr(args, _dest(flag)):
+                return f"{args.command} {args.target} does not read {flag}"
+            vars(args).setdefault(_dest(flag), defaults.get(flag))
+        limits.update((flag, (0, cap)) for flag, (_, cap) in target.counts.items())
+        if target.primes:  # no run passes on no prime; each cap holds for the default list
+            limits["--primes"] = (1, len(target.primes.split(",")))
+    for flag, (floor, ceiling) in limits.items():
         value = getattr(args, _dest(flag))
         if flag == "--primes":
             value = sum(1 for tok in value.split(",") if tok.strip())
@@ -413,29 +419,19 @@ def _check_args(args: argparse.Namespace) -> str | None:
     if getattr(args, "primes", None) is not None:
         try:
             values = [int(tok) for tok in args.primes.split(",") if tok.strip()]
-            if prime_cap is not None and max(values, default=0) > prime_cap:
-                return f"--primes entries are capped at {prime_cap}, got {max(values)}"
+            if target.prime_cap is not None and max(values, default=0) > target.prime_cap:
+                return f"--primes entries are capped at {target.prime_cap}, got {max(values)}"
             args.primes = [Prime(value) for value in values]
         except ValueError:
             return f"bad prime list: {args.primes!r}"
         bits = sum(value.bit_length() for value in values)
-        if bits_cap is not None and bits > bits_cap:
-            return f"--primes entries are capped at {bits_cap} bits in all, got {bits}"
+        if target.bits_cap is not None and bits > target.bits_cap:
+            return f"--primes entries are capped at {target.bits_cap} bits in all, got {bits}"
         repeated = [value for k, value in enumerate(values) if value in values[:k]]
         if repeated:  # a repeated prime would run, and count, its cases twice
             return f"--primes repeats {repeated[0]}"
-        # a run of no case would report 0/0 and exit 0, as if it had checked something
-        if args.target == "recurrence" and min(values) > args.n_max:
-            return (
-                f"verify recurrence checks nothing: no prime of --primes is <= --n-max {args.n_max}"
-            )
-        if args.target == "milnor" and not args.samples and (
-            not args.l_max or min(values) + 1 > args.degree_cap
-        ):
-            return (
-                "verify milnor checks nothing: --samples is 0 and no level up to --l-max "
-                f"has p^level + 1 <= --degree-cap {args.degree_cap}"
-            )
+    if target is not None and (empty := target.empty(args)):
+        return empty
     if args.output == "":  # else the report would go to stdout, and no file be written
         return "need a file path for --output, got ''"
     return None
@@ -461,7 +457,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     problem = _check_args(args)
     if problem:
-        return _usage_error(problem)
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         if args.output:
             return _run_to_file(args)

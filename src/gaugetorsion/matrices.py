@@ -45,7 +45,7 @@ from math import comb
 from operator import index, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fp import Prime, _byte_residues, _integer, _prime, p_power_ceil, padic_val
+from .fp import Prime, _byte_residues, _integer, _prime, p_power_ceil
 
 _Rows = tuple[tuple[int, ...], ...]
 
@@ -525,14 +525,15 @@ def verify_conjugation(n: int) -> tuple[bool, dict]:
 
 
 def verify_p_power_order(n: int, p: Prime) -> tuple[bool, int]:
-    """Order of the companion matrix mod p: a p-power, equal to p_power_ceil(n, p).
+    """Whether the order of the companion matrix mod p is p_power_ceil(n, p),
+    and that order.
 
-    The p-power property follows from unipotency of the conjugate Jordan
-    form; the exact value is a sharper derived fact, pinned against the
-    brute-force oracle in the tests.
+    The order is a p-power by unipotency of the conjugate Jordan form, and
+    ``order_mod_p`` returns only p-powers (or raises), so what is checked is
+    its exact value: a sharper derived fact, pinned against the brute-force
+    oracle in the tests.
     """
     p, n = _prime(p), _integer(n, "n", 2)
     expected = p_power_ceil(n, p)
     order = order_mod_p(companion_matrix(n).reduce(p), bound=expected * p.value)
-    is_p_power = p.value ** padic_val(order, p) == order
-    return is_p_power and order == expected, order
+    return order == expected, order

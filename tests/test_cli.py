@@ -10,6 +10,8 @@ import pytest
 from gaugetorsion import cli, companion_matrix, jordan_transpose, pascal_matrix
 from gaugetorsion.torsion import decide_p
 from gaugetorsion.fp import Prime
+from gaugetorsion.matrices import IntMatrix
+from gaugetorsion.polyring import MultiPoly
 from gaugetorsion.suspension import MechanizationError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -96,20 +98,20 @@ _SIZED = {
     "verify": ("verify", "order", "--n-max", "{n}"),
     **{
         f"verify-{target}": ("verify", target, "--n-max", "{n}")
-        for target in cli._VERIFY_TARGETS
+        for target in cli._TARGETS
         if target != "order"
     },
     **{
         f"verify-{target}{flag}": ("verify", target, flag, "{n}")
-        for target, (*_, counts) in cli._VERIFY_TARGETS.items()
-        for flag, (_, cap) in counts.items()
+        for target, record in cli._TARGETS.items()
+        for flag, (_, cap) in record.counts.items()
         if cap is not None
     },
     # {primes} stands for a list of that many primes
     **{
         f"verify-{target}--primes": ("verify", target, "--primes", "{primes}")
-        for target, (_, primes, *_) in cli._VERIFY_TARGETS.items()
-        if primes is not None
+        for target, record in cli._TARGETS.items()
+        if record.primes is not None
     },
     # a prime of that size beside a small one, at --n-max's cap
     "verify-order--primes-entries": ("verify", "order", "--n-max", "120", "--primes", "2,{n}"),
@@ -119,14 +121,15 @@ _SIZED = {
 def _cap(argv):
     """The flag an invocation sizes, and the cap on it."""
     if argv[0] != "verify":
-        return cli._COMMANDS[argv[0]][1:]
-    _, primes, _, n_max_cap, prime_cap, _, counts = cli._VERIFY_TARGETS[argv[1]]
+        command = cli._SUBCOMMANDS[argv[0]]
+        return command.size_flag, command.cap
+    target = cli._TARGETS[argv[1]]
     if "{primes}" in argv:
-        return "--primes", len(primes.split(","))
+        return "--primes", len(target.primes.split(","))
     if "2,{n}" in argv:
-        return "--primes entries", prime_cap
+        return "--primes entries", target.prime_cap
     flag = argv[argv.index("{n}") - 1]
-    return flag, counts[flag][1] if flag in counts else n_max_cap
+    return flag, target.counts[flag][1] if flag in target.counts else target.n_max_cap
 
 
 def _fill(argv, value):
@@ -250,6 +253,143 @@ def test_verify_recurrence_reports_a_forcing_term_that_does_not_vanish(capsys, m
     assert "FAIL recurrence n=3 p=3: restricted power sum 4 did not vanish for n=3, p=3" in out
 
 
+# Planted faults: each test below breaks one thing a verify target compares and
+# expects the run to exit 1 and name the case it found false.
+
+
+def test_verify_order_reports_an_order_off_its_p_power_ceiling(capsys, monkeypatch):
+    """p_power_ceil one power too high: the order search still finds the true
+    order under its bound, and it is no longer the expected one."""
+    import gaugetorsion.matrices as matrices_mod
+
+    ceil = matrices_mod.p_power_ceil
+    monkeypatch.setattr(matrices_mod, "p_power_ceil", lambda n, p: ceil(n, p) * p.value)
+    code, out, _ = run(capsys, "verify", "order", "--n-max", "3", "--primes", "2")
+    assert (code, out) == (
+        1,
+        "FAIL order n=2 p=2: 2\nFAIL order n=3 p=2: 4\norder: 0/2 cases passed\n",
+    )
+
+
+def _one_off(m):
+    """m with its top-left entry one more."""
+    rows = [list(row) for row in m.rows]
+    rows[0][0] += 1
+    return IntMatrix(rows)
+
+
+class _SkewedOnTheLeft(IntMatrix):
+    """An IntMatrix whose products, with it as the left factor, are one entry off."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return _one_off(IntMatrix.__mul__(self, other))
+
+
+@pytest.mark.parametrize("side", ["AD", "binomial_form", "A_inv_B_A"])
+def test_verify_conjugation_reports_each_side_that_disagrees(capsys, monkeypatch, side):
+    """One wrong entry in one compared side at a time, so that exactly one of
+    the three comparisons fails: A D (A is the left factor there alone, B A and
+    A^-1 B A take it on the right), the closed binomial form (the binomial rows
+    at top n + 1; A is those at top n) or the conjugate A^-1 B A."""
+    import gaugetorsion.matrices as matrices_mod
+
+    if side == "AD":
+        pascal = matrices_mod.pascal_matrix
+        monkeypatch.setattr(
+            matrices_mod, "pascal_matrix", lambda n: _SkewedOnTheLeft(pascal(n).rows)
+        )
+    elif side == "binomial_form":
+        rows = matrices_mod._binomial_rows
+        monkeypatch.setattr(
+            matrices_mod,
+            "_binomial_rows",
+            lambda n, top: _one_off(rows(n, top)) if top > n else rows(n, top),
+        )
+    else:
+        inverse = matrices_mod.unitriangular_inverse
+        monkeypatch.setattr(matrices_mod, "unitriangular_inverse", lambda m: _one_off(inverse(m)))
+    _, w = matrices_mod.verify_conjugation(3)
+    agree = {
+        "AD": w["BA"] == w["AD"],
+        "binomial_form": w["BA"] == w["binomial_form"],
+        "A_inv_B_A": w["A_inv_B_A"] == w["D"],
+    }
+    assert [name for name, same in agree.items() if not same] == [side]
+    code, out, _ = run(capsys, "verify", "conjugation", "--n-max", "3")
+    assert code == 1
+    *failures, summary = out.splitlines()
+    assert [line.split(": ")[0] for line in failures] == [
+        "FAIL conjugation n=2",
+        "FAIL conjugation n=3",
+    ]
+    assert all(": BA=[[" in line and "]] AD=[[" in line for line in failures)
+    assert summary == "conjugation: 0/2 cases passed"
+
+
+def test_verify_newton_reports_the_residual_of_a_wrong_power_sum(capsys, monkeypatch):
+    """Every power sum planted with an extra constant term 1, so the residual
+    is the sum of (-1)^j e_j, that is (1 - t1)(1 - t2) for n = 2."""
+    from gaugetorsion.polyring import _PackedSum
+
+    power_sum = _PackedSum.power_sum
+    monkeypatch.setattr(_PackedSum, "power_sum", lambda self, e: {**power_sum(self, e), 0: 1})
+    argv = ("verify", "newton", "--n-max", "2", "--i-max", "1", "--primes", "3")
+    code, out, _ = run(capsys, *argv)
+    residual = MultiPoly(2, Prime(3), {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 1}).render()
+    assert (code, out) == (
+        1,
+        f"FAIL newton n=2 i=0 p=3: residual {residual}\n"
+        f"FAIL newton n=2 i=1 p=3: residual {residual}\n"
+        "newton: 0/2 cases passed\n",
+    )
+
+
+def _plant_one_in(monkeypatch, route, *modules):
+    """The Milnor Q route named route, as each of modules calls it, returning
+    Q(f) + 1."""
+    import gaugetorsion.steenrod as steenrod_mod
+
+    exact = getattr(steenrod_mod, route)
+
+    def planted(level, f):
+        return exact(level, f) + MultiPoly.one(f.n, f.p)
+
+    for module in modules:
+        monkeypatch.setattr(module, route, planted)
+
+
+@pytest.mark.parametrize("route", ["milnor_q_recursive", "milnor_q_closed"])
+def test_verify_milnor_reports_q_on_e2_unlike_its_power_sums(capsys, monkeypatch, route):
+    import gaugetorsion.steenrod as steenrod_mod
+
+    _plant_one_in(monkeypatch, route, steenrod_mod)
+    argv = ("verify", "milnor", "--n-max", "2", "--primes", "2", "--samples", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    *failures, summary = out.splitlines()
+    assert [line.split(": ")[0] for line in failures] == [
+        "FAIL milnor n=2 level=1 p=2",
+        "FAIL milnor n=2 level=2 p=2",
+    ]
+    assert all(": lhs " in line and " vs rhs " in line for line in failures)
+    assert summary == "milnor: 0/2 cases passed"
+
+
+def test_verify_milnor_reports_the_two_q_routes_splitting(capsys, monkeypatch):
+    _plant_one_in(monkeypatch, "milnor_q_recursive", cli)
+    argv = ("verify", "milnor", "--n-max", "2", "--primes", "2", "--l-max", "0", "--samples", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    *failures, summary = out.splitlines()
+    assert [line.split(": ")[0] for line in failures] == [
+        f"FAIL milnor-equivalence p=2 case={case}" for case in range(3)
+    ]
+    assert all(": split on " in line and " at level " in line for line in failures)
+    assert summary == "milnor: 0/3 cases passed"
+
+
 def test_verify_milnor_seeded(capsys):
     code, out, _ = run(
         capsys, "verify", "milnor", "--n-max", "3", "--samples", "20", "--seed", "7"
@@ -258,8 +398,6 @@ def test_verify_milnor_seeded(capsys):
 
 
 def test_verify_exit_one_on_falsification(capsys, monkeypatch):
-    from gaugetorsion.polyring import MultiPoly
-
     def broken(n, i, p):
         return False, MultiPoly.one(n, p)
 
@@ -458,8 +596,6 @@ def test_output_written_on_success(capsys, tmp_path):
 
 
 def test_output_kept_when_verification_fails(capsys, monkeypatch, tmp_path):
-    from gaugetorsion.polyring import MultiPoly
-
     monkeypatch.setattr(cli, "verify_newton", lambda n, i, p: (False, MultiPoly.one(n, p)))
     target = tmp_path / "f"
     argv = ("verify", "newton", "--n-max", "2", "--i-max", "0", "--output", str(target))
@@ -630,7 +766,7 @@ def test_usage_errors_open_no_output(capsys, monkeypatch, tmp_path, env, argv, m
 
 
 # The flags each verify target reads beyond --n-max, written out here apart
-# from cli._VERIFY_TARGETS, and a value for each flag: set where the target
+# from the cli._TARGETS records, and a value for each flag: set where the target
 # does not read it, even a value that its floor would refuse is a usage error.
 VERIFY_READS = {
     "newton": {"--i-max", "--primes"},
@@ -667,7 +803,7 @@ def test_verify_refuses_flags_its_target_does_not_read(capsys, monkeypatch, tmp_
 
 
 def test_unread_flags_are_named_before_the_size_and_read_defaults_change_nothing(capsys):
-    assert set(cli._TARGET_FLAGS) == set(TARGET_FLAG_VALUES)
+    assert cli._VERIFY_FLAGS == ("--n-max", *TARGET_FLAG_VALUES)
     argv = ("verify", "conjugation", "--n-max", "101", "--samples", "-3", "--i-max", "-5")
     assert run(capsys, *argv) == (2, "", "error: verify conjugation does not read --i-max\n")
     # the flags a target reads, each set to its default, run as if left out
