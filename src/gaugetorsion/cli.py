@@ -39,6 +39,7 @@ from typing import Callable, Iterator
 from .chern import verify_newton
 from .fp import Prime
 from .matrices import (
+    _CONJUGATION_SIDES,
     OrderBoundExceeded,
     _render,
     companion_matrix,
@@ -130,10 +131,14 @@ def _verify_milnor_cases(args):
             for level in range(1, args.l_max + 1):
                 if prime.value**level + 1 > args.degree_cap:
                     break
-                ok, lhs, rhs = check_milnor_on_c2(n, prime, level)
-                yield (
-                    f"milnor n={n} level={level} p={prime}",
-                    None if ok else f"lhs {lhs.render()} vs rhs {rhs.render()}",
+                label = f"milnor n={n} level={level} p={prime}"
+                ok, recursive, rhs, closed = check_milnor_on_c2(n, prime, level)
+                if ok:
+                    yield label, None
+                    continue
+                routes = (("milnor_q_recursive", recursive), ("milnor_q_closed", closed))
+                yield label, "; ".join(
+                    f"{route} {q.render()} vs rhs {rhs.render()}" for route, q in routes if q != rhs
                 )
         rng = random.Random(args.seed)
         for case in range(args.samples):
@@ -158,10 +163,15 @@ def _milnor_checks_nothing(args):
 
 def _verify_conjugation_cases(args):
     for n in range(2, args.n_max + 1):
-        ok, witness = verify_conjugation(n)
-        yield (
-            f"conjugation n={n}",
-            None if ok else f"BA={witness['BA'].to_json()} AD={witness['AD'].to_json()}",
+        label = f"conjugation n={n}"
+        ok, w = verify_conjugation(n)
+        if ok:
+            yield label, None
+            continue
+        yield label, "; ".join(
+            f"{x} = {y} fails: {x}={w[x].to_json()} {y}={w[y].to_json()}"
+            for x, y in _CONJUGATION_SIDES
+            if w[x] != w[y]
         )
 
 
@@ -304,7 +314,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         payload: dict = {"n": args.n, "p": None if args.p is None else args.p.value}
         entry = lru_cache(maxsize=None)(str)  # one shared string per value: most entries are 0
         for name, m in blocks.items():
-            payload[name] = [list(map(entry, row)) for row in m.rows] if args.p is None else m.rows
+            payload[name] = m._json_rows(entry)
         print(json.dumps(payload, indent=2))
     else:
         suffix = "" if args.p is None else f" mod {args.p}"

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import index
+from typing import Callable
 
 __all__ = [
     "Prime",
@@ -152,6 +153,23 @@ def _prime(p: object) -> Prime:
     if not isinstance(p, Prime):
         raise TypeError(f"p is not a Prime: {p!r}")
     return p
+
+
+def _power(x, e: int, one: Callable, negative: str):
+    """x^e, e read by ``_integer``, the one powering of ``FpMatrix`` and the
+    sparse polynomials: ``one()`` at e = 0, ``ValueError(negative)`` below, and
+    else left-to-right binary powering from e's top set bit, never by ``one()``."""
+    e = _integer(e, "e")
+    if e < 0:
+        raise ValueError(negative)
+    if e == 0:
+        return one()
+    out = x
+    for bit in bin(e)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
 
 
 def fp_inv(a: FpScalar) -> FpScalar:

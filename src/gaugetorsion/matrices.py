@@ -9,6 +9,14 @@ Three builders produce the matrices the decision procedure cares about:
 * ``jordan_transpose(n)``: lower bidiagonal unipotent, the transpose of a
   single Jordan block with eigenvalue one.
 
+Rows that are a band of constants ending on the diagonal (the companion
+matrix's subdiagonal ones, the Jordan transpose, the identity) all come from
+one band-row builder, ``_band_rows``, each row a slice of one template.
+``IntMatrix`` and ``FpMatrix`` share one private core, ``_Matrix``: n, the
+rows and ``_ring()``, with one copy of identity, equality, entries, text,
+repr and ``to_json``. Each class keeps its own arithmetic and its
+``_json_rows``, so this module alone decides the JSON entry format.
+
 ``verify_conjugation`` checks, over the integers, that the Pascal matrix
 conjugates the companion matrix into the Jordan transpose, including the
 closed binomial form of the intermediate products. ``order_mod_p`` finds
@@ -45,7 +53,7 @@ from math import comb
 from operator import index, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fp import Prime, _byte_residues, _integer, _prime, p_power_ceil
+from .fp import Prime, _byte_residues, _integer, _power, _prime, p_power_ceil
 
 _Rows = tuple[tuple[int, ...], ...]
 
@@ -68,7 +76,7 @@ class OrderBoundExceeded(RuntimeError):
     """No p-power at or below the bound gave the identity."""
 
 
-def _render(m: "IntMatrix | FpMatrix") -> Iterator[str]:
+def _render(m: "_Matrix") -> Iterator[str]:
     """Aligned text rows of both matrix classes, one at a time. The widest
     entry is the least or the greatest, and each entry's ``str`` is made once."""
     width = max(len(str(min(map(min, m.rows)))), len(str(max(map(max, m.rows)))))
@@ -76,17 +84,11 @@ def _render(m: "IntMatrix | FpMatrix") -> Iterator[str]:
         yield "[" + " ".join([s.rjust(width) for s in map(str, row)]) + "]"
 
 
-def _text(m: "IntMatrix | FpMatrix") -> str:
-    return "\n".join(_render(m))
-
-
-def _entry(m: "IntMatrix | FpMatrix", i: int, j: int) -> int:
-    """Entry (i, j) of either matrix class, 1-based as in the usual matrix
-    conventions: i and j are read with floor 1, and one past n is an IndexError."""
-    i, j = _integer(i, "i", 1), _integer(j, "j", 1)
-    if i > m.n or j > m.n:
-        raise IndexError(f"entry ({i}, {j}) outside 1..{m.n}")
-    return m.rows[i - 1][j - 1]
+def _expect(cls: type, m: object) -> None:
+    """The one class check of a matrix argument, the products' other factor
+    among them: ``TypeError("expected <cls>, got <class of m>")``."""
+    if not isinstance(m, cls):
+        raise TypeError(f"expected {cls.__name__}, got {type(m).__name__}")
 
 
 def _square_rows(
@@ -123,10 +125,56 @@ def _accumulate(acc: list[int], coefficients: Iterable[int], nonzeros: Sequence)
     return acc
 
 
-class IntMatrix:
-    """Square matrix with unbounded integer entries, immutable by convention."""
+class _Matrix:
+    """The shared core of the two matrix classes, as ``polyring._FpTable`` is of
+    the sparse rings: ``n``, ``rows`` (a square tuple of int tuples) and
+    ``_ring()``, the rest of what two equal matrices share: ``()`` exact,
+    ``(p,)`` mod p. Each class keeps its own arithmetic and ``_json_rows``, the
+    entries ``to_json`` writes."""
 
     __slots__ = ("n", "rows")
+
+    def _ring(self) -> tuple:
+        return ()
+
+    @classmethod
+    def identity(cls, n: int, *ring):
+        """The n x n identity over ``ring``: the memo's rows, wrapped unchecked."""
+        rows = _identity_rows(_integer(n, "n", 2))
+        return cls._canonical(*map(_prime, ring), rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Matrix):
+            return NotImplemented
+        return self._ring() == other._ring() and self.rows == other.rows
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def entry(self, i: int, j: int) -> int:
+        """Entry (i, j), 1-based as in the usual matrix conventions: i and j
+        are read with floor 1, and one past n is an IndexError."""
+        i, j = _integer(i, "i", 1), _integer(j, "j", 1)
+        if i > self.n or j > self.n:
+            raise IndexError(f"entry ({i}, {j}) outside 1..{self.n}")
+        return self.rows[i - 1][j - 1]
+
+    def render(self) -> str:
+        return "\n".join(_render(self))
+
+    __str__ = render
+
+    def __repr__(self) -> str:
+        ring = "".join(f"p={p}, " for p in self._ring())
+        return f"{type(self).__name__}({ring}{[list(r) for r in self.rows]})"
+
+    def to_json(self) -> str:
+        return json.dumps(self._json_rows())
+
+
+class IntMatrix(_Matrix):
+    """Square matrix with unbounded integer entries, immutable by convention."""
+
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = _square_rows(rows)
@@ -140,10 +188,6 @@ class IntMatrix:
         m.rows = rows
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(_identity_rows(_integer(n, "n")))
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         """Gustavson's row-by-row product over the nonzeros of both factors.
 
@@ -151,8 +195,7 @@ class IntMatrix:
         a_ik times row k of ``other``, listed once as its nonzero pairs: one
         multiply-add per pair of nonzeros that meet, not n^3.
         """
-        if not isinstance(other, IntMatrix):
-            raise TypeError(f"expected IntMatrix, got {type(other).__name__}")
+        _expect(IntMatrix, other)
         n = self.n
         if n != other.n:
             raise ValueError(f"dimension mismatch: {n} vs {other.n}")
@@ -160,15 +203,6 @@ class IntMatrix:
         return IntMatrix._canonical(
             tuple([tuple(_accumulate([0] * n, row, nonzeros)) for row in self.rows])
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    __hash__ = None  # type: ignore[assignment]
-
-    entry = _entry
 
     def reduce(self, p: Prime) -> "FpMatrix":
         rmod = _prime(p).value.__rmod__
@@ -200,19 +234,24 @@ class IntMatrix:
     def is_lower_unitriangular(self) -> bool:
         return all(row[i] == 1 and not any(row[i + 1 :]) for i, row in enumerate(self.rows))
 
-    render = __str__ = _text
+    def _json_rows(self, entry: Callable[[int], str] = str) -> list[list[str]]:
+        """Decimal strings, safe for any size, each made by ``entry``, which may
+        be a memo of ``str`` shared by the matrices of one payload."""
+        return [list(map(entry, row)) for row in self.rows]
 
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.rows]})"
 
-    def to_json(self) -> str:
-        """Nested arrays of decimal strings, safe for arbitrarily large entries."""
-        return json.dumps([[str(x) for x in row] for row in self.rows])
+def _band_rows(n: int, band: tuple[int, ...], first: int = 0) -> _Rows:
+    """Rows first..n - 1 (0-based) of the n x n matrix with ``band`` ending on
+    its diagonal, row i's band[-1] in column i and the rest to its left, cut at
+    column 0: each a slice of one template, the band between n - 1 zeros each side."""
+    template = (0,) * (n - 1) + band + (0,) * (n - 1)
+    last = n + len(band) - 2  # band[-1]'s place in the template
+    return tuple([template[last - i : last - i + n] for i in range(first, n)])
 
 
 @lru_cache(maxsize=None)
 def _identity_rows(n: int) -> _Rows:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return _band_rows(n, (1,))
 
 
 # Slot width in bits -> the array/memoryview typecode of that unsigned width,
@@ -290,10 +329,10 @@ def _word_layout(n: int, q: int) -> tuple[str, int, int, int, int] | None:
     return _SLOT_CODES[width], n * width // 8, s, -(-(1 << s) // q), low
 
 
-class FpMatrix:
+class FpMatrix(_Matrix):
     """Square matrix over F_p with canonical residues."""
 
-    __slots__ = ("n", "p", "rows", "_packed")
+    __slots__ = ("p", "_packed")
 
     def __init__(self, p: Prime, rows: Sequence[Sequence[int]]):
         self.rows = _square_rows(rows, _prime(p).value.__rmod__)
@@ -312,9 +351,8 @@ class FpMatrix:
         m._packed = packed
         return m
 
-    @classmethod
-    def identity(cls, n: int, p: Prime) -> "FpMatrix":
-        return cls(p, _identity_rows(_integer(n, "n")))
+    def _ring(self) -> tuple:
+        return (self.p,)
 
     def __mul__(self, other: "FpMatrix") -> "FpMatrix":
         """Product by Kronecker substitution on the rows of ``other``.
@@ -325,8 +363,7 @@ class FpMatrix:
         hold at most n (p-1)^2 and never carry; the layout's reducer turns
         these sums into the product's rows and, unless wide, its packed rows.
         """
-        if not isinstance(other, FpMatrix):
-            raise TypeError(f"expected FpMatrix, got {type(other).__name__}")
+        _expect(FpMatrix, other)
         if self.n != other.n or self.p != other.p:
             raise ValueError("matrix shape or modulus mismatch")
         pack, reduce = _layout(self.n, self.p.value)
@@ -337,27 +374,7 @@ class FpMatrix:
         return FpMatrix._canonical(self.p, rows, packed)
 
     def __pow__(self, e: int) -> "FpMatrix":
-        """Left-to-right binary powering from the top set bit of e."""
-        e = _integer(e, "e")
-        if e < 0:
-            raise ValueError("negative matrix power")
-        if e == 0:
-            return FpMatrix.identity(self.n, self.p)
-        out = self
-        for bit in bin(e)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return self.p == other.p and self.rows == other.rows
-
-    __hash__ = None  # type: ignore[assignment]
-
-    entry = _entry
+        return _power(self, e, lambda: FpMatrix.identity(self.n, self.p), "negative matrix power")
 
     def is_identity(self) -> bool:
         return self.rows == _identity_rows(self.n)
@@ -383,13 +400,9 @@ class FpMatrix:
                     m[i] = [(a - factor * b) % q for a, b in zip(m[i], m[k])]
         return det % q
 
-    render = __str__ = _text
-
-    def __repr__(self) -> str:
-        return f"FpMatrix(p={self.p}, {[list(r) for r in self.rows]})"
-
-    def to_json(self) -> str:
-        return json.dumps([[x for x in row] for row in self.rows])
+    def _json_rows(self, entry: Callable[[int], str] = str) -> _Rows:
+        """The residues mod p themselves, as JSON numbers."""
+        return self.rows
 
 
 def _companion_row(n: int) -> tuple[int, ...]:
@@ -410,15 +423,11 @@ def _companion_row(n: int) -> tuple[int, ...]:
 def companion_matrix(n: int) -> IntMatrix:
     """Companion matrix of (x - 1)^n: binomial first row, subdiagonal ones.
 
-    Row i >= 2 is the slice of one template, n - 1 zeros, a one and n - 1
-    zeros, that puts its one in column i - 1; the rows are built as int
-    tuples and wrapped unchecked.
+    Rows 2..n are the band (1, 0), whose one sits in column i - 1 of row i;
+    the rows are built as int tuples and wrapped unchecked.
     """
     n = _integer(n, "n", 2)
-    zeros = (0,) * (n - 1)
-    template = zeros + (1,) + zeros
-    units = tuple(template[n - i : 2 * n - i] for i in range(1, n))
-    return IntMatrix._canonical((_companion_row(n),) + units)
+    return IntMatrix._canonical((_companion_row(n),) + _band_rows(n, (1, 0), 1))
 
 
 def _binomial_rows(n: int, top: int) -> IntMatrix:
@@ -438,8 +447,7 @@ def pascal_matrix(n: int) -> IntMatrix:
 def jordan_transpose(n: int) -> IntMatrix:
     """Unipotent lower bidiagonal matrix: ones on the diagonal and subdiagonal."""
     n = _integer(n, "n", 2)
-    template = (0,) * (n - 1) + (1, 1) + (0,) * (n - 1)
-    return IntMatrix._canonical(tuple([template[n - i : 2 * n - i] for i in range(n)]))
+    return IntMatrix._canonical(_band_rows(n, (1, 1)))
 
 
 def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
@@ -450,6 +458,7 @@ def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
     and above it in a lower one. Rows are solved in that order through the
     product's row accumulator; a row not yet solved has no nonzeros listed.
     """
+    _expect(IntMatrix, m)
     upper = m.is_upper_unitriangular()
     if not (upper or m.is_lower_unitriangular()):
         raise ValueError("matrix is not unitriangular")
@@ -473,6 +482,7 @@ def order_mod_p(m: FpMatrix, bound: int) -> int:
     tells the two failures apart: ValueError for a singular matrix, otherwise
     OrderBoundExceeded, as the order is not a p-power at or below the bound.
     """
+    _expect(FpMatrix, m)
     bound = _integer(bound, "bound", 1)
     q = m.p.value
     power, e = m, 1  # power = m^e, e = p^k
@@ -490,6 +500,7 @@ def order_mod_p(m: FpMatrix, bound: int) -> int:
 
 def order_brute(m: FpMatrix, bound: int) -> int:
     """Order by plain repeated multiplication, the independent oracle."""
+    _expect(FpMatrix, m)
     bound = _integer(bound, "bound", 1)
     acc = m
     for e in range(1, bound + 1):
@@ -499,19 +510,24 @@ def order_brute(m: FpMatrix, bound: int) -> int:
     raise OrderBoundExceeded(f"no order <= {bound} found")
 
 
+# The identities ``verify_conjugation`` checks, each as the two entries of its
+# witness that it says are equal.
+_CONJUGATION_SIDES = (("BA", "AD"), ("BA", "binomial_form"), ("A_inv_B_A", "D"))
+
+
 def verify_conjugation(n: int) -> tuple[bool, dict]:
     """Exact check that the Pascal matrix conjugates companion to Jordan form.
 
-    Verifies three integral identities: the two products agree entrywise,
-    every product entry equals binom(n-i+1, n-j), and the conjugate equals
-    the Jordan transpose. The witness carries all intermediate matrices.
+    Verifies three integral identities (``_CONJUGATION_SIDES``): the two
+    products agree entrywise, every product entry equals binom(n-i+1, n-j),
+    and the conjugate equals the Jordan transpose. The witness carries all
+    intermediate matrices.
     """
     n = _integer(n, "n")
     b, a, d = companion_matrix(n), pascal_matrix(n), jordan_transpose(n)
     ba, ad = b * a, a * d
     closed = _binomial_rows(n, n + 1)
     conj = unitriangular_inverse(a) * b * a
-    ok = ba == ad and ba == closed and conj == d
     witness = {
         "B": b,
         "A": a,
@@ -521,7 +537,7 @@ def verify_conjugation(n: int) -> tuple[bool, dict]:
         "binomial_form": closed,
         "A_inv_B_A": conj,
     }
-    return ok, witness
+    return all(witness[x] == witness[y] for x, y in _CONJUGATION_SIDES), witness
 
 
 def verify_p_power_order(n: int, p: Prime) -> tuple[bool, int]:

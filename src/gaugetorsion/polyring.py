@@ -40,7 +40,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .fp import Prime, _byte_residues, _integer, _prime
+from .fp import Prime, _byte_residues, _integer, _power, _prime
 
 __all__ = [
     "Monomial",
@@ -207,18 +207,7 @@ class _ExpPoly(_FpTable):
         return self._like(acc)
 
     def __pow__(self, e: int):
-        e = _integer(e, "e")
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = self.one(self.n, self.p)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return _power(self, e, lambda: self.one(self.n, self.p), "negative power of a polynomial")
 
     def _degree(self, mono: Monomial) -> int:
         return sum(j * e for j, e in enumerate(mono, 1)) if self._WEIGHTED else sum(mono)

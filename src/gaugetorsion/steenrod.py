@@ -207,11 +207,12 @@ def milnor_q_recursive(level: int, f: MultiPoly) -> MultiPoly:
 
 def check_milnor_on_c2(
     n: int, p: Prime, level: int
-) -> tuple[bool, MultiPoly, MultiPoly]:
+) -> tuple[bool, MultiPoly, MultiPoly, MultiPoly]:
     """Check Q_level(e_2) = s_1 * s_(p^level) - s_(p^level + 1) in n variables.
 
     Both Q implementations are evaluated; the check passes only if each equals
-    the power-sum side. Returns (ok, lhs, rhs) with lhs from the recursion.
+    the power-sum side. Returns (ok, lhs, rhs, closed) with lhs from the
+    recursion and closed from the closed form.
     """
     p = _prime(p)
     n = _integer(n, "n", 2)
@@ -222,4 +223,4 @@ def check_milnor_on_c2(
     lhs_rec = milnor_q_recursive(level, e2)
     lhs_closed = milnor_q_closed(level, e2)
     ok = lhs_rec == rhs and lhs_closed == rhs
-    return ok, lhs_rec, rhs
+    return ok, lhs_rec, rhs, lhs_closed

@@ -1,0 +1,218 @@
+"""Mutation runner: every listed mutant of the package is killed by its tests.
+
+Usage, from the root of a checkout (standard library only, besides pytest)::
+
+    python tests/mutants.py            # every mutant in MUTANTS
+    python tests/mutants.py NAME ...   # the mutants so named
+
+Each mutant is one exact string replacement in one module of
+``src/gaugetorsion``; its text must occur there exactly once. For each, ``src/``
+is copied to a temporary directory, the replacement is made in the copy, and
+``python -m pytest -x`` runs the test file that should kill it with the copy
+first on PYTHONPATH. A mutant is killed when pytest reports a failed test
+(exit 1); any other exit (0, or 2 for a copy that no longer imports) is a
+survivor. The equivalent mutants in EQUIVALENT change no behavior the tests
+can see; they are not run, but their text is still checked, so the table
+cannot go stale. Exits 0 when every listed mutant is killed, else 1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # under src/gaugetorsion
+    text: str
+    replacement: str
+    tests: str  # the test file that kills it
+
+
+CONJUGATION = '_CONJUGATION_SIDES = (("BA", "AD"), ("BA", "binomial_form"), ("A_inv_B_A", "D"))'
+CHECK_C2 = "ok = lhs_rec == rhs and lhs_closed == rhs"
+
+MUTANTS = [
+    # The verify checks: each once passed the whole suite while it could not fail.
+    Mutant(
+        "verify_newton passes every residual",
+        "chern.py",
+        "return residual.is_zero(), residual",
+        "return True, residual",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "check_milnor_on_c2 ok = True", "steenrod.py", CHECK_C2, "ok = True", "tests/test_cli.py"
+    ),
+    Mutant(
+        "check_milnor_on_c2 drops the closed route",
+        "steenrod.py",
+        CHECK_C2,
+        "ok = lhs_rec == rhs",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "_verify_milnor_cases same = True",
+        "cli.py",
+        "same = milnor_q_closed(level, f) == milnor_q_recursive(level, f)",
+        "same = True",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "_verify_order_cases yields None",
+        "cli.py",
+        "yield label, None if ok else str(order)",
+        "yield label, None",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "_verify_conjugation_cases yields None",
+        "cli.py",
+        "ok, w = verify_conjugation(n)\n        if ok:",
+        "ok, w = verify_conjugation(n)\n        if True:",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "verify_conjugation drops BA = AD",
+        "matrices.py",
+        CONJUGATION,
+        '_CONJUGATION_SIDES = (("BA", "binomial_form"), ("A_inv_B_A", "D"))',
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "verify_conjugation drops BA = binomial_form",
+        "matrices.py",
+        CONJUGATION,
+        '_CONJUGATION_SIDES = (("BA", "AD"), ("A_inv_B_A", "D"))',
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "verify_conjugation drops A_inv_B_A = D",
+        "matrices.py",
+        CONJUGATION,
+        '_CONJUGATION_SIDES = (("BA", "AD"), ("BA", "binomial_form"))',
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "verify_conjugation keeps only BA = binomial_form",
+        "matrices.py",
+        CONJUGATION,
+        '_CONJUGATION_SIDES = (("BA", "binomial_form"),)',
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "verify_p_power_order drops order == expected",
+        "matrices.py",
+        "return order == expected, order",
+        "return True, order",
+        "tests/test_cli.py",
+    ),
+    # Matrix equality and the class check of a matrix argument.
+    Mutant(
+        "matrix equality ignores the modulus",
+        "matrices.py",
+        "return self._ring() == other._ring() and self.rows == other.rows",
+        "return self.rows == other.rows",
+        "tests/test_matrices.py",
+    ),
+    Mutant(
+        "order_mod_p takes an IntMatrix",
+        "matrices.py",
+        '    _expect(FpMatrix, m)\n    bound = _integer(bound, "bound", 1)\n    q = m.p.value',
+        '    bound = _integer(bound, "bound", 1)\n    q = m.p.value',
+        "tests/test_package.py",
+    ),
+]
+
+# (mutant, why no test can kill it): not run.
+EQUIVALENT = [
+    (
+        Mutant(
+            "verify_p_power_order also asks for a p-power",
+            "matrices.py",
+            "return order == expected, order",
+            "return order == expected and p_power_ceil(order, p) == order, order",
+            "",
+        ),
+        "order_mod_p returns only tower exponents p^k >= p, each its own p_power_ceil",
+    ),
+    (
+        Mutant(
+            "FpMatrix.det looks for a pivot without reducing",
+            "matrices.py",
+            "if m[r][k] % q != 0",
+            "if m[r][k] != 0",
+            "",
+        ),
+        "the rows hold canonical residues in [0, q) throughout, so x % q != 0 is x != 0",
+    ),
+    (
+        Mutant(
+            "matrix equality names the two classes",
+            "matrices.py",
+            "if not isinstance(other, _Matrix):",
+            "if not isinstance(other, (IntMatrix, FpMatrix)):",
+            "",
+        ),
+        "IntMatrix and FpMatrix are the only classes built on _Matrix",
+    ),
+]
+
+
+def mutated(mutant: Mutant) -> str:
+    """The text of the mutant's module with its one replacement made."""
+    text = (ROOT / "src" / "gaugetorsion" / mutant.module).read_text()
+    found = text.count(mutant.text)
+    if found != 1:
+        raise SystemExit(f"{mutant.name}: its text occurs {found} times in {mutant.module}")
+    return text.replace(mutant.text, mutant.replacement)
+
+
+def killed(mutant: Mutant) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        (src / "gaugetorsion" / mutant.module).write_text(mutated(mutant))
+        path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", mutant.tests]
+        run = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
+    return run.returncode == 1
+
+
+def main(names: list[str]) -> int:
+    known = {m.name for m in MUTANTS} | {m.name for m, _ in EQUIVALENT}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"no such mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    for mutant, _ in EQUIVALENT:  # each listed text still applies
+        mutated(mutant)
+    survivors = []
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        start = time.perf_counter()
+        ok = killed(mutant)
+        took = time.perf_counter() - start
+        print(f"{'killed' if ok else 'SURVIVED'} ({took:.1f} s): {mutant.name} [{mutant.tests}]")
+        if not ok:
+            survivors.append(mutant.name)
+    for mutant, reason in EQUIVALENT:
+        if not names or mutant.name in names:
+            print(f"equivalent, not run: {mutant.name}: {reason}")
+    print(f"{len(survivors)} survived" if survivors else "every listed mutant is killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -78,7 +78,7 @@ def test_02_milnor_identity_and_equivalence():
                 for level in (1, 2):
                     if p.value**level + 1 > 26:
                         continue
-                    ok, lhs, rhs = check_milnor_on_c2(n, p, level)
+                    ok, lhs, rhs, _ = check_milnor_on_c2(n, p, level)
                     assert ok, (n, p.value, level, lhs.render(), rhs.render())
                     budget.cases += 1
         for p in PRIMES_235:

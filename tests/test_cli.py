@@ -11,7 +11,7 @@ from gaugetorsion import cli, companion_matrix, jordan_transpose, pascal_matrix
 from gaugetorsion.torsion import decide_p
 from gaugetorsion.fp import Prime
 from gaugetorsion.matrices import IntMatrix
-from gaugetorsion.polyring import MultiPoly
+from gaugetorsion.polyring import MultiPoly, power_sum
 from gaugetorsion.suspension import MechanizationError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -320,11 +320,18 @@ def test_verify_conjugation_reports_each_side_that_disagrees(capsys, monkeypatch
     code, out, _ = run(capsys, "verify", "conjugation", "--n-max", "3")
     assert code == 1
     *failures, summary = out.splitlines()
-    assert [line.split(": ")[0] for line in failures] == [
-        "FAIL conjugation n=2",
-        "FAIL conjugation n=3",
-    ]
-    assert all(": BA=[[" in line and "]] AD=[[" in line for line in failures)
+    # the one comparison the planted side breaks is named, with both its sides
+    x, y = {
+        "AD": ("BA", "AD"),
+        "binomial_form": ("BA", "binomial_form"),
+        "A_inv_B_A": ("A_inv_B_A", "D"),
+    }[side]
+    expected = []
+    for n in (2, 3):
+        w = matrices_mod.verify_conjugation(n)[1]
+        json_x, json_y = w[x].to_json(), w[y].to_json()
+        expected.append(f"FAIL conjugation n={n}: {x} = {y} fails: {x}={json_x} {y}={json_y}")
+    assert failures == expected
     assert summary == "conjugation: 0/2 cases passed"
 
 
@@ -369,11 +376,16 @@ def test_verify_milnor_reports_q_on_e2_unlike_its_power_sums(capsys, monkeypatch
     code, out, _ = run(capsys, *argv)
     assert code == 1
     *failures, summary = out.splitlines()
-    assert [line.split(": ")[0] for line in failures] == [
-        "FAIL milnor n=2 level=1 p=2",
-        "FAIL milnor n=2 level=2 p=2",
-    ]
-    assert all(": lhs " in line and " vs rhs " in line for line in failures)
+    # the planted route alone is named, its Q(e_2) the power sums plus one
+    p, expected = Prime(2), []
+    for level in (1, 2):
+        q = 2**level
+        sums = power_sum(2, 1, p) * power_sum(2, q, p) - power_sum(2, q + 1, p)
+        planted = sums + MultiPoly.one(2, p)
+        expected.append(
+            f"FAIL milnor n=2 level={level} p=2: {route} {planted.render()} vs rhs {sums.render()}"
+        )
+    assert failures == expected
     assert summary == "milnor: 0/2 cases passed"
 
 

@@ -26,7 +26,13 @@ from gaugetorsion import (
 )
 from gaugetorsion.cli import main
 from gaugetorsion.fp import _byte_residues
-from gaugetorsion.matrices import _companion_row, _layout, _render, _word_layout
+from gaugetorsion.matrices import (
+    _companion_row,
+    _identity_rows,
+    _layout,
+    _render,
+    _word_layout,
+)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -606,6 +612,34 @@ def test_entries_are_one_based_and_never_wrap(m):
         m.entry(4, 1)
     with pytest.raises(IndexError, match=r"^entry \(3, 4\) outside 1\.\.3$"):
         m.entry(3, 4)
+
+
+@pytest.mark.parametrize(
+    "cls, ring", [(IntMatrix, ()), (FpMatrix, (P3,))], ids=["IntMatrix", "FpMatrix"]
+)
+def test_identity_names_the_n_below_its_floor(cls, ring):
+    """An n below 2 is refused as given, before the memo of identity rows is
+    read, so it leaves no entry there: cold, and again once n = 3 is cached.
+    It was once read as a matrix of dimension max(n, 0) after the memo. A
+    good n wraps the memo's rows themselves, with no per-entry check."""
+    _identity_rows.cache_clear()
+    for cached in (0, 1):
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"^need n >= 2, got {n}$"):
+                cls.identity(n, *ring)
+        assert _identity_rows.cache_info().currsize == cached
+        eye = cls.identity(3, *ring)
+        assert eye.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1)) and eye.rows is _identity_rows(3)
+
+
+def test_equality_depends_on_the_modulus_and_the_class():
+    rows = [[1, 0], [1, 1]]
+    assert FpMatrix(P2, rows) != FpMatrix(P3, rows)
+    assert not FpMatrix(P2, rows) == FpMatrix(P3, rows)
+    exact, reduced = IntMatrix(rows), FpMatrix(P3, rows)
+    assert exact.rows == reduced.rows
+    assert exact != reduced and reduced != exact
+    assert not (exact == reduced or reduced == exact)
 
 
 def test_constructors_keep_ints_and_bools():

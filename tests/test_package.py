@@ -86,8 +86,9 @@ REFUSED = {
     "FpMatrix.entry j": (lambda x: C3.reduce(P3).entry(1, x), 2),
     "FpMatrix.__pow__ e": (lambda x: C3.reduce(P3) ** x, 3),
 }
-# Arguments that are not integers: the prime of a decision, and k as a
-# residue over another prime.
+# Arguments that are not integers: the prime of a decision, k as a residue
+# over another prime, and a matrix of the other class, which once failed with
+# an AttributeError from deep inside.
 FOREIGN_RESIDUE = "k is a residue mod 5, not mod 3"
 FOREIGN = {
     "decide_p p": (lambda: torsion.decide_p(6, 3, 3), TypeError, "p is not a Prime: 3"),
@@ -100,6 +101,21 @@ FOREIGN = {
         lambda: suspension.alpha_at(3, 6, P3, fp.FpScalar(1, P5)),
         ValueError,
         FOREIGN_RESIDUE,
+    ),
+    "order_mod_p m": (
+        lambda: matrices.order_mod_p(matrices.companion_matrix(4), 9),
+        TypeError,
+        "expected FpMatrix, got IntMatrix",
+    ),
+    "order_brute m": (
+        lambda: matrices.order_brute(C3, 9),
+        TypeError,
+        "expected FpMatrix, got IntMatrix",
+    ),
+    "unitriangular_inverse m": (
+        lambda: matrices.unitriangular_inverse(matrices.pascal_matrix(3).reduce(P3)),
+        TypeError,
+        "expected IntMatrix, got FpMatrix",
     ),
 }
 # Every prime argument of the public API goes through ``fp._prime`` first. A

@@ -359,10 +359,10 @@ def test_recursion_matches_closed_form_up_to_degree_125(data):
 
 
 def test_identity_on_c2_smallest_case():
-    ok, lhs, rhs = check_milnor_on_c2(2, Prime(2), 1)
+    ok, lhs, rhs, closed = check_milnor_on_c2(2, Prime(2), 1)
     assert ok
     expected = MultiPoly(2, Prime(2), {(2, 1): 1, (1, 2): 1})
-    assert lhs == expected and rhs == expected
+    assert lhs == expected and rhs == expected and closed == expected
 
 
 @pytest.mark.parametrize("p", PRIMES_235)
@@ -371,7 +371,7 @@ def test_identity_on_c2_smallest_case():
 def test_identity_on_c2_sweep(n, p, level):
     if p.value**level + 1 > 26:
         pytest.skip("degree outside the tested window")
-    ok, lhs, rhs = check_milnor_on_c2(n, p, level)
+    ok, lhs, rhs, _ = check_milnor_on_c2(n, p, level)
     assert ok, f"split at n={n} p={p} level={level}: {lhs.render()} vs {rhs.render()}"
 
 
