@@ -10,7 +10,9 @@ such rows (the reduced powers' shares, the Newton taps of ``chern``).
 ``_integer`` reads every integer the package's public API takes, by
 ``operator.index`` and the argument's floor, before any memo is read: a float
 hashes like the int it equals, so a warm memo would answer what a cold one refuses.
-``_prime`` checks every prime it takes, first, the same way.
+``_prime`` checks every prime it takes, first, the same way. Each public call
+reads each argument through them once, the warm decision's too: no module
+inlines a copy of either.
 """
 
 from __future__ import annotations

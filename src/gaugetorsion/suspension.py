@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 from typing import Mapping
 
 from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_star
@@ -397,16 +396,13 @@ def solve_alpha_p(n: int, p: Prime, k: int | FpScalar) -> AlphaSolution:
     4. alpha_p is read back from the pinned g2 as -g2.
 
     Raises MechanizationError if the chain fails to close; unknowns g3..gn
-    are never assigned, so the verdict cannot depend on them.
+    are never assigned, so the verdict cannot depend on them. p, n and k are
+    read once, n's floor after k, before the memo is read; the decision
+    layer's core, ``torsion._decide``, reads that memo directly.
     """
-    if not isinstance(p, Prime):  # inline, as n and k are below
-        _prime(p)  # raises, naming p
-    try:  # the int case inline: this is every warm decision's path
-        n, k = index(n), index(k)
-    except TypeError:
-        n, k = _integer(n, "n"), _k_value(k, p)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    p = _prime(p)
+    n, k = _integer(n, "n"), _k_value(k, p)
+    n = _integer(n, "n", 2)
     q = p.value
     if n % q != 0:
         raise ValueError(f"alpha resolution needs p | n, got n={n}, p={p}")

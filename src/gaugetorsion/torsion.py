@@ -18,9 +18,9 @@ module imports nothing from ``matrices``, whose order searches are oracles.
 The primes of n are validated once per n, a certificate is built once per
 set of checked quantities, and a global result once per (n, k) and set of
 certificates; the comparison of the two routes, and the gcd criterion, run
-on every call, before any result is taken from its memo. n and k go through
-``operator.index`` first, so a float is refused on a warm key as on a cold
-one.
+on every call, before any result is taken from its memo. Each public call
+reads its arguments once, before any memo is read, so a float is refused on
+a warm key as on a cold one; ``_decide`` is the core behind both.
 
 The certificate annotations record, in plain language, the homotopy-theoretic
 equivalences that justify reading the algebra as a torsion statement. They
@@ -34,12 +34,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gcd
-from operator import index, is_
+from operator import is_
 
-from . import fp
 from .chern import ChernPoly, phi_star
-from .fp import Prime, _integer
-from .suspension import MechanizationError, _symbolic_alphas, solve_alpha_p
+from .fp import Prime, _integer, _prime
+from .suspension import MechanizationError, _resolve_alpha, _symbolic_alphas
 
 __all__ = [
     "TorsionKind",
@@ -147,23 +146,20 @@ def _ring_data(n: int, p: Prime) -> tuple[int, bool | None, int | None]:
 def decide_p(n: int, k: int, p: Prime) -> Certificate:
     """Decide p-torsion for the class k bundle component; k reduces mod n.
 
-    n and k are taken through ``operator.index`` and p must be a ``Prime``,
-    checked before any memo is read: a float key hashes like the int it
-    equals, so a warm memo would otherwise answer a call a cold one refuses.
+    n, k and p are read once, by ``fp._integer`` and ``fp._prime``, n's floor
+    last, before any memo is read: a float key hashes like the int it equals,
+    so a warm memo would otherwise answer a call a cold one refuses.
     """
-    try:
-        n, k = index(n), index(k)
-    except TypeError:  # one of the two raises again, naming its value
-        n, k = _integer(n, "n"), _integer(k, "k")
-    # inline on every warm decision; fp's class, as tests wrap this module's Prime name
-    if not isinstance(p, fp.Prime):
-        fp._prime(p)  # raises, naming p
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    k = k % n
+    n, k, p = _integer(n, "n"), _integer(k, "k"), _prime(p)
+    n = _integer(n, "n", 2)
+    return _decide(n, k % n, p)
+
+
+def _decide(n: int, k: int, p: Prime) -> Certificate:
+    """``decide_p`` for checked n >= 2, 0 <= k < n and a Prime p."""
     q = p.value
     phi_c1, recurrence_check, matrix_order = _ring_data(n, p)
-    alpha_p = solve_alpha_p(n, p, k).value.residue if n % q == 0 else None
+    alpha_p = _resolve_alpha(n, p, k % q).value.residue if n % q == 0 else None
 
     table_torsion = n % q == 0 and k % q == 0
     mech_torsion = phi_c1 == 0 and alpha_p == 0
@@ -232,21 +228,17 @@ def decide_global(n: int, k: int) -> GlobalResult:
     """Torsion across all primes: free iff k is relatively prime to n.
 
     k is reduced mod n first; k = 0 is the trivial class, with gcd(n, 0) = n.
-    Every call decides each prime of n through ``decide_p``, so both routes
+    Every call decides each prime of n through ``_decide``, so both routes
     are compared, and checks the per-prime certificates against the gcd
     criterion; a disagreement raises instead of returning a broken result.
     Only then is the result taken from a memo keyed by (n, k). A stored result
-    is reused when its certificates are the very objects this call checked
-    and its verdict is this call's; otherwise a new one is built and stored.
+    is reused when its certificates are the very objects this call checked;
+    otherwise a new one is built and stored.
     """
-    try:
-        n, k = index(n), index(k)
-    except TypeError:  # one of the two raises again, naming its value
-        n, k = _integer(n, "n"), _integer(k, "k")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n, k = _integer(n, "n"), _integer(k, "k")
+    n = _integer(n, "n", 2)
     k = k % n
-    certificates = tuple([decide_p(n, k, p) for p in _ring_primes(n)])
+    certificates = tuple([_decide(n, k, p) for p in _ring_primes(n)])
     torsion_free = gcd(n, k) == 1
     any_torsion = any([c.verdict.kind is _TORSION for c in certificates])
     if torsion_free == any_torsion:
@@ -255,11 +247,7 @@ def decide_global(n: int, k: int) -> GlobalResult:
         )
     slot = _global_slot(n, k)
     held = slot[0]
-    if (
-        held is not None
-        and held.torsion_free == torsion_free
-        and all(map(is_, held.primes, certificates))
-    ):
+    if held is not None and all(map(is_, held.primes, certificates)):
         return held
     held = slot[0] = GlobalResult(n=n, k=k, torsion_free=torsion_free, primes=certificates)
     return held

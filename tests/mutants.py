@@ -131,6 +131,73 @@ MUTANTS = [
         '    bound = _integer(bound, "bound", 1)\n    q = m.p.value',
         "tests/test_package.py",
     ),
+    # The decision's own checks: the two routes, the gcd criterion, the
+    # identity of the certificates a stored result is reused with, and the
+    # residue of k that keys the alpha memo.
+    Mutant(
+        "_decide skips the two-route comparison",
+        "torsion.py",
+        "if table_torsion != mech_torsion:",
+        "if False:",
+        "tests/test_torsion.py",
+    ),
+    Mutant(
+        "decide_global skips the gcd check",
+        "torsion.py",
+        "if torsion_free == any_torsion:",
+        "if False:",
+        "tests/test_torsion.py",
+    ),
+    Mutant(
+        "decide_global reuses a result with other certificates",
+        "torsion.py",
+        "if held is not None and all(map(is_, held.primes, certificates)):",
+        "if held is not None:",
+        "tests/test_torsion.py",
+    ),
+    Mutant(
+        "_decide keys the alpha memo by k, not k mod p",
+        "torsion.py",
+        "_resolve_alpha(n, p, k % q)",
+        "_resolve_alpha(n, p, k)",
+        "tests/test_torsion.py",
+    ),
+    # The alpha engine's checks.
+    Mutant(
+        "_symbolic_alphas skips the companion-row tap check",
+        "suspension.py",
+        "if taps != tuple((j, r) for j, c in enumerate(_companion_row(n), 1) if (r := c % q)):",
+        "if False:",
+        "tests/test_suspension.py",
+    ),
+    Mutant(
+        "_symbolic_alphas skips the window-return check",
+        "suspension.py",
+        "    if order is None:\n        raise MechanizationError(",
+        "    if False:\n        raise MechanizationError(",
+        "tests/test_suspension.py",
+    ),
+    Mutant(
+        "_derived_row skips the vanishing check",
+        "suspension.py",
+        "if j * c % p.value:",
+        "if False:",
+        "tests/test_suspension.py",
+    ),
+    Mutant(
+        "_resolve_alpha skips the top-form check",
+        "suspension.py",
+        "if alphas[m] != ((1, 1),):",
+        "if False:",
+        "tests/test_suspension.py",
+    ),
+    Mutant(
+        "_resolve_alpha skips the level check",
+        "suspension.py",
+        "if not free and residual:",
+        "if False:",
+        "tests/test_suspension.py",
+    ),
 ]
 
 # (mutant, why no test can kill it): not run.

@@ -150,13 +150,54 @@ NOT_PRIME = {
     "IntMatrix.reduce": lambda p: C3.reduce(p),
     "verify_p_power_order": lambda p: matrices.verify_p_power_order(6, p),
 }
+# Calls with two bad arguments: each public decision reads its arguments in
+# one fixed order, n's type first and its floor after every other argument,
+# so the first error a call raises is fixed too.
+FIRST_ERROR = {
+    "decide_p k before n's floor": (
+        lambda: torsion.decide_p(1, 1.5, P3),
+        TypeError,
+        "k is not an integer: 1.5",
+    ),
+    "decide_p p before n's floor": (
+        lambda: torsion.decide_p(1, 0, 3),
+        TypeError,
+        "p is not a Prime: 3",
+    ),
+    "decide_p n's type before p": (
+        lambda: torsion.decide_p(1.5, 0, 3),
+        TypeError,
+        "n is not an integer: 1.5",
+    ),
+    "decide_global k before n's floor": (
+        lambda: torsion.decide_global(1, 1.5),
+        TypeError,
+        "k is not an integer: 1.5",
+    ),
+    "solve_alpha_p p before n's type": (
+        lambda: suspension.solve_alpha_p(1.5, 3, 1),
+        TypeError,
+        "p is not a Prime: 3",
+    ),
+    "solve_alpha_p k before n's floor": (
+        lambda: suspension.solve_alpha_p(1, P3, 1.5),
+        TypeError,
+        "k is not an integer: 1.5",
+    ),
+    "solve_alpha_p k's modulus before n's floor": (
+        lambda: suspension.solve_alpha_p(1, P3, fp.FpScalar(1, P5)),
+        ValueError,
+        FOREIGN_RESIDUE,
+    ),
+}
+RAISES = {**FOREIGN, **FIRST_ERROR}
 MEMOS = [f for layer in LAYERS for f in vars(layer).values() if hasattr(f, "cache_clear")]
 
 
-@pytest.mark.parametrize("case", [*REFUSED, *FOREIGN])
+@pytest.mark.parametrize("case", [*REFUSED, *RAISES])
 def test_public_api_refuses_foreign_arguments(case):
-    if case in FOREIGN:
-        call, error, message = FOREIGN[case]
+    if case in RAISES:
+        call, error, message = RAISES[case]
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
         return
@@ -181,3 +222,4 @@ def test_public_api_refuses_a_p_that_is_not_a_prime(case):
             with pytest.raises(TypeError, match=f"^{re.escape(f'p is not a Prime: {bad!r}')}$"):
                 call(bad)
         call(P3)
+

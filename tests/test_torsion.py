@@ -125,7 +125,7 @@ def test_certificate_is_frozen():
 
 
 def corrupted_alpha(n, p, k):
-    """A solve_alpha_p that resolves alpha_p off by one."""
+    """An alpha resolution that comes out off by one."""
     from gaugetorsion.fp import FpScalar
     from gaugetorsion.suspension import AlphaSolution
 
@@ -141,7 +141,7 @@ def test_route_disagreement_raises(monkeypatch):
     from gaugetorsion.suspension import MechanizationError
 
     torsion_mod.decide_p(4, 2, P2)
-    monkeypatch.setattr(torsion_mod, "solve_alpha_p", corrupted_alpha)
+    monkeypatch.setattr(torsion_mod, "_resolve_alpha", corrupted_alpha)
     with pytest.raises(MechanizationError):
         torsion_mod.decide_p(4, 2, P2)
 
@@ -153,9 +153,38 @@ def test_route_disagreement_raises_on_a_warm_global_key(monkeypatch):
 
     first = torsion_mod.decide_global(12, 6)
     assert torsion_mod.decide_global(12, 6) is first
-    monkeypatch.setattr(torsion_mod, "solve_alpha_p", corrupted_alpha)
+    monkeypatch.setattr(torsion_mod, "_resolve_alpha", corrupted_alpha)
     with pytest.raises(MechanizationError):
         torsion_mod.decide_global(12, 6)
+
+
+def test_alpha_memo_is_keyed_by_the_residue_of_k():
+    """The decision reads the alpha memo at k mod p: every k of n = 12 fills
+    2 entries for p = 2 and 3 for p = 3."""
+    import gaugetorsion.torsion as torsion_mod
+
+    torsion_mod._resolve_alpha.cache_clear()
+    for k in range(12):
+        decide_global(12, k)
+    assert torsion_mod._resolve_alpha.cache_info().currsize == 5
+
+
+def test_warm_global_decision_reads_its_arguments_once(monkeypatch):
+    """A warm decision reads n and k once, not once per prime of n."""
+    import gaugetorsion.torsion as torsion_mod
+
+    reads = []
+    integer = torsion_mod._integer
+    monkeypatch.setattr(
+        torsion_mod, "_integer", lambda *args: reads.append(args) or integer(*args)
+    )
+    counts = []
+    for n in (2, 210):  # 210 = 2 * 3 * 5 * 7
+        torsion_mod.decide_global(n, 1)
+        reads.clear()
+        torsion_mod.decide_global(n, 1)
+        counts.append(len(reads))
+    assert counts[0] == counts[1] > 0
 
 
 def test_repeated_global_decision_returns_one_result():
