@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .fp import Prime, _integer, _lucas, _lucas_row, _prime
-from .polyring import MultiPoly, UniPoly, _ExpPoly, _generator_count, _PackedSum
+from .polyring import MultiPoly, UniPoly, _ExpPoly, _PackedSum
 
 __all__ = [
     "ChernPoly",
@@ -122,10 +122,8 @@ def lift_power_sum(m: int, n: int, p: Prime) -> ChernPoly:
     a convention.
     """
     p = _prime(p)
-    m = _integer(m, "m")
-    if m < 1:
-        raise ValueError(f"power sums start at index 1, got {m}")
-    n = _generator_count(n)  # read here: the lifts' memo would take a float equal to n
+    m = _integer(m, "m", 1)
+    n = _integer(n, "n", 1)  # read here: the lifts' memo would take a float equal to n
     for below in range(1, m):  # bottom-up, so no build recurses into a cold lift
         _lift(below, n, p)
     return _lift(m, n, p)
@@ -153,10 +151,7 @@ def phi_power_sum(m: int, n: int, p: Prime) -> UniPoly:
     everywhere, and equals (n mod p) u^m; like the lift, it needs n >= 1.
     """
     p = _prime(p)
-    m = _integer(m, "m")
-    if m < 1:
-        raise ValueError(f"power sums start at index 1, got {m}")
-    n = _generator_count(n)
+    m, n = _integer(m, "m", 1), _integer(n, "n", 1)
     q = p.value
     taps = _newton_taps(n, q)
     sums: list[int] = []

@@ -10,6 +10,8 @@ such rows (the reduced powers' shares, the Newton taps of ``chern``).
 ``_integer`` reads every integer the package's public API takes, by
 ``operator.index`` and the argument's floor, before any memo is read: a float
 hashes like the int it equals, so a warm memo would answer what a cold one refuses.
+It holds every floor of the public API, so an int below one is refused with
+the one message ``need <name> >= <floor>, got <x>``.
 ``_prime`` checks every prime it takes, first, the same way. Each public call
 reads each argument through them once, the warm decision's too: no module
 inlines a copy of either.
@@ -184,9 +186,7 @@ def fp_inv(a: FpScalar) -> FpScalar:
 
 def binom_int(n: int, j: int) -> int:
     """Exact binomial coefficient; 0 outside [0, n]. Negative n is rejected."""
-    n, j = _integer(n, "n"), _integer(j, "j")
-    if n < 0:
-        raise ValueError(f"negative upper argument: {n}")
+    n, j = _integer(n, "n", 0), _integer(j, "j")
     if j < 0 or j > n:
         return 0
     return comb(n, j)
@@ -237,18 +237,14 @@ def _byte_residues(q: int) -> bytes:
 def binom_mod(n: int, j: int, p: Prime) -> FpScalar:
     """binom(n, j) mod p by Lucas' theorem; agrees with binom_int reduced mod p."""
     p = _prime(p)
-    n, j = _integer(n, "n"), _integer(j, "j")
-    if n < 0:
-        raise ValueError(f"negative upper argument: {n}")
+    n, j = _integer(n, "n", 0), _integer(j, "j")
     return FpScalar(_lucas(n, j, p.value), p)
 
 
 def padic_val(m: int, p: Prime) -> int:
     """Largest e with p**e dividing m, for m >= 1."""
     p = _prime(p)
-    m = _integer(m, "m")
-    if m < 1:
-        raise ValueError(f"p-adic valuation needs a positive integer, got {m}")
+    m = _integer(m, "m", 1)
     e = 0
     q = p.value
     while m % q == 0:

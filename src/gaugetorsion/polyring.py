@@ -55,14 +55,6 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 
-def _generator_count(n: int) -> int:
-    """The generator count n of a ring, read by ``fp._integer``; at least one."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError(f"need at least one generator, got n={n}")
-    return n
-
-
 def _unit(n: int, i: int) -> Monomial:
     """Exponent tuple of the i-th of n generators, 1-based."""
     return (0,) * (i - 1) + (1,) + (0,) * (n - i)
@@ -155,14 +147,12 @@ class _ExpPoly(_FpTable):
 
     def __init__(self, n: int, p: Prime, terms: Mapping[Monomial, int] | None = None):
         p = _prime(p)
-        self.n = n = _generator_count(n)
+        self.n = n = _integer(n, "n", 1)
         checked: dict[Monomial, int] = {}
         for mono, c in (terms or {}).items():
             if len(mono) != n:
                 raise ValueError(f"exponent vector {mono} has length {len(mono)}, expected {n}")
-            key = tuple(_integer(e, "exponent") for e in mono)
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {mono}")
+            key = tuple(_integer(e, "exponent", 0) for e in mono)
             checked[key] = _integer(c, "coefficient")
         super().__init__(p, checked)
 
@@ -418,9 +408,7 @@ class UniPoly(_FpTable):
         p = _prime(p)
         checked: dict[int, int] = {}
         for e, c in (coeffs or {}).items():
-            e = _integer(e, "exponent")
-            if e < 0:
-                raise ValueError(f"negative exponent {e}")
+            e = _integer(e, "exponent", 0)
             checked[e] = _integer(c, "coefficient")
         super().__init__(p, checked)
 
@@ -466,7 +454,7 @@ def elementary_sym(n: int, i: int, p: Prime) -> MultiPoly:
     """The i-th elementary symmetric polynomial in n variables; e_0 = 1, e_i = 0 past n.
     The memo is typed: a float equal to an int key misses it and is refused here."""
     p = _prime(p)
-    n, i = _generator_count(n), _integer(i, "i", 0)
+    n, i = _integer(n, "n", 1), _integer(i, "i", 0)
     if i == 0:
         return MultiPoly.one(n, p)
     if i > n:
@@ -481,9 +469,7 @@ def elementary_sym(n: int, i: int, p: Prime) -> MultiPoly:
 def power_sum(n: int, i: int, p: Prime) -> MultiPoly:
     """t1^i + ... + tn^i for i >= 1. The index 0 case is deliberately undefined."""
     p = _prime(p)
-    n, i = _generator_count(n), _integer(i, "i")
-    if i < 1:
-        raise ValueError(f"power sums start at index 1, got {i}")
+    n, i = _integer(n, "n", 1), _integer(i, "i", 1)
     terms = {(0,) * j + (i,) + (0,) * (n - 1 - j): 1 for j in range(n)}
     return MultiPoly._canonical(n, p, terms)
 

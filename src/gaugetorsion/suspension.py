@@ -38,7 +38,7 @@ from typing import Mapping
 
 from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_star
 from .fp import FpScalar, Prime, _integer, _prime, p_power_ceil
-from .matrices import FpMatrix, _companion_row
+from .matrices import FpMatrix, _band_rows, _companion_row
 from .polyring import UniPoly, _FpTable
 
 __all__ = [
@@ -71,9 +71,7 @@ class LinearForm(_FpTable):
         p = _prime(p)
         checked = {0: _integer(const, "constant")}
         for j, c in (coeffs or {}).items():
-            j = _integer(j, "unknown index")
-            if j < 2:
-                raise ValueError(f"unknown index {j} out of range")
+            j = _integer(j, "unknown index", 2)
             checked[j] = _integer(c, "coefficient")
         super().__init__(p, checked)
 
@@ -132,9 +130,7 @@ class GradedForm(_FpTable):
         like = LinearForm(p)
         terms: dict[tuple[int, int], int] = {}
         for e, f in (forms or {}).items():
-            e = _integer(e, "u-exponent")
-            if e < 0:
-                raise ValueError(f"negative u-exponent {e}")
+            e = _integer(e, "u-exponent", 0)
             like._match(f)
             terms.update({(e, j): c for j, c in f.terms.items()})
         super().__init__(p, terms)
@@ -294,17 +290,17 @@ def _derived_row(n: int, p: Prime) -> tuple[tuple[int, int], ...]:
 def derive_recurrence(n: int, p: Prime) -> FpMatrix:
     """Extract the alpha recurrence matrix; requires p dividing n.
 
-    The first row is ``_derived_row``'s taps laid out densely, c_j in column
-    j; the rows below it shift the window by one step.
+    Built as ``companion_matrix`` is: the first row is ``_derived_row``'s
+    taps, already residues mod p, laid out densely with c_j in column j; the
+    rows below it are the band (1, 0), which shifts the window by one step.
+    The rows are built as int tuples and wrapped unchecked.
     """
     p = _prime(p)
     n = _integer(n, "n", 2)
-    rows = [[0] * n for _ in range(n)]
+    first = [0] * n
     for j, c in _derived_row(n, p):
-        rows[0][j - 1] = c
-    for i in range(1, n):
-        rows[i][i - 1] = 1
-    return FpMatrix(p, rows)
+        first[j - 1] = c
+    return FpMatrix._canonical(p, (tuple(first),) + _band_rows(n, (1, 0), 1))
 
 
 def _alpha_walk(n: int, p: Prime, k: int | FpScalar, stop: int) -> list[LinearForm]:

@@ -162,7 +162,22 @@ MUTANTS = [
         "_resolve_alpha(n, p, k)",
         "tests/test_torsion.py",
     ),
+    # The one floor check of every integer argument.
+    Mutant(
+        "_integer lets one below the floor through",
+        "fp.py",
+        "if floor is not None and x < floor:",
+        "if floor is not None and x < floor - 1:",
+        "tests/test_package.py",
+    ),
     # The alpha engine's checks.
+    Mutant(
+        "alpha_init skips the leak check",
+        "suspension.py",
+        "if e != i:",
+        "if False:",
+        "tests/test_suspension.py",
+    ),
     Mutant(
         "_symbolic_alphas skips the companion-row tap check",
         "suspension.py",

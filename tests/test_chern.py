@@ -180,7 +180,7 @@ def test_restricted_power_sum_needs_a_generator(n):
         lift_power_sum(4, n, p)
     with pytest.raises(ValueError) as restricted:
         phi_power_sum(4, n, p)
-    assert str(restricted.value) == str(lifted.value) == f"need at least one generator, got n={n}"
+    assert str(restricted.value) == str(lifted.value) == f"need n >= 1, got {n}"
 
 
 def fill_cold(fill, threads):
@@ -366,6 +366,9 @@ def test_weighted_degree_and_partial():
     assert f.partial(3) == c(n, p, 1)
     sq = c(n, p, 2) * c(n, p, 2)
     assert sq.partial(2) == c(n, p, 2).scale(2)
+    for j in (0, n + 1):
+        with pytest.raises(ValueError, match=f"^generator index {j} out of range 1..3$"):
+            f.partial(j)
 
 
 def test_render_weighted_graded_lex():

@@ -96,6 +96,11 @@ def test_scalar_modulus_mismatch():
         FpScalar(1, Prime(2)) + FpScalar(1, Prime(3))
 
 
+def test_scalar_refuses_an_int_operand():
+    with pytest.raises(TypeError, match="^expected FpScalar, got int$"):
+        FpScalar(1, Prime(3)) + 1
+
+
 def test_scalar_canonical_residue():
     p = Prime(7)
     assert FpScalar(-1, p).residue == 6

@@ -558,6 +558,15 @@ def test_fp_product_errors_keep_their_texts():
         companion_matrix(3).reduce(P2) * companion_matrix(3).reduce(P3)
 
 
+def test_matrix_reprs_and_equality_with_a_non_matrix():
+    b = companion_matrix(3)
+    assert repr(b) == "IntMatrix([[3, -3, 1], [1, 0, 0], [0, 1, 0]])"
+    assert repr(b.reduce(P3)) == "FpMatrix(p=3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])"
+    for m in (b, b.reduce(P3)):
+        assert m.__eq__(b.rows) is NotImplemented
+        assert m != b.rows and not m == 1
+
+
 @pytest.mark.parametrize("n", range(2, 61))
 def test_companion_matrix_equals_validated_rows(n):
     """Each unchecked build (the three builders, the closed form of the

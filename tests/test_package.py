@@ -59,6 +59,14 @@ REFUSED = {
     "elementary_sym n": (lambda x: polyring.elementary_sym(x, 2, P2), 3),
     "elementary_sym i": (lambda x: polyring.elementary_sym(3, x, P2), 2),
     "power_sum n": (lambda x: polyring.power_sum(x, 2, P3), 3),
+    "power_sum i": (lambda x: polyring.power_sum(3, x, P3), 2),
+    "MultiPoly n": (lambda x: polyring.MultiPoly(x, P3), 2),
+    "MultiPoly exponent": (lambda x: polyring.MultiPoly(2, P3, {(x, 0): 1}), 1),
+    "ChernPoly n": (lambda x: chern.ChernPoly(x, P3), 2),
+    "ChernPoly exponent": (lambda x: chern.ChernPoly(2, P3, {(0, x): 1}), 1),
+    "UniPoly exponent": (lambda x: polyring.UniPoly(P3, {x: 1}), 2),
+    "LinearForm unknown index": (lambda x: suspension.LinearForm(P3, 0, {x: 1}), 2),
+    "GradedForm u-exponent": (lambda x: suspension.GradedForm(P3, {x: G2}), 1),
     "MultiPoly.variable generator index": (lambda x: polyring.MultiPoly.variable(2, P3, x), 2),
     "MultiPoly.scale c": (lambda x: T1.scale(x), 2),
     "MultiPoly.__pow__ e": (lambda x: T1**x, 3),
@@ -73,6 +81,9 @@ REFUSED = {
     "verify_newton i": (lambda x: chern.verify_newton(3, x, P3), 1),
     "check_milnor_on_c2 n": (lambda x: steenrod.check_milnor_on_c2(x, P3, 1), 3),
     "check_milnor_on_c2 level": (lambda x: steenrod.check_milnor_on_c2(3, P3, x), 1),
+    "reduced_power i": (lambda x: steenrod.reduced_power(x, T1), 1),
+    "milnor_q_closed level": (lambda x: steenrod.milnor_q_closed(x, T1), 1),
+    "milnor_q_recursive level": (lambda x: steenrod.milnor_q_recursive(x, T1), 1),
     "companion_matrix n": (lambda x: matrices.companion_matrix(x), 4),
     "pascal_matrix n": (lambda x: matrices.pascal_matrix(x), 3),
     "jordan_transpose n": (lambda x: matrices.jordan_transpose(x), 4),
@@ -152,7 +163,9 @@ NOT_PRIME = {
 }
 # Calls with two bad arguments: each public decision reads its arguments in
 # one fixed order, n's type first and its floor after every other argument,
-# so the first error a call raises is fixed too.
+# so the first error a call raises is fixed too. Elsewhere an argument's floor
+# is read with its type: binom_int's n before j, and the exponents of a
+# monomial in turn.
 FIRST_ERROR = {
     "decide_p k before n's floor": (
         lambda: torsion.decide_p(1, 1.5, P3),
@@ -189,8 +202,66 @@ FIRST_ERROR = {
         ValueError,
         FOREIGN_RESIDUE,
     ),
+    "binom_int n's floor before j's type": (
+        lambda: fp.binom_int(-1, 1.5),
+        ValueError,
+        "need n >= 0, got -1",
+    ),
+    "MultiPoly a negative exponent before a non-integer one": (
+        lambda: polyring.MultiPoly(2, P3, {(-1, 1.5): 1}),
+        ValueError,
+        "need exponent >= 0, got -1",
+    ),
 }
 RAISES = {**FOREIGN, **FIRST_ERROR}
+# Every integer argument of the public API that has a floor, by its REFUSED
+# case: one less than the floor is refused by ``fp._integer``'s one message,
+# cold and again after the call with the case's int has warmed the memos.
+BELOW_FLOOR = {
+    "binom_int n": 0,
+    "binom_mod n": 0,
+    "padic_val m": 1,
+    "p_power_ceil n": 2,
+    "MultiPoly n": 1,
+    "MultiPoly exponent": 0,
+    "ChernPoly n": 1,
+    "ChernPoly exponent": 0,
+    "UniPoly exponent": 0,
+    "elementary_sym n": 1,
+    "elementary_sym i": 0,
+    "power_sum n": 1,
+    "power_sum i": 1,
+    "lift_power_sum m": 1,
+    "lift_power_sum n": 1,
+    "phi_power_sum m": 1,
+    "phi_power_sum n": 1,
+    "verify_newton n": 2,
+    "verify_newton i": 0,
+    "reduced_power i": 0,
+    "milnor_q_closed level": 1,
+    "milnor_q_recursive level": 1,
+    "check_milnor_on_c2 n": 2,
+    "check_milnor_on_c2 level": 1,
+    "LinearForm unknown index": 2,
+    "GradedForm u-exponent": 0,
+    "alpha_init n": 2,
+    "alpha_at i": 0,
+    "derive_recurrence n": 2,
+    "solve_alpha_p n": 2,
+    "decide_p n": 2,
+    "decide_global n": 2,
+    "companion_matrix n": 2,
+    "pascal_matrix n": 2,
+    "jordan_transpose n": 2,
+    "verify_conjugation n": 2,
+    "verify_p_power_order n": 2,
+    "order_mod_p bound": 1,
+    "order_brute bound": 1,
+    "IntMatrix.identity n": 2,
+    "FpMatrix.identity n": 2,
+    "IntMatrix.entry i": 1,
+    "FpMatrix.entry j": 1,
+}
 MEMOS = [f for layer in LAYERS for f in vars(layer).values() if hasattr(f, "cache_clear")]
 
 
@@ -209,6 +280,19 @@ def test_public_api_refuses_foreign_arguments(case):
         for bad in (float(good), 1.5, str(good)):
             with pytest.raises(TypeError, match=f"^{re.escape(NOT_INTEGER.format(name, bad))}$"):
                 call(bad)
+        call(good)
+
+
+@pytest.mark.parametrize("case", BELOW_FLOOR)
+def test_public_api_refuses_an_integer_below_its_floor(case):
+    call, good = REFUSED[case]
+    name, floor = case.split(" ", 1)[1], BELOW_FLOOR[case]
+    message = f"need {name} >= {floor}, got {floor - 1}"
+    for memo in MEMOS:
+        memo.cache_clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(floor - 1)
         call(good)
 
 

@@ -147,6 +147,16 @@ def test_additive_examples():
     assert (t1 + t2).terms == {(1, 0): 1, (0, 1): 1}
 
 
+def test_reprs_name_the_ring():
+    p = Prime(3)
+    assert repr(MultiPoly(2, p, {(1, 0): 1, (0, 2): 2})) == "MultiPoly(n=2, p=3, t1 + 2*t2^2)"
+    assert repr(ChernPoly(2, p, {(1, 0): 1, (0, 2): 2})) == "ChernPoly(n=2, p=3, c1 + 2*c2^2)"
+    assert repr(UniPoly(p, {0: 1, 2: 2})) == "UniPoly(p=3, 1 + 2*u^2)"
+    zero = UniPoly.zero(p)
+    assert zero.is_zero() and zero == UniPoly(p, {1: 3})
+    assert str(zero) == "0" and repr(zero) == "UniPoly(p=3, 0)"
+
+
 def test_multiplicative_examples():
     p2 = Prime(2)
     t1 = MultiPoly.variable(2, p2, 1)

@@ -9,6 +9,7 @@ from gaugetorsion import (
     FpScalar,
     GradedForm,
     LinearForm,
+    MechanizationError,
     Prime,
     UniPoly,
     alpha_at,
@@ -22,6 +23,7 @@ from gaugetorsion import (
     phi_star,
     solve_alpha_p,
 )
+from gaugetorsion import suspension
 from tests.conftest import PRIMES_235
 from tests.test_chern import st_chern
 
@@ -51,6 +53,12 @@ def test_linear_form_arithmetic():
     assert (a + b).coeffs == {4: 1}  # 2 + 3 = 5 = 0 mod 5
     assert a.substitute(2, 3).const == (1 + 6) % 5
     assert (-a).const == 4 and (-a).coeffs == {2: 3}
+
+
+def test_linear_form_repr_and_an_absent_unknown():
+    f = LinearForm(P3, 1, {2: 2, 3: 1})
+    assert repr(f) == "LinearForm(1 + 2*g2 + g3 mod 3)"
+    assert f.substitute(4, 1) is f  # g4 is not in the form
 
 
 def test_graded_form_prunes_zero_layers():
@@ -155,6 +163,17 @@ def test_alpha_window_ordering():
     assert len(av) == 4
     with pytest.raises(ValueError):
         av.alpha(4)
+
+
+def test_alpha_init_refuses_a_leaked_degree(monkeypatch):
+    # Dk of the power sum S_2 belongs in degree 1; plant an image in degree 9.
+    monkeypatch.setattr(
+        suspension, "apply_suspension", lambda poly, k: GradedForm(P2, {9: LinearForm(P2, 1)})
+    )
+    with pytest.raises(
+        MechanizationError, match="^suspension of power sum 2 leaked into degree 9$"
+    ):
+        alpha_init(2, P2, 1)
 
 
 # -- the derived recurrence ---------------------------------------------------------
