@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .fp import Prime, _integer, _lucas, _lucas_row, _prime
+from .fp import Prime, _expect, _integer, _lucas, _lucas_row, _prime
 from .polyring import MultiPoly, UniPoly, _ExpPoly, _PackedSum
 
 __all__ = [
@@ -63,9 +63,7 @@ class ChernPoly(_ExpPoly):
 
     def partial(self, j: int) -> "ChernPoly":
         """Formal partial derivative with respect to cj, 1-based."""
-        j = _integer(j, "generator index")
-        if not 1 <= j <= self.n:
-            raise ValueError(f"generator index {j} out of range 1..{self.n}")
+        j = _integer(j, "generator index", 1, self.n)
         acc: dict[Exponents, int] = {}
         for mono, c in self.terms.items():
             e = mono[j - 1]
@@ -86,7 +84,7 @@ def iota_star(poly: ChernPoly) -> MultiPoly:
     together, and the last is multiplied straight into the sum, which is
     reduced mod p once at the end.
     """
-    n, p = poly.n, poly.p
+    n, p = _expect(poly, ChernPoly).n, poly.p
     acc = _PackedSum(n, p, max(map(sum, poly.terms), default=0))
     one = {0: 1}  # key 0 is the monomial 1
     for mono, c in poly.terms.items():
@@ -97,7 +95,7 @@ def iota_star(poly: ChernPoly) -> MultiPoly:
 
 def phi_star(poly: ChernPoly) -> UniPoly:
     """Restriction to F_p[u]: cj -> binom(n, j) u^j, extended multiplicatively."""
-    n, q = poly.n, poly.p.value
+    n, q = _expect(poly, ChernPoly).n, poly.p.value
     acc: dict[int, int] = {}
     for mono, c in poly.terms.items():
         coeff = c

@@ -8,13 +8,16 @@ every nonzero binom(e, a) mod p with a up to a cut, the one enumerator of
 such rows (the reduced powers' shares, the Newton taps of ``chern``).
 
 ``_integer`` reads every integer the package's public API takes, by
-``operator.index`` and the argument's floor, before any memo is read: a float
+``operator.index`` and the argument's range, before any memo is read: a float
 hashes like the int it equals, so a warm memo would answer what a cold one refuses.
-It holds every floor of the public API, so an int below one is refused with
-the one message ``need <name> >= <floor>, got <x>``.
-``_prime`` checks every prime it takes, first, the same way. Each public call
-reads each argument through them once, the warm decision's too: no module
-inlines a copy of either.
+It holds every floor and ceiling of the public API, so an int outside one is
+refused with the one message ``need <name> >= <floor>, got <x>`` or
+``need <name> <= <top>, got <x>``.
+``_prime`` checks every prime it takes, first, the same way, and ``_expect``
+every element (a scalar, a polynomial, a form or a matrix): its class, and,
+where a ring operation needs it, its ``_ring()``. Each public call reads each
+argument through them once, the warm decision's too: no module inlines a copy
+of any of them.
 """
 
 from __future__ import annotations
@@ -104,22 +107,19 @@ class FpScalar:
         q = _prime(self.modulus).value
         object.__setattr__(self, "residue", _integer(self.residue, "residue") % q)
 
-    def _match(self, other: "FpScalar") -> None:
-        if not isinstance(other, FpScalar):
-            raise TypeError(f"expected FpScalar, got {type(other).__name__}")
-        if self.modulus != other.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
+    def _ring(self) -> tuple:
+        return (self.modulus,)
 
     def __add__(self, other: "FpScalar") -> "FpScalar":
-        self._match(other)
+        _expect(other, FpScalar, self._ring())
         return FpScalar(self.residue + other.residue, self.modulus)
 
     def __sub__(self, other: "FpScalar") -> "FpScalar":
-        self._match(other)
+        _expect(other, FpScalar, self._ring())
         return FpScalar(self.residue - other.residue, self.modulus)
 
     def __mul__(self, other: "FpScalar") -> "FpScalar":
-        self._match(other)
+        _expect(other, FpScalar, self._ring())
         return FpScalar(self.residue * other.residue, self.modulus)
 
     def __neg__(self) -> "FpScalar":
@@ -135,18 +135,33 @@ class FpScalar:
         return f"{self.residue} (mod {self.modulus})"
 
 
-def _integer(x: object, name: str, floor: int | None = None) -> int:
+def _integer(x: object, name: str, floor: int | None = None, top: int | None = None) -> int:
     """x as an int by ``operator.index``, the one reader of every integer
     argument of the public API, called before any memo is read: a float or a
     numeric string is refused, never rounded or parsed, by a ``TypeError``
-    that names the value, and an int below ``floor``, if given, by
-    ``ValueError("need <name> >= <floor>, got <x>")``."""
+    that names the value, and an int below ``floor`` or above ``top``, each if
+    given, by ``ValueError("need <name> >= <floor>, got <x>")`` or ``<= <top>``."""
     try:
         x = index(x)
     except TypeError:
         raise TypeError(f"{name} is not an integer: {x!r}") from None
     if floor is not None and x < floor:
         raise ValueError(f"need {name} >= {floor}, got {x}")
+    if top is not None and x > top:
+        raise ValueError(f"need {name} <= {top}, got {x}")
+    return x
+
+
+def _expect(x: object, cls: type, ring: tuple | None = None):
+    """x if it is a ``cls`` over ``ring``: the one check of every element
+    argument, a ring operation's other operand included. Another class raises
+    ``TypeError("expected <cls>, got <class of x>")``, and a ``_ring()`` other than
+    ``ring``, if given, ``ValueError("<cls> ring mismatch: <ring> vs <x's>")``."""
+    if not isinstance(x, cls):
+        raise TypeError(f"expected {cls.__name__}, got {type(x).__name__}")
+    if ring is not None and x._ring() != ring:
+        mine, theirs = (", ".join(map(str, r)) for r in (ring, x._ring()))
+        raise ValueError(f"{cls.__name__} ring mismatch: {mine} vs {theirs}")
     return x
 
 
@@ -178,6 +193,7 @@ def _power(x, e: int, one: Callable, negative: str):
 
 def fp_inv(a: FpScalar) -> FpScalar:
     """Multiplicative inverse via Fermat's little theorem. Zero is rejected."""
+    _expect(a, FpScalar)
     if a.residue == 0:
         raise ZeroDivisionError(f"0 has no inverse mod {a.modulus}")
     p = a.modulus.value

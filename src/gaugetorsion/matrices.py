@@ -13,9 +13,10 @@ Rows that are a band of constants ending on the diagonal (the companion
 matrix's subdiagonal ones, the Jordan transpose, the identity) all come from
 one band-row builder, ``_band_rows``, each row a slice of one template.
 ``IntMatrix`` and ``FpMatrix`` share one private core, ``_Matrix``: n, the
-rows and ``_ring()``, with one copy of identity, equality, entries, text,
-repr and ``to_json``. Each class keeps its own arithmetic and its
-``_json_rows``, so this module alone decides the JSON entry format.
+rows and ``_ring()``, by which ``fp._expect`` checks a product's factors,
+with one copy of identity, equality, entries, text, repr and ``to_json``.
+Each class keeps its own arithmetic and its ``_json_rows``, so this module
+alone decides the JSON entry format.
 
 ``verify_conjugation`` checks, over the integers, that the Pascal matrix
 conjugates the companion matrix into the Jordan transpose, including the
@@ -53,7 +54,7 @@ from math import comb
 from operator import index, mul, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .fp import Prime, _byte_residues, _integer, _power, _prime, p_power_ceil
+from .fp import Prime, _byte_residues, _expect, _integer, _power, _prime, p_power_ceil
 
 _Rows = tuple[tuple[int, ...], ...]
 
@@ -82,13 +83,6 @@ def _render(m: "_Matrix") -> Iterator[str]:
     width = max(len(str(min(map(min, m.rows)))), len(str(max(map(max, m.rows)))))
     for row in m.rows:
         yield "[" + " ".join([s.rjust(width) for s in map(str, row)]) + "]"
-
-
-def _expect(cls: type, m: object) -> None:
-    """The one class check of a matrix argument, the products' other factor
-    among them: ``TypeError("expected <cls>, got <class of m>")``."""
-    if not isinstance(m, cls):
-        raise TypeError(f"expected {cls.__name__}, got {type(m).__name__}")
 
 
 def _square_rows(
@@ -128,14 +122,14 @@ def _accumulate(acc: list[int], coefficients: Iterable[int], nonzeros: Sequence)
 class _Matrix:
     """The shared core of the two matrix classes, as ``polyring._FpTable`` is of
     the sparse rings: ``n``, ``rows`` (a square tuple of int tuples) and
-    ``_ring()``, the rest of what two equal matrices share: ``()`` exact,
-    ``(p,)`` mod p. Each class keeps its own arithmetic and ``_json_rows``, the
-    entries ``to_json`` writes."""
+    ``_ring()``, what two factors of a product share: ``(n,)`` exact,
+    ``(n, p)`` mod p. Each class keeps its own arithmetic and ``_json_rows``,
+    the entries ``to_json`` writes."""
 
     __slots__ = ("n", "rows")
 
     def _ring(self) -> tuple:
-        return ()
+        return (self.n,)
 
     @classmethod
     def identity(cls, n: int, *ring):
@@ -164,7 +158,7 @@ class _Matrix:
     __str__ = render
 
     def __repr__(self) -> str:
-        ring = "".join(f"p={p}, " for p in self._ring())
+        ring = "".join(f"p={p}, " for p in self._ring()[1:])
         return f"{type(self).__name__}({ring}{[list(r) for r in self.rows]})"
 
     def to_json(self) -> str:
@@ -195,10 +189,8 @@ class IntMatrix(_Matrix):
         a_ik times row k of ``other``, listed once as its nonzero pairs: one
         multiply-add per pair of nonzeros that meet, not n^3.
         """
-        _expect(IntMatrix, other)
+        _expect(other, IntMatrix, self._ring())
         n = self.n
-        if n != other.n:
-            raise ValueError(f"dimension mismatch: {n} vs {other.n}")
         nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
         return IntMatrix._canonical(
             tuple([tuple(_accumulate([0] * n, row, nonzeros)) for row in self.rows])
@@ -352,7 +344,7 @@ class FpMatrix(_Matrix):
         return m
 
     def _ring(self) -> tuple:
-        return (self.p,)
+        return (self.n, self.p)
 
     def __mul__(self, other: "FpMatrix") -> "FpMatrix":
         """Product by Kronecker substitution on the rows of ``other``.
@@ -363,9 +355,7 @@ class FpMatrix(_Matrix):
         hold at most n (p-1)^2 and never carry; the layout's reducer turns
         these sums into the product's rows and, unless wide, its packed rows.
         """
-        _expect(FpMatrix, other)
-        if self.n != other.n or self.p != other.p:
-            raise ValueError("matrix shape or modulus mismatch")
+        _expect(other, FpMatrix, self._ring())
         pack, reduce = _layout(self.n, self.p.value)
         packed = other._packed
         if not packed:
@@ -458,7 +448,7 @@ def unitriangular_inverse(m: IntMatrix) -> IntMatrix:
     and above it in a lower one. Rows are solved in that order through the
     product's row accumulator; a row not yet solved has no nonzeros listed.
     """
-    _expect(IntMatrix, m)
+    _expect(m, IntMatrix)
     upper = m.is_upper_unitriangular()
     if not (upper or m.is_lower_unitriangular()):
         raise ValueError("matrix is not unitriangular")
@@ -482,7 +472,7 @@ def order_mod_p(m: FpMatrix, bound: int) -> int:
     tells the two failures apart: ValueError for a singular matrix, otherwise
     OrderBoundExceeded, as the order is not a p-power at or below the bound.
     """
-    _expect(FpMatrix, m)
+    _expect(m, FpMatrix)
     bound = _integer(bound, "bound", 1)
     q = m.p.value
     power, e = m, 1  # power = m^e, e = p^k
@@ -500,7 +490,7 @@ def order_mod_p(m: FpMatrix, bound: int) -> int:
 
 def order_brute(m: FpMatrix, bound: int) -> int:
     """Order by plain repeated multiplication, the independent oracle."""
-    _expect(FpMatrix, m)
+    _expect(m, FpMatrix)
     bound = _integer(bound, "bound", 1)
     acc = m
     for e in range(1, bound + 1):

@@ -40,7 +40,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .fp import Prime, _byte_residues, _integer, _power, _prime
+from .fp import Prime, _byte_residues, _expect, _integer, _power, _prime
 
 __all__ = [
     "Monomial",
@@ -65,10 +65,10 @@ class _FpTable:
 
     The shared core of the sparse rings: ``terms`` is in canonical form
     (every value reduced mod p, no zero values), and two tables combine only
-    when they have the same exact type and the same ``_ring()``, so distinct
-    rings never mix even though they share this code. Subclasses validate
-    outside input in their public constructors; results of ring operations
-    go through the unchecked ``_canonical``/``_like`` path instead.
+    when ``fp._expect`` finds the same type and the same ``_ring()``, so
+    distinct rings never mix even though they share this code. Subclasses
+    validate outside input in their public constructors; results of ring
+    operations go through the unchecked ``_canonical``/``_like`` path instead.
     """
 
     __slots__ = ("p", "terms")
@@ -92,15 +92,8 @@ class _FpTable:
         """Element of self's ring from raw integer values under valid keys, unchecked."""
         return self._canonical(*self._ring(), terms)
 
-    def _match(self, other: "_FpTable") -> None:
-        if type(other) is not type(self):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if self._ring() != other._ring():
-            mine, theirs = (", ".join(map(str, x._ring())) for x in (self, other))
-            raise ValueError(f"{type(self).__name__} ring mismatch: {mine} vs {theirs}")
-
     def __add__(self, other):
-        self._match(other)
+        _expect(other, type(self), self._ring())
         acc = dict(self.terms)
         for key, c in other.terms.items():
             acc[key] = acc.get(key, 0) + c
@@ -179,16 +172,14 @@ class _ExpPoly(_FpTable):
 
     @classmethod
     def _generator(cls, n: int, p: Prime, i: int):
-        n, i = _integer(n, "n"), _integer(i, "generator index")
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} out of range 1..{n}")
-        return cls(n, p, {_unit(n, i): 1})
+        n = _integer(n, "n", 1)
+        return cls(n, p, {_unit(n, _integer(i, "generator index", 1, n)): 1})
 
     def _mul(self, other):
         # Bound as each ring's own ``__mul__``, where the benchmark's tracer wraps it.
         # A one-off product unpacks every term it makes, so it keeps tuple keys;
         # long sums of products go through ``_PackedSum`` instead.
-        self._match(other)
+        _expect(other, type(self), self._ring())
         acc: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -429,7 +420,7 @@ class UniPoly(_FpTable):
         return cls(p, {e: c})
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        self._match(other)  # a u-exponent is a packed key of one slot
+        _expect(other, UniPoly, self._ring())  # a u-exponent is a packed key of one slot
         return self._like(_mac({}, self.terms, other.terms, 1))
 
     def coefficient(self, e: int) -> int:
@@ -476,7 +467,7 @@ def power_sum(n: int, i: int, p: Prime) -> MultiPoly:
 
 def is_symmetric(f: MultiPoly) -> bool:
     """True iff f is fixed by every adjacent transposition of variables."""
-    for k in range(f.n - 1):
+    for k in range(_expect(f, MultiPoly).n - 1):
         swapped: dict[Monomial, int] = {}
         for mono, c in f.terms.items():
             m = list(mono)
@@ -490,7 +481,7 @@ def is_symmetric(f: MultiPoly) -> bool:
 def diagonal_eval(f: MultiPoly) -> UniPoly:
     """Image of f under the diagonal substitution ti -> u for every i."""
     acc: dict[int, int] = {}
-    for mono, c in f.terms.items():
+    for mono, c in _expect(f, MultiPoly).terms.items():
         d = sum(mono)
         acc[d] = acc.get(d, 0) + c
     return UniPoly._canonical(f.p, acc)

@@ -55,7 +55,7 @@ from functools import lru_cache
 from itertools import compress, count
 from typing import Callable, Mapping, Sequence
 
-from .fp import Prime, _integer, _lucas_row, _prime, p_power_ceil
+from .fp import Prime, _expect, _integer, _lucas_row, _prime, p_power_ceil
 from .polyring import Monomial, MultiPoly, _PackedSum, elementary_sym, power_sum
 
 __all__ = [
@@ -140,6 +140,7 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
     the slots of the one packed walk.
     """
     i = _integer(i, "i", 0)
+    _expect(f, MultiPoly)
     if i == 0:
         return f
     acc = _PackedSum(f.n, f.p, _top_exponent(f) + i * (f.p.value - 1))
@@ -150,7 +151,7 @@ def reduced_power(i: int, f: MultiPoly) -> MultiPoly:
 def milnor_q_closed(level: int, f: MultiPoly) -> MultiPoly:
     """Q_level(f) as a derivation: Q(ti) = ti^(p^level), extended by Leibniz."""
     level = _integer(level, "level", 1)
-    q = f.p.value**level
+    q = _expect(f, MultiPoly).p.value**level
     acc: dict[Monomial, int] = {}
     for mono, c in f.terms.items():
         for j, e in enumerate(mono):
@@ -199,7 +200,7 @@ def milnor_q_recursive(level: int, f: MultiPoly) -> MultiPoly:
     mod p^level, shifted to the shape's first slot, to its own key.
     """
     level = _integer(level, "level", 1)
-    q = f.p.value**level
+    q = _expect(f, MultiPoly).p.value**level
     acc = _PackedSum(f.n, f.p, _top_exponent(f) + q - 1)
     acc.terms = _walk(acc, q, _shape_plan, level, acc.pack(f.terms))
     return acc.result()

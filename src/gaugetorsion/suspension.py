@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .chern import ChernPoly, _newton_taps, lift_power_sum, phi_star
-from .fp import FpScalar, Prime, _integer, _prime, p_power_ceil
+from .fp import FpScalar, Prime, _expect, _integer, _prime, p_power_ceil
 from .matrices import FpMatrix, _band_rows, _companion_row
 from .polyring import UniPoly, _FpTable
 
@@ -127,11 +127,11 @@ class GradedForm(_FpTable):
     __slots__ = ()
 
     def __init__(self, p: Prime, forms: Mapping[int, LinearForm] | None = None):
-        like = LinearForm(p)
+        p = _prime(p)
         terms: dict[tuple[int, int], int] = {}
         for e, f in (forms or {}).items():
             e = _integer(e, "u-exponent", 0)
-            like._match(f)
+            _expect(f, LinearForm, (p,))
             terms.update({(e, j): c for j, c in f.terms.items()})
         super().__init__(p, terms)
 
@@ -148,7 +148,7 @@ class GradedForm(_FpTable):
 
     def mul_uni(self, u: UniPoly) -> "GradedForm":
         """Multiply by a known element of F_p[u]."""
-        UniPoly(self.p)._match(u)
+        _expect(u, UniPoly, self._ring())
         acc: dict[tuple[int, int], int] = {}
         for (e1, j), c1 in self.terms.items():
             for e2, c2 in u.terms.items():
@@ -181,10 +181,8 @@ class AlphaVector:
 
     def alpha(self, i: int) -> LinearForm:
         """alpha_i for 0 <= i < n."""
-        i, n = _integer(i, "i"), len(self.entries)
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} outside window 0..{n - 1}")
-        return self.entries[n - 1 - i]
+        n = len(self.entries)
+        return self.entries[n - 1 - _integer(i, "i", 0, n - 1)]
 
 
 @dataclass(frozen=True)
@@ -218,10 +216,14 @@ def _k_value(k: int | FpScalar, p: Prime) -> int:
     ``FpScalar`` whose modulus is p by its residue; a scalar over another
     prime raises ValueError, and anything else TypeError."""
     if isinstance(k, FpScalar):
-        if k.modulus != p:
-            raise ValueError(f"k is a residue mod {k.modulus}, not mod {p}")
-        return k.residue
+        return _expect(k, FpScalar, (p,)).residue
     return _integer(k, "k")
+
+
+def _need_p_divides(n: int, p: Prime) -> None:
+    """The one check that p divides n, which the alpha recurrence needs."""
+    if n % p.value:
+        raise ValueError(f"need p | n, got n={n}, p={p}")
 
 
 def apply_suspension(poly: ChernPoly, k: int | FpScalar) -> GradedForm:
@@ -230,7 +232,7 @@ def apply_suspension(poly: ChernPoly, k: int | FpScalar) -> GradedForm:
     Expands by the Leibniz rule through formal partials:
     Dk(P) = sum_j phi(dP/dcj) * gj * u^(j-1), with g1 = k known.
     """
-    k = _k_value(k, poly.p)
+    k = _k_value(k, _expect(poly, ChernPoly).p)
     out: dict[tuple[int, int], int] = {}
     for j in range(1, poly.n + 1):
         # Dk(c1) = k lands in the constant slot 0, Dk(cj) = gj in slot j.
@@ -276,8 +278,7 @@ def _derived_row(n: int, p: Prime) -> tuple[tuple[int, int], ...]:
     whose nonzero entries are the mod-p Newton taps c_j of ``_newton_taps``.
     The remaining rows of the recurrence matrix just shift the window.
     """
-    if n % p.value != 0:
-        raise ValueError(f"recurrence needs p | n, got n={n}, p={p}")
+    _need_p_divides(n, p)
     taps = _newton_taps(n, p.value)
     for j, c in taps:
         if j * c % p.value:
@@ -322,8 +323,7 @@ def alpha_at(i: int, n: int, p: Prime, k: int | FpScalar) -> LinearForm:
     """alpha_i as a linear form; the window below n, the recurrence above it."""
     p = _prime(p)
     i, n, k = _integer(i, "i", 0), _integer(n, "n"), _k_value(k, p)
-    if n % p.value != 0:
-        raise ValueError(f"alpha recurrence needs p | n, got n={n}, p={p}")
+    _need_p_divides(n, p)
     return _alpha_walk(n, p, k, i)[i]
 
 
@@ -399,10 +399,8 @@ def solve_alpha_p(n: int, p: Prime, k: int | FpScalar) -> AlphaSolution:
     p = _prime(p)
     n, k = _integer(n, "n"), _k_value(k, p)
     n = _integer(n, "n", 2)
-    q = p.value
-    if n % q != 0:
-        raise ValueError(f"alpha resolution needs p | n, got n={n}, p={p}")
-    return _resolve_alpha(n, p, k % q)
+    _need_p_divides(n, p)
+    return _resolve_alpha(n, p, k % p.value)
 
 
 @lru_cache(maxsize=4096)

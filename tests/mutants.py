@@ -11,9 +11,12 @@ is copied to a temporary directory, the replacement is made in the copy, and
 ``python -m pytest -x`` runs the test file that should kill it with the copy
 first on PYTHONPATH. A mutant is killed when pytest reports a failed test
 (exit 1); any other exit (0, or 2 for a copy that no longer imports) is a
-survivor. The equivalent mutants in EQUIVALENT change no behavior the tests
-can see; they are not run, but their text is still checked, so the table
-cannot go stale. Exits 0 when every listed mutant is killed, else 1.
+survivor. Each run is stopped after TIMEOUT seconds, and a mutant whose run
+is stopped, one that makes a loop endless, say, is reported as
+``TIMED OUT (<s> s): <name>`` and counted as a survivor: a hang never counts
+as a kill, and it cannot stall the runner. The equivalent mutants in
+EQUIVALENT change no behavior the tests can see; they are not run, but their
+text is still checked, so the table cannot go stale. Exits 0 when every listed mutant is killed, else 1.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120  # seconds per mutant's pytest run; the slowest kill takes about 10
 
 
 class Mutant(NamedTuple):
@@ -116,7 +120,7 @@ MUTANTS = [
         "return True, order",
         "tests/test_cli.py",
     ),
-    # Matrix equality and the class check of a matrix argument.
+    # Matrix equality and the one check of an element argument.
     Mutant(
         "matrix equality ignores the modulus",
         "matrices.py",
@@ -127,8 +131,15 @@ MUTANTS = [
     Mutant(
         "order_mod_p takes an IntMatrix",
         "matrices.py",
-        '    _expect(FpMatrix, m)\n    bound = _integer(bound, "bound", 1)\n    q = m.p.value',
+        '    _expect(m, FpMatrix)\n    bound = _integer(bound, "bound", 1)\n    q = m.p.value',
         '    bound = _integer(bound, "bound", 1)\n    q = m.p.value',
+        "tests/test_package.py",
+    ),
+    Mutant(
+        "_expect skips the ring comparison",
+        "fp.py",
+        "if ring is not None and x._ring() != ring:",
+        "if False:",
         "tests/test_package.py",
     ),
     # The decision's own checks: the two routes, the gcd criterion, the
@@ -162,12 +173,26 @@ MUTANTS = [
         "_resolve_alpha(n, p, k)",
         "tests/test_torsion.py",
     ),
-    # The one floor check of every integer argument.
+    # The one range check of every integer argument, and the one p | n check.
     Mutant(
         "_integer lets one below the floor through",
         "fp.py",
         "if floor is not None and x < floor:",
         "if floor is not None and x < floor - 1:",
+        "tests/test_package.py",
+    ),
+    Mutant(
+        "_integer lets one above the ceiling through",
+        "fp.py",
+        "if top is not None and x > top:",
+        "if top is not None and x > top + 1:",
+        "tests/test_package.py",
+    ),
+    Mutant(
+        "_need_p_divides lets every n through",
+        "suspension.py",
+        "    if n % p.value:\n        raise ValueError",
+        "    if False:\n        raise ValueError",
         "tests/test_package.py",
     ),
     # The alpha engine's checks.
@@ -259,7 +284,8 @@ def mutated(mutant: Mutant) -> str:
     return text.replace(mutant.text, mutant.replacement)
 
 
-def killed(mutant: Mutant) -> bool:
+def run(mutant: Mutant) -> str:
+    """"killed", "SURVIVED", or "TIMED OUT" if pytest ran past TIMEOUT seconds."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -267,8 +293,11 @@ def killed(mutant: Mutant) -> bool:
         path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "PYTHONDONTWRITEBYTECODE": "1"}
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", mutant.tests]
-        run = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
-    return run.returncode == 1
+        try:
+            done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "TIMED OUT"
+    return "killed" if done.returncode == 1 else "SURVIVED"
 
 
 def main(names: list[str]) -> int:
@@ -284,10 +313,10 @@ def main(names: list[str]) -> int:
         if names and mutant.name not in names:
             continue
         start = time.perf_counter()
-        ok = killed(mutant)
+        outcome = run(mutant)
         took = time.perf_counter() - start
-        print(f"{'killed' if ok else 'SURVIVED'} ({took:.1f} s): {mutant.name} [{mutant.tests}]")
-        if not ok:
+        print(f"{outcome} ({took:.1f} s): {mutant.name} [{mutant.tests}]", flush=True)
+        if outcome != "killed":
             survivors.append(mutant.name)
     for mutant, reason in EQUIVALENT:
         if not names or mutant.name in names:

@@ -366,8 +366,8 @@ def test_weighted_degree_and_partial():
     assert f.partial(3) == c(n, p, 1)
     sq = c(n, p, 2) * c(n, p, 2)
     assert sq.partial(2) == c(n, p, 2).scale(2)
-    for j in (0, n + 1):
-        with pytest.raises(ValueError, match=f"^generator index {j} out of range 1..3$"):
+    for j, bound in ((0, ">= 1"), (n + 1, "<= 3")):
+        with pytest.raises(ValueError, match=f"^need generator index {bound}, got {j}$"):
             f.partial(j)
 
 

@@ -545,16 +545,16 @@ def test_builder_products_match_triple_loop():
 def test_int_product_errors_keep_their_texts():
     with pytest.raises(TypeError, match="^expected IntMatrix, got FpMatrix$"):
         companion_matrix(3) * companion_matrix(3).reduce(P2)
-    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+    with pytest.raises(ValueError, match="^IntMatrix ring mismatch: 2 vs 3$"):
         companion_matrix(2) * companion_matrix(3)
 
 
 def test_fp_product_errors_keep_their_texts():
     with pytest.raises(TypeError, match="^expected FpMatrix, got IntMatrix$"):
         companion_matrix(3).reduce(P2) * companion_matrix(3)
-    with pytest.raises(ValueError, match="^matrix shape or modulus mismatch$"):
+    with pytest.raises(ValueError, match="^FpMatrix ring mismatch: 2, 2 vs 3, 2$"):
         companion_matrix(2).reduce(P2) * companion_matrix(3).reduce(P2)
-    with pytest.raises(ValueError, match="^matrix shape or modulus mismatch$"):
+    with pytest.raises(ValueError, match="^FpMatrix ring mismatch: 3, 2 vs 3, 3$"):
         companion_matrix(3).reduce(P2) * companion_matrix(3).reduce(P3)
 
 

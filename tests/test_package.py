@@ -67,10 +67,12 @@ REFUSED = {
     "UniPoly exponent": (lambda x: polyring.UniPoly(P3, {x: 1}), 2),
     "LinearForm unknown index": (lambda x: suspension.LinearForm(P3, 0, {x: 1}), 2),
     "GradedForm u-exponent": (lambda x: suspension.GradedForm(P3, {x: G2}), 1),
+    "MultiPoly.variable n": (lambda x: polyring.MultiPoly.variable(x, P3, 1), 2),
     "MultiPoly.variable generator index": (lambda x: polyring.MultiPoly.variable(2, P3, x), 2),
     "MultiPoly.scale c": (lambda x: T1.scale(x), 2),
     "MultiPoly.__pow__ e": (lambda x: T1**x, 3),
     "UniPoly.coefficient e": (lambda x: polyring.UniPoly.monomial(P3, 2).coefficient(x), 2),
+    "ChernPoly.generator n": (lambda x: chern.ChernPoly.generator(x, P3, 1), 3),
     "ChernPoly.generator generator index": (lambda x: chern.ChernPoly.generator(3, P3, x), 2),
     "ChernPoly.partial generator index": (lambda x: C1.partial(x), 1),
     "lift_power_sum m": (lambda x: chern.lift_power_sum(x, 4, P2), 2),
@@ -99,8 +101,14 @@ REFUSED = {
 }
 # Arguments that are not integers: the prime of a decision, k as a residue
 # over another prime, and a matrix of the other class, which once failed with
-# an AttributeError from deep inside.
-FOREIGN_RESIDUE = "k is a residue mod 5, not mod 3"
+# an AttributeError from deep inside. An element of the other polynomial ring
+# (an int for fp_inv) is refused by ``fp._expect``: nine entry points once
+# took it unchecked, and either answered in the wrong ring (reduced_power at
+# i = 0 returned it unchanged, phi_star read t1*t2 as 2*u^3) or failed with an
+# AttributeError from deep inside.
+FOREIGN_RESIDUE = "FpScalar ring mismatch: 3 vs 5"
+TORUS_NOT_CHERN = "expected MultiPoly, got ChernPoly"
+CHERN_NOT_TORUS = "expected ChernPoly, got MultiPoly"
 FOREIGN = {
     "decide_p p": (lambda: torsion.decide_p(6, 3, 3), TypeError, "p is not a Prime: 3"),
     "solve_alpha_p k mod 5": (
@@ -128,6 +136,32 @@ FOREIGN = {
         TypeError,
         "expected IntMatrix, got FpMatrix",
     ),
+    "reduced_power f": (lambda: steenrod.reduced_power(0, C1), TypeError, TORUS_NOT_CHERN),
+    "milnor_q_closed f": (lambda: steenrod.milnor_q_closed(1, C1), TypeError, TORUS_NOT_CHERN),
+    "milnor_q_recursive f": (
+        lambda: steenrod.milnor_q_recursive(1, C1),
+        TypeError,
+        TORUS_NOT_CHERN,
+    ),
+    "is_symmetric f": (lambda: polyring.is_symmetric(C1), TypeError, TORUS_NOT_CHERN),
+    "diagonal_eval f": (lambda: polyring.diagonal_eval(C1), TypeError, TORUS_NOT_CHERN),
+    "phi_star poly": (lambda: chern.phi_star(T1), TypeError, CHERN_NOT_TORUS),
+    "iota_star poly": (lambda: chern.iota_star(T1), TypeError, CHERN_NOT_TORUS),
+    "apply_suspension poly": (
+        lambda: suspension.apply_suspension(T1, 1),
+        TypeError,
+        CHERN_NOT_TORUS,
+    ),
+    "fp_inv a": (lambda: fp.fp_inv(3), TypeError, "expected FpScalar, got int"),
+}
+# The alpha recurrence needs p | n, read by one helper with one message.
+NOT_DIVIDING = {
+    f"{name} with p not dividing n": (call, ValueError, "need p | n, got n=5, p=3")
+    for name, call in (
+        ("derive_recurrence", lambda: suspension.derive_recurrence(5, P3)),
+        ("alpha_at", lambda: suspension.alpha_at(1, 5, P3, 1)),
+        ("solve_alpha_p", lambda: suspension.solve_alpha_p(5, P3, 1)),
+    )
 }
 # Every prime argument of the public API goes through ``fp._prime`` first. A
 # bare int p raised AttributeError from deep inside every entry point but
@@ -213,7 +247,48 @@ FIRST_ERROR = {
         "need exponent >= 0, got -1",
     ),
 }
-RAISES = {**FOREIGN, **FIRST_ERROR}
+RAISES = {**FOREIGN, **NOT_DIVIDING, **FIRST_ERROR}
+# Each binary operation of an element type, called with the same class over
+# another ring: ``fp._expect`` compares the two ``_ring()`` tuples and names
+# both in one message, ``<cls> ring mismatch: <mine> vs <theirs>``. A
+# matrix's ring is (n,) exact and (n, p) mod p.
+MULTI, CHERN, UNI = polyring.MultiPoly.one, chern.ChernPoly.one, polyring.UniPoly.one
+LINEAR, GRADED = suspension.LinearForm.constant, suspension.GradedForm
+MISMATCH = {
+    "FpScalar +": (lambda: fp.FpScalar(1, P3) + fp.FpScalar(1, P5), "FpScalar", "3 vs 5"),
+    "FpScalar -": (lambda: fp.FpScalar(1, P5) - fp.FpScalar(1, P3), "FpScalar", "5 vs 3"),
+    "FpScalar *": (lambda: fp.FpScalar(1, P2) * fp.FpScalar(1, P3), "FpScalar", "2 vs 3"),
+    "MultiPoly + n": (lambda: MULTI(2, P3) + MULTI(3, P3), "MultiPoly", "2, 3 vs 3, 3"),
+    "MultiPoly * p": (lambda: MULTI(2, P3) * MULTI(2, P5), "MultiPoly", "2, 3 vs 2, 5"),
+    "ChernPoly + p": (lambda: CHERN(3, P3) + CHERN(3, P5), "ChernPoly", "3, 3 vs 3, 5"),
+    "ChernPoly * n": (lambda: CHERN(3, P3) * CHERN(2, P3), "ChernPoly", "3, 3 vs 2, 3"),
+    "UniPoly +": (lambda: UNI(P3) + UNI(P5), "UniPoly", "3 vs 5"),
+    "UniPoly *": (lambda: UNI(P5) * UNI(P3), "UniPoly", "5 vs 3"),
+    "LinearForm +": (lambda: LINEAR(P3, 1) + LINEAR(P5, 1), "LinearForm", "3 vs 5"),
+    "GradedForm +": (lambda: GRADED(P3) + GRADED(P5), "GradedForm", "3 vs 5"),
+    "GradedForm forms": (lambda: GRADED(P3, {0: LINEAR(P5, 1)}), "LinearForm", "3 vs 5"),
+    "GradedForm.mul_uni": (lambda: GRADED(P3).mul_uni(UNI(P5)), "UniPoly", "3 vs 5"),
+    "IntMatrix *": (
+        lambda: matrices.IntMatrix.identity(2) * matrices.IntMatrix.identity(3),
+        "IntMatrix",
+        "2 vs 3",
+    ),
+    "FpMatrix * n": (
+        lambda: matrices.FpMatrix.identity(2, P3) * matrices.FpMatrix.identity(3, P3),
+        "FpMatrix",
+        "2, 3 vs 3, 3",
+    ),
+    "FpMatrix * p": (
+        lambda: matrices.FpMatrix.identity(2, P3) * matrices.FpMatrix.identity(2, P5),
+        "FpMatrix",
+        "2, 3 vs 2, 5",
+    ),
+    "solve_alpha_p k": (
+        lambda: suspension.solve_alpha_p(6, P3, fp.FpScalar(4, P5)),
+        "FpScalar",
+        "3 vs 5",
+    ),
+}
 # Every integer argument of the public API that has a floor, by its REFUSED
 # case: one less than the floor is refused by ``fp._integer``'s one message,
 # cold and again after the call with the case's int has warmed the memos.
@@ -261,6 +336,21 @@ BELOW_FLOOR = {
     "FpMatrix.identity n": 2,
     "IntMatrix.entry i": 1,
     "FpMatrix.entry j": 1,
+    "MultiPoly.variable n": 1,
+    "MultiPoly.variable generator index": 1,
+    "ChernPoly.generator n": 1,
+    "ChernPoly.generator generator index": 1,
+    "ChernPoly.partial generator index": 1,
+    "AlphaVector.alpha i": 0,
+}
+# Every integer argument of the public API that has a ceiling, by its REFUSED
+# case: one more than the ceiling is refused by ``fp._integer``'s one message,
+# cold and again after the call with the case's int has warmed the memos.
+ABOVE_TOP = {
+    "MultiPoly.variable generator index": 2,
+    "ChernPoly.generator generator index": 3,
+    "ChernPoly.partial generator index": 3,
+    "AlphaVector.alpha i": 5,
 }
 MEMOS = [f for layer in LAYERS for f in vars(layer).values() if hasattr(f, "cache_clear")]
 
@@ -283,17 +373,36 @@ def test_public_api_refuses_foreign_arguments(case):
         call(good)
 
 
-@pytest.mark.parametrize("case", BELOW_FLOOR)
-def test_public_api_refuses_an_integer_below_its_floor(case):
+def refuses_out_of_range(case: str, bad: int, bound: str) -> None:
+    """The REFUSED case called with ``bad`` raises ``need <name> <bound>, got
+    <bad>``, cold and again after the case's int has warmed the memos."""
     call, good = REFUSED[case]
-    name, floor = case.split(" ", 1)[1], BELOW_FLOOR[case]
-    message = f"need {name} >= {floor}, got {floor - 1}"
+    message = f"need {case.split(' ', 1)[1]} {bound}, got {bad}"
     for memo in MEMOS:
         memo.cache_clear()
     for _ in ("cold", "warm"):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(floor - 1)
+            call(bad)
         call(good)
+
+
+@pytest.mark.parametrize("case", BELOW_FLOOR)
+def test_public_api_refuses_an_integer_below_its_floor(case):
+    floor = BELOW_FLOOR[case]
+    refuses_out_of_range(case, floor - 1, f">= {floor}")
+
+
+@pytest.mark.parametrize("case", ABOVE_TOP)
+def test_public_api_refuses_an_integer_above_its_ceiling(case):
+    top = ABOVE_TOP[case]
+    refuses_out_of_range(case, top + 1, f"<= {top}")
+
+
+@pytest.mark.parametrize("case", MISMATCH)
+def test_ring_operations_refuse_an_element_of_another_ring(case):
+    call, cls, rings = MISMATCH[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{cls} ring mismatch: {rings}')}$"):
+        call()
 
 
 @pytest.mark.parametrize("case", NOT_PRIME)
